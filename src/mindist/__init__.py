@@ -32,7 +32,7 @@ from .gf2 import BinPoly, BitMatrix, BitWord, GF2mField, cyclotomic_coset, syste
 from .mim import ImpulsePattern, MimConfig, apply_pattern, make_pattern
 from .mim import run as run_mim
 from .oracle import ExactResult, exact_enumerator, exact_min_distance
-from .osd import OsdConfig, OsdDecoder, SoftWord, hard_decision, most_reliable_basis, osd_decode
+from .osd import OsdDecoder, SoftWord, hard_decision, most_reliable_basis
 from .results import DistanceEstimate, SCHEMA_VERSION, validate_result
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "ImpulsePattern",
     "LinearCode",
     "MimConfig",
-    "OsdConfig",
     "OsdDecoder",
     "RankError",
     "ResidueSet",
@@ -72,7 +71,6 @@ __all__ = [
     "load_code",
     "make_pattern",
     "most_reliable_basis",
-    "osd_decode",
     "pless_parity_adjust",
     "qr_sqrt_lower",
     "quadratic_residues",

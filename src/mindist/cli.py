@@ -10,16 +10,14 @@ import argparse
 import csv
 import json
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import codes as codes_mod
 from . import genetic, mim, oracle
-from .bounds import build_report, enforce
 from .errors import BudgetError, ConsistencyError
 from .gf2 import BitWord
-from .osd import DEFAULT_ORDER, OsdConfig, SoftWord, hard_decision, osd_decode
+from .osd import DEFAULT_ORDER, OsdDecoder, SoftWord, hard_decision
 from .results import DistanceEstimate
 
 EXIT_OK = 0
@@ -68,6 +66,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(handler=_cmd_construct)
 
     p_est = sub.add_parser("estimate", help="estimate the minimum distance of a code")
+    _add_estimate_args(p_est)
+    p_est.set_defaults(handler=_cmd_estimate)
+
+    p_tab = sub.add_parser("table", help="run a batch of estimates and emit CSV")
+    p_tab.add_argument("--spec", required=True,
+                       help="one run per line: CODE METHOD [key=value ...], keys "
+                            "being estimate flags written with _")
+    p_tab.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
+    p_tab.add_argument("--parallel", type=int, default=1, metavar="N",
+                       help="run rows on N worker processes (default sequential)")
+    p_tab.set_defaults(handler=_cmd_table)
+
+    p_dec = sub.add_parser("decode", help="debug: OSD-decode one received word")
+    p_dec.add_argument("--code", required=True)
+    p_dec.add_argument("--y", required=True,
+                       help="received samples, comma or space separated floats "
+                            "(use --y=... when the first sample is negative)")
+    p_dec.add_argument("--order", type=int, default=None)
+    p_dec.set_defaults(handler=_cmd_decode)
+    return parser
+
+
+def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
     p_est.add_argument("--code", required=True, help="generator matrix file")
     p_est.add_argument("--method", required=True, choices=("exact", "ga-a", "ga-b", "mim"))
     p_est.add_argument("--seed", type=int, default=0)
@@ -92,23 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--nb-test", type=int, default=None)
     p_est.add_argument("--error-max", type=int, default=None)
     p_est.add_argument("--osd-order", type=int, default=None)
-    p_est.set_defaults(handler=_cmd_estimate)
-
-    p_tab = sub.add_parser("table", help="run a batch of estimates and emit CSV")
-    p_tab.add_argument("--spec", required=True, help="one run per line: CODE METHOD [key=value ...]")
-    p_tab.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
-    p_tab.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="run rows on N worker processes (default sequential)")
-    p_tab.set_defaults(handler=_cmd_table)
-
-    p_dec = sub.add_parser("decode", help="debug: OSD-decode one received word")
-    p_dec.add_argument("--code", required=True)
-    p_dec.add_argument("--y", required=True,
-                       help="received samples, comma or space separated floats "
-                            "(use --y=... when the first sample is negative)")
-    p_dec.add_argument("--order", type=int, default=None)
-    p_dec.set_defaults(handler=_cmd_decode)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -177,30 +181,7 @@ def _read_config_file(path: str) -> dict:
 
 def _estimate(code: codes_mod.LinearCode, method: str, args) -> DistanceEstimate:
     if method == "exact":
-        started = time.perf_counter()
-        res = oracle.exact_min_distance(
-            code, budget=args.budget, collect_enumerator=args.enumerator
-        )
-        events = []
-        if res.enumerator is not None:
-            events.append({"kind": "enumerator",
-                           "counts": {str(w): c for w, c in sorted(res.enumerator.items())}})
-        report = enforce(build_report(code.family, code.n, code.k, res.d_exact), "exact")
-        return DistanceEstimate(
-            family=code.family,
-            n=code.n,
-            k=code.k,
-            method="exact",
-            d=res.d_exact,
-            witness=res.witness,
-            config={"budget": args.budget if args.budget is not None else oracle.DEFAULT_BUDGET,
-                    "enumerator": bool(args.enumerator)},
-            rng_seed=None,
-            wall_time_seconds=time.perf_counter() - started,
-            bound_report=report,
-            code_params=dict(code.metadata),
-            events=tuple(events),
-        )
+        return oracle.run(code, budget=args.budget, collect_enumerator=args.enumerator)
     if method == "ga-a":
         return genetic.run_variant_a(code, _ga_config(args, "A"))
     if method == "ga-b":
@@ -242,87 +223,53 @@ def _cmd_estimate(args) -> int:
 # table
 
 
-_ROW_KEYS = {
-    "seed": int,
-    "budget": int,
-    "enumerator": lambda v: v in ("1", "true", "True"),
-    "population": int,
-    "generations": int,
-    "elite_count": int,
-    "crossover_prob": float,
-    "mutation_prob": float,
-    "crossover": str,
-    "selection": str,
-    "tournament_size": int,
-    "mutation": str,
-    "no_elitism": lambda v: v in ("1", "true", "True"),
-    "d0": int,
-    "d1": int,
-    "nb_test": int,
-    "error_max": int,
-    "osd_order": int,
-}
+class _RowParser(argparse.ArgumentParser):
+    """The ``estimate`` arguments; a parse error becomes a row error, not an exit."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _parse_spec_line(line: str) -> tuple[str, str, dict]:
+def _parse_row(line: str) -> argparse.Namespace:
+    """``CODE METHOD key=value ...`` parsed as ``estimate`` arguments.
+
+    ``key=value`` becomes ``--key value`` with ``_`` written as ``-``; a
+    bool flag (``enumerator``, ``no_elitism``) is passed bare when its
+    value is 1 or true and left out otherwise.
+    """
     tokens = line.split()
     if len(tokens) < 2:
         raise ValueError(f"expected 'CODE METHOD [key=value ...]', got {line!r}")
-    path, method = tokens[0], tokens[1]
-    if method not in ("exact", "ga-a", "ga-b", "mim"):
-        raise ValueError(f"unknown method {method!r}")
-    options = {}
+    parser = _RowParser(prog="table row", add_help=False)
+    _add_estimate_args(parser)
+    argv = ["--code", tokens[0], "--method", tokens[1]]
     for tok in tokens[2:]:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, _, value = tok.partition("=")
-        if key not in _ROW_KEYS:
-            raise ValueError(f"unknown option {key!r}")
-        options[key] = _ROW_KEYS[key](value)
-    return path, method, options
+        flag = "--" + key.replace("_", "-")
+        if isinstance(parser.get_default(key), bool):
+            argv += [flag] if value in ("1", "true", "True") else []
+        else:
+            argv += [flag, value]
+    return parser.parse_args(argv)
 
 
-class _RowArgs:
-    """Adapter giving _estimate the attribute surface of parsed CLI args."""
-
-    def __init__(self, options: dict):
-        self.seed = options.get("seed", 0)
-        self.budget = options.get("budget")
-        self.enumerator = options.get("enumerator", False)
-        self.config = None
-        self.population = options.get("population")
-        self.generations = options.get("generations")
-        self.elite_count = options.get("elite_count")
-        self.crossover_prob = options.get("crossover_prob")
-        self.mutation_prob = options.get("mutation_prob")
-        self.crossover = options.get("crossover")
-        self.selection = options.get("selection")
-        self.tournament_size = options.get("tournament_size")
-        self.mutation = options.get("mutation")
-        self.no_elitism = options.get("no_elitism", False)
-        self.d0 = options.get("d0")
-        self.d1 = options.get("d1")
-        self.nb_test = options.get("nb_test")
-        self.error_max = options.get("error_max")
-        self.osd_order = options.get("osd_order")
-
-
-def _run_table_row(row: tuple[int, str]) -> dict:
-    index, line = row
+def _run_table_row(line: str) -> tuple[dict, bool]:
+    """One CSV row, and whether the row failed a consistency check."""
     out = {"code": "", "method": "", "d": "", "runtime": "", "seed": "", "error": ""}
     try:
-        path, method, options = _parse_spec_line(line)
-        out["code"], out["method"] = path, method
-        out["seed"] = options.get("seed", 0)
-        code = codes_mod.load_code(path)
-        est = _estimate(code, method, _RowArgs(options))
+        args = _parse_row(line)
+        out["code"], out["method"], out["seed"] = args.code, args.method, args.seed
+        est = _estimate(codes_mod.load_code(args.code), args.method, args)
         out["d"] = est.d
         out["runtime"] = f"{est.wall_time_seconds:.3f}"
         if est.rng_seed is None:
             out["seed"] = ""
     except Exception as e:  # per-row failures become rows, the batch continues
         out["error"] = str(e)
-    return out
+        return out, isinstance(e, ConsistencyError)
+    return out, False
 
 
 def _cmd_table(args) -> int:
@@ -331,21 +278,20 @@ def _cmd_table(args) -> int:
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             lines.append(stripped)
-    rows_in = list(enumerate(lines))
-    if args.parallel > 1 and len(rows_in) > 1:
+    if args.parallel > 1 and len(lines) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_run_table_row, rows_in))
+            results = list(pool.map(_run_table_row, lines))
     else:
-        rows = [_run_table_row(r) for r in rows_in]
+        results = [_run_table_row(line) for line in lines]
     sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(sink, fieldnames=["code", "method", "d", "runtime", "seed", "error"])
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(row for row, _ in results)
     finally:
         if args.out:
             sink.close()
-    return EXIT_OK
+    return EXIT_CONSISTENCY if any(failed for _, failed in results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +303,8 @@ def _cmd_decode(args) -> int:
     text = args.y.replace(",", " ")
     values = [float(tok) for tok in text.split()]
     y = SoftWord.from_iterable(values)
-    cfg = OsdConfig(code, args.order if args.order is not None else DEFAULT_ORDER)
-    decoded = osd_decode(cfg, y)
+    order = args.order if args.order is not None else DEFAULT_ORDER
+    decoded = OsdDecoder(code, order).decode(y)
     print(f"hard decision: {hard_decision(y).to01()}")
     print(f"decoded:       {decoded.to01()}")
     print(f"weight:        {decoded.weight}")

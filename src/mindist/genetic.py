@@ -25,10 +25,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .bounds import build_report, enforce
 from .codes import LinearCode
 from .errors import DimensionError
-from .gf2 import BitWord
+from .gf2 import BitWord, xor_rows
 from .results import DistanceEstimate
 
 __all__ = [
@@ -175,17 +174,8 @@ def fitness(code: LinearCode, info: BitWord) -> int:
     return _fitness_int(code.generator.rows, code.n, info.bits)
 
 
-def _encode_int(rows: tuple[int, ...], info: int) -> int:
-    acc = 0
-    t = info
-    while t:
-        acc ^= rows[(t & -t).bit_length() - 1]
-        t &= t - 1
-    return acc
-
-
 def _fitness_int(rows: tuple[int, ...], n: int, info: int) -> int:
-    w = _encode_int(rows, info).bit_count()
+    w = xor_rows(rows, info).bit_count()
     return w if w else n
 
 
@@ -367,37 +357,10 @@ def _best_with_witness(
     spop, sfits = _sort_by_fitness(pop, fits)
     for bits, f in zip(spop, sfits):
         if bits:
-            return f, BitWord(code.n, _encode_int(rows, bits))
+            return f, BitWord(code.n, xor_rows(rows, bits))
     # every individual is the zero word; fall back to the first generator row
     cw = rows[0]
     return cw.bit_count(), BitWord(code.n, cw)
-
-
-def _finish(
-    code: LinearCode,
-    cfg: GaConfig,
-    method: str,
-    d: int,
-    witness: BitWord,
-    events: list[dict],
-    started: float,
-) -> DistanceEstimate:
-    assert witness.weight == d and witness.bits != 0
-    report = enforce(build_report(code.family, code.n, code.k, d), method)
-    return DistanceEstimate(
-        family=code.family,
-        n=code.n,
-        k=code.k,
-        method=method,
-        d=d,
-        witness=witness,
-        config=cfg.to_dict(),
-        rng_seed=cfg.rng_seed,
-        wall_time_seconds=time.perf_counter() - started,
-        bound_report=report,
-        code_params=dict(code.metadata),
-        events=tuple(events),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +416,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         pop, fits = new_pop, new_fits
     d, witness = _best_with_witness(code, pop, fits)
     events.append({"generation": cfg.max_generations, "best_fitness": d})
-    return _finish(code, cfg, "ga_a", d, witness, events, started)
+    return DistanceEstimate.of(code, "ga_a", d, witness, cfg.to_dict(), cfg.rng_seed,
+                               started, events)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +471,9 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
                 new_pop.append(pop[i1] if rng.random() < 0.5 else pop[i2])
         pop = new_pop
     if best_bits:
-        witness = BitWord(code.n, _encode_int(rows, best_bits))
+        witness = BitWord(code.n, xor_rows(rows, best_bits))
         d = best_f
     else:
         d, witness = _best_with_witness(code, pop, [_fitness_int(rows, n, b) for b in pop])
-    return _finish(code, cfg, "ga_b", d, witness, events, started)
+    return DistanceEstimate.of(code, "ga_b", d, witness, cfg.to_dict(), cfg.rng_seed,
+                               started, events)

@@ -6,12 +6,16 @@ polynomials use the same packing with bit i as the coefficient of x^i,
 so a word and the polynomial it represents are literally the same int.
 Weight is a single popcount; XOR is a single int op.  The exhaustive
 sweep over 2^k codewords elsewhere in the package leans on this.
+``unpack_rows`` and ``pack_rows`` convert such rows to and from 0/1
+numpy matrices for the vectorized code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DimensionError, RankError
 
@@ -22,12 +26,11 @@ __all__ = [
     "GF2mField",
     "PRIMITIVE_POLYS",
     "cyclotomic_coset",
-    "encode",
-    "weight",
     "systematize",
-    "poly_mul",
-    "poly_mod",
     "poly_gcd",
+    "xor_rows",
+    "pack_rows",
+    "unpack_rows",
 ]
 
 
@@ -101,11 +104,6 @@ class BitWord:
 
     def __str__(self) -> str:
         return self.to01()
-
-
-def weight(w: BitWord) -> int:
-    """Number of set bits of ``w``."""
-    return w.weight
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +184,33 @@ class BitMatrix:
             raise DimensionError(
                 f"word length {w.length} != row count {self.nrows}"
             )
-        acc = 0
-        t = w.bits
-        while t:
-            i = (t & -t).bit_length() - 1
-            acc ^= self.rows[i]
-            t &= t - 1
-        return BitWord(self.cols, acc)
+        return BitWord(self.cols, xor_rows(self.rows, w.bits))
 
     def transpose(self) -> "BitMatrix":
-        out = []
-        for j in range(self.cols):
-            v = 0
-            for i, row in enumerate(self.rows):
-                v |= ((row >> j) & 1) << i
-            out.append(v)
-        return BitMatrix(self.nrows, tuple(out))
+        return BitMatrix(self.nrows, tuple(pack_rows(unpack_rows(self.rows, self.cols).T)))
 
 
-def encode(generator: BitMatrix, info: BitWord) -> BitWord:
-    """info * G over GF(2).  Linear in ``info``; length = G.cols."""
-    return generator.mul_word(info)
+def xor_rows(rows: tuple[int, ...], mask: int) -> int:
+    """XOR of ``rows[i]`` over the set bits i of ``mask``."""
+    acc = 0
+    while mask:
+        acc ^= rows[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return acc
+
+
+def unpack_rows(rows: Iterable[int], n: int) -> np.ndarray:
+    """Packed int rows as a 0/1 uint8 matrix with ``n`` columns."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    arr = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
+    return np.unpackbits(arr, axis=1, count=n, bitorder="little")
+
+
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """Rows of a 0/1 uint8 matrix as ints with bit j = column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def systematize(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -240,14 +244,7 @@ def systematize(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
             if i != r and rows[i] & bit:
                 rows[i] ^= rows[r]
     if any(perm[j] != j for j in range(n)):
-        shuffled = []
-        for row in rows:
-            v = 0
-            for j in range(n):
-                if (row >> perm[j]) & 1:
-                    v |= 1 << j
-            shuffled.append(v)
-        rows = shuffled
+        rows = pack_rows(unpack_rows(rows, n)[:, perm])
     return BitMatrix(n, tuple(rows)), tuple(perm)
 
 
@@ -341,14 +338,6 @@ class BinPoly:
             if (self.bits >> e) & 1:
                 terms.append("1" if e == 0 else ("x" if e == 1 else f"x^{e}"))
         return " + ".join(terms)
-
-
-def poly_mul(a: BinPoly, b: BinPoly) -> BinPoly:
-    return a * b
-
-
-def poly_mod(a: BinPoly, b: BinPoly) -> BinPoly:
-    return a % b
 
 
 def poly_gcd(a: BinPoly, b: BinPoly) -> BinPoly:

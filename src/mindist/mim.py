@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import build_report, enforce, singleton
+from .bounds import singleton
 from .codes import LinearCode
 from .gf2 import BitWord
 from .osd import DEFAULT_ORDER, OsdDecoder, SoftWord
@@ -175,18 +175,5 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
 
     if witness is None:
         events.append({"kind": "no_witness", "d_init": d_t})
-    report = enforce(build_report(code.family, n, k, d_t), "mim")
-    return DistanceEstimate(
-        family=code.family,
-        n=n,
-        k=k,
-        method="mim",
-        d=d_t,
-        witness=witness,
-        config=cfg.to_dict(),
-        rng_seed=cfg.rng_seed,
-        wall_time_seconds=time.perf_counter() - started,
-        bound_report=report,
-        code_params=dict(code.metadata),
-        events=tuple(events),
-    )
+    return DistanceEstimate.of(code, "mim", d_t, witness, cfg.to_dict(), cfg.rng_seed,
+                               started, events)

@@ -13,15 +13,17 @@ defined and deterministic.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import LinearCode
 from .errors import BudgetError
-from .gf2 import BitWord
+from .gf2 import BitWord, unpack_rows
+from .results import DistanceEstimate
 
-__all__ = ["ExactResult", "exact_min_distance", "exact_enumerator", "DEFAULT_BUDGET"]
+__all__ = ["ExactResult", "exact_min_distance", "exact_enumerator", "run", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 32
 BUDGET_ENV_VAR = "MINDIST_ORACLE_BUDGET"
@@ -55,16 +57,6 @@ class ExactResult:
     enumerated: int
 
 
-def _pack_rows(rows: tuple[int, ...], n: int) -> np.ndarray:
-    lanes = (n + 63) // 64
-    out = np.zeros((len(rows), lanes), dtype=np.uint64)
-    mask = (1 << 64) - 1
-    for i, r in enumerate(rows):
-        for lane in range(lanes):
-            out[i, lane] = (r >> (64 * lane)) & mask
-    return out
-
-
 def exact_min_distance(
     code: LinearCode,
     budget: int | None = None,
@@ -84,9 +76,9 @@ def exact_min_distance(
             f"k = {k} exceeds oracle budget {budget}: the sweep would visit "
             f"2^{k} = {1 << k} codewords"
         )
-    rows = code.generator.rows
-    rows_u = _pack_rows(rows, n)
-    lanes = rows_u.shape[1]
+    lanes = (n + 63) // 64
+    bits = unpack_rows(code.generator.rows, 64 * lanes)
+    rows_u = np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
     low = min(k, _LOW_BLOCK_BITS)
     high = k - low
@@ -128,7 +120,6 @@ def exact_min_distance(
 
     info_bits = ((best_block ^ (best_block >> 1)) << low) | (best_pos ^ (best_pos >> 1))
     witness = code.encode(BitWord(k, info_bits))
-    assert witness.weight == best_w and best_w <= n
 
     enumerator = None
     if counts is not None:
@@ -144,3 +135,25 @@ def exact_min_distance(
 def exact_enumerator(code: LinearCode, budget: int | None = None) -> ExactResult:
     """Same sweep with the full weight enumerator populated."""
     return exact_min_distance(code, budget=budget, collect_enumerator=True)
+
+
+def run(
+    code: LinearCode,
+    budget: int | None = None,
+    collect_enumerator: bool = False,
+) -> DistanceEstimate:
+    """The exact method's certified record; ``config`` holds the budget the
+    sweep ran under, and the enumerator, when collected, is its one event."""
+    if budget is None:
+        budget = _default_budget()
+    started = time.perf_counter()
+    res = exact_min_distance(code, budget=budget, collect_enumerator=collect_enumerator)
+    events = []
+    if res.enumerator is not None:
+        events.append({"kind": "enumerator",
+                       "counts": {str(w): c for w, c in sorted(res.enumerator.items())}})
+    return DistanceEstimate.of(
+        code, "exact", res.d_exact, res.witness,
+        config={"budget": budget, "enumerator": bool(collect_enumerator)},
+        rng_seed=None, started=started, events=events,
+    )

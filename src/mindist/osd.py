@@ -28,14 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .codes import LinearCode
-from .gf2 import BitMatrix, BitWord
+from .errors import ConsistencyError
+from .gf2 import BitMatrix, BitWord, pack_rows, unpack_rows
 
 __all__ = [
     "SoftWord",
-    "OsdConfig",
     "hard_decision",
     "most_reliable_basis",
-    "osd_decode",
     "OsdDecoder",
     "DEFAULT_ORDER",
 ]
@@ -71,18 +70,6 @@ class SoftWord:
         return np.asarray(self.values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class OsdConfig:
-    """Reprocessing order and the code the decoder works on."""
-
-    code: LinearCode
-    order: int = DEFAULT_ORDER
-
-    def __post_init__(self):
-        if not 0 <= self.order <= self.code.k:
-            raise ValueError(f"order {self.order} outside 0..k = {self.code.k}")
-
-
 def hard_decision(y: SoftWord) -> BitWord:
     """bit i = 1 iff y_i > 0; an exact zero demaps to 0."""
     bits = 0
@@ -102,27 +89,6 @@ def _combo_indices(k: int, t: int) -> np.ndarray:
         idx = np.array(list(combinations(range(k), t)), dtype=np.intp)
         _COMBO_CACHE[key] = idx
     return idx
-
-
-def _generator_array(code: LinearCode) -> np.ndarray:
-    arr = np.zeros((code.k, code.n), dtype=np.uint8)
-    for i, row in enumerate(code.generator.rows):
-        for j in range(code.n):
-            arr[i, j] = (row >> j) & 1
-    return arr
-
-
-def _pack_rows_as_ints(bit_rows: np.ndarray) -> list[int]:
-    """Rows of a 0/1 uint8 matrix as ints with bit j = column j."""
-    packed = np.packbits(bit_rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_int_rows(rows: list[int], n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(arr, axis=1, bitorder="little")[:, :n]
 
 
 def _eliminate(rows: list[int], k: int, n: int) -> list[int]:
@@ -147,7 +113,8 @@ def _eliminate(rows: list[int], k: int, n: int) -> list[int]:
         r += 1
         if r == k:
             break
-    assert r == k, "generator lost rank during reduction"
+    if r != k:
+        raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {k}")
     return piv
 
 
@@ -170,7 +137,7 @@ class OsdDecoder:
             raise ValueError(f"order {order} outside 0..k = {code.k}")
         self.code = code
         self.order = order
-        self._g8 = _generator_array(code)
+        self._g8 = unpack_rows(code.generator.rows, code.n)
         self._combos = [_combo_indices(code.k, t) for t in range(1, order + 1)]
 
     def _mrb_reduce(self, arr: np.ndarray):
@@ -181,11 +148,11 @@ class OsdDecoder:
             raise ValueError(f"received word length {arr.shape[0]} != n = {n}")
         abs_y = np.abs(arr)
         order_cols = _reliability_order(abs_y)
-        rows = _pack_rows_as_ints(self._g8[:, order_cols])
+        rows = pack_rows(self._g8[:, order_cols])
         piv = _eliminate(rows, k, n)
         piv_set = set(piv)
         rest = [c for c in range(n) if c not in piv_set]
-        bits = _unpack_int_rows(rows, n)
+        bits = unpack_rows(rows, n)
         perm = np.concatenate([order_cols[piv], order_cols[rest]])
         return bits, piv, rest, perm, abs_y
 
@@ -281,10 +248,7 @@ class OsdDecoder:
         # MSB-first packing makes byte order equal bit-lexicographic order
         packed = np.packbits(out, axis=1)
         j = min(range(m), key=lambda i: packed[i].tobytes())
-        bits = 0
-        for pos in np.flatnonzero(out[j]):
-            bits |= 1 << int(pos)
-        return tuple(int(x) for x in patterns[j]), BitWord(n, bits)
+        return tuple(int(x) for x in patterns[j]), BitWord(n, pack_rows(out[j:j + 1])[0])
 
 
 def most_reliable_basis(
@@ -301,17 +265,5 @@ def most_reliable_basis(
     decoder = OsdDecoder(code, order=0)
     arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
     bits, piv, rest, perm, _ = decoder._mrb_reduce(arr)
-    k, n = code.k, code.n
-    reordered = np.concatenate([bits[:, piv], bits[:, rest]], axis=1)
-    rows = []
-    for i in range(k):
-        v = 0
-        for j in np.flatnonzero(reordered[i]):
-            v |= 1 << int(j)
-        rows.append(v)
-    return BitMatrix(n, tuple(rows)), tuple(int(x) for x in perm)
-
-
-def osd_decode(cfg: OsdConfig, y: SoftWord) -> BitWord:
-    """One-shot decode; build an OsdDecoder directly for repeated use."""
-    return OsdDecoder(cfg.code, cfg.order).decode(y)
+    rows = pack_rows(np.concatenate([bits[:, piv], bits[:, rest]], axis=1))
+    return BitMatrix(code.n, tuple(rows)), tuple(int(x) for x in perm)

@@ -1,19 +1,28 @@
 """Distance estimate records and their JSON wire format.
 
-Every estimator returns a DistanceEstimate; the CLI serializes it with
-``to_json`` and the schema is versioned so downstream diffing tools can
+Every estimator returns a DistanceEstimate built by ``DistanceEstimate.of``,
+which certifies the witness and the analytic bounds; the CLI serializes it
+with ``to_json`` and the schema is versioned so downstream diffing tools can
 rely on the layout.  ``validate_result`` checks a parsed document against
-the current schema (a structural check mirroring schemas/result-v1.json).
+the shipped schemas/result-v1.json plus the cross-field witness checks
+the schema cannot express.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
-from .bounds import BoundReport
-from .gf2 import BitWord
+from .bounds import BoundReport, build_report, enforce
+from .errors import ConsistencyError
+from .gf2 import BitMatrix, BitWord
+
+if TYPE_CHECKING:
+    from .codes import LinearCode
 
 __all__ = ["DistanceEstimate", "SCHEMA_VERSION", "validate_result"]
 
@@ -49,6 +58,51 @@ class DistanceEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+
+    @staticmethod
+    def of(
+        code: LinearCode,
+        method: str,
+        d: int,
+        witness: BitWord | None,
+        config: dict,
+        rng_seed: int | None,
+        started: float,
+        events: list[dict],
+    ) -> "DistanceEstimate":
+        """The certified record of one run that began at ``started``
+        (a ``time.perf_counter`` reading).
+
+        Raises ConsistencyError when ``d`` breaks a hard bound, or when the
+        witness is not a nonzero codeword of weight ``d``.  Only MIM may
+        report no witness, when no decode ever left the all-zero word.
+        """
+        elapsed = time.perf_counter() - started
+        report = enforce(build_report(code.family, code.n, code.k, d), method)
+        if witness is None:
+            if method != "mim":
+                raise ConsistencyError(f"{method}: no witness")
+        elif witness.length != code.n or witness.bits == 0 or witness.weight != d:
+            raise ConsistencyError(
+                f"{method}: witness of length {witness.length} and weight "
+                f"{witness.weight} does not certify d = {d} on n = {code.n}"
+            )
+        elif BitMatrix(code.n, code.generator.rows + (witness.bits,)).rank() != code.k:
+            raise ConsistencyError(f"{method}: witness is not a codeword")
+        return DistanceEstimate(
+            family=code.family,
+            n=code.n,
+            k=code.k,
+            method=method,
+            d=d,
+            witness=witness,
+            config=config,
+            rng_seed=rng_seed,
+            wall_time_seconds=elapsed,
+            bound_report=report,
+            code_params=dict(code.metadata),
+            events=tuple(events),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -86,74 +140,58 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-# field name -> (allowed types, nullable)
-_TOP_LEVEL = {
-    "schema_version": (int, False),
-    "code": (dict, False),
-    "method": (str, False),
-    "d": (int, False),
-    "witness": (str, True),
-    "witness_weight": (int, True),
-    "config": (dict, False),
-    "rng_seed": (int, True),
-    "wall_time_seconds": ((int, float), False),
-    "bounds": (dict, False),
-    "events": (list, False),
-}
+_SCHEMA_PATH = Path(__file__).parent / "schemas" / "result-v1.json"
 
-_CODE_FIELDS = {
-    "family": (str, False),
-    "n": (int, False),
-    "k": (int, False),
-    "params": (dict, False),
-}
-
-_BOUND_FIELDS = {
-    "singleton_upper": (int, False),
-    "sqrt_lower": (int, True),
-    "sqrt_of_n": ((int, float), True),
-    "krasikov_upper": ((int, float), True),
-    "parity_adjusted_d": (int, True),
-    "violated": (list, False),
-    "warnings": (list, False),
+# JSON type name -> Python types; a bool is never a JSON number
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "null": type(None),
 }
 
 
-def _check_fields(obj: dict, spec: dict, where: str) -> None:
-    missing = spec.keys() - obj.keys()
-    if missing:
-        raise ValueError(f"{where}: missing fields {sorted(missing)}")
-    extra = obj.keys() - spec.keys()
-    if extra:
-        raise ValueError(f"{where}: unexpected fields {sorted(extra)}")
-    for name, (types, nullable) in spec.items():
-        v = obj[name]
-        if v is None:
-            if not nullable:
-                raise ValueError(f"{where}.{name}: null not allowed")
-            continue
-        if not isinstance(v, types) or isinstance(v, bool):
-            raise ValueError(f"{where}.{name}: bad type {type(v).__name__}")
+def _check(value: Any, schema: dict, where: str) -> None:
+    """Check ``value`` against the schema keywords result-v1.json uses."""
+    if "const" in schema and value != schema["const"]:
+        raise ValueError(f"{where}: {value!r} != {schema['const']!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ValueError(f"{where}: {value!r} not one of {schema['enum']}")
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if isinstance(value, bool) or not isinstance(value, tuple(_TYPES[t] for t in names)):
+            raise ValueError(f"{where}: bad type {type(value).__name__}")
+    if value is None:
+        return
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ValueError(f"{where}: {value} < minimum {schema['minimum']}")
+    if "pattern" in schema and not re.search(schema["pattern"], value):
+        raise ValueError(f"{where}: does not match {schema['pattern']}")
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{where}[{i}]")
+    if "required" in schema:
+        missing = set(schema["required"]) - value.keys()
+        if missing:
+            raise ValueError(f"{where}: missing fields {sorted(missing)}")
+    props = schema.get("properties", {})
+    if schema.get("additionalProperties") is False:
+        extra = value.keys() - props.keys()
+        if extra:
+            raise ValueError(f"{where}: unexpected fields {sorted(extra)}")
+    for name, sub in props.items():
+        if name in value:
+            _check(value[name], sub, f"{where}.{name}")
 
 
 def validate_result(doc: dict) -> None:
     """Raise ValueError unless ``doc`` conforms to the result schema."""
-    _check_fields(doc, _TOP_LEVEL, "result")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"schema_version {doc['schema_version']} != {SCHEMA_VERSION}"
-        )
-    if doc["method"] not in METHODS:
-        raise ValueError(f"unknown method {doc['method']!r}")
-    _check_fields(doc["code"], _CODE_FIELDS, "result.code")
-    _check_fields(doc["bounds"], _BOUND_FIELDS, "result.bounds")
+    _check(doc, json.loads(_SCHEMA_PATH.read_text(encoding="utf-8")), "result")
     witness = doc["witness"]
     if witness is not None:
-        if set(witness) - {"0", "1"}:
-            raise ValueError("result.witness: symbols outside {0,1}")
         if len(witness) != doc["code"]["n"]:
             raise ValueError("result.witness: length != n")
         if witness.count("1") != doc["witness_weight"]:
             raise ValueError("result.witness_weight does not match witness")
-    if not all(isinstance(e, dict) for e in doc["events"]):
-        raise ValueError("result.events: entries must be objects")

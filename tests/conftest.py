@@ -1,6 +1,7 @@
 import pytest
 
 from mindist import BitWord, LinearCode, build_dcc, build_qdc, build_qr
+from mindist.cli import EXIT_OK, main
 from mindist.gf2 import BitMatrix
 
 
@@ -79,3 +80,11 @@ def padded_identity8() -> LinearCode:
     """[I_8 | 0]: fitness equals gene weight, distance 1."""
     rows = tuple(1 << i for i in range(8))
     return LinearCode(9, 8, BitMatrix(9, rows))
+
+
+@pytest.fixture()
+def c20_file(tmp_path):
+    """C(20,10) written to a matrix file by the CLI."""
+    path = tmp_path / "c20.gm"
+    assert main(["construct", "--dcc", "1001111110", "--out", str(path)]) == EXIT_OK
+    return path

@@ -4,15 +4,10 @@ import random
 
 import pytest
 
-from mindist.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from mindist import oracle
+from mindist.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _parse_row, main
+from mindist.oracle import BUDGET_ENV_VAR
 from mindist.results import validate_result
-
-
-@pytest.fixture()
-def c20_file(tmp_path):
-    path = tmp_path / "c20.gm"
-    assert main(["construct", "--dcc", "1001111110", "--out", str(path)]) == EXIT_OK
-    return path
 
 
 class TestConstruct:
@@ -116,6 +111,14 @@ class TestEstimate:
                    "--population", "7"])
         assert rc == EXIT_CONFIG
 
+    def test_exact_records_env_budget(self, c20_file, tmp_path, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "12")
+        out = tmp_path / "r.json"
+        rc = main(["estimate", "--code", str(c20_file), "--method", "exact",
+                   "--json", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["config"]["budget"] == 12
+
     def test_missing_code_file_exits_2(self, tmp_path):
         rc = main(["estimate", "--code", str(tmp_path / "nope.gm"), "--method", "exact"])
         assert rc == EXIT_CONFIG
@@ -152,6 +155,55 @@ class TestTable:
         assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["error"] != ""
+        assert rows[1]["d"] == "6" and rows[1]["error"] == ""
+
+    def test_row_parse_errors_recorded_not_fatal(self, c20_file, tmp_path):
+        spec = tmp_path / "runs.spec"
+        spec.write_text(
+            f"{c20_file} exact colour=red\n"
+            f"{c20_file} ga-b population=many\n"
+            f"{c20_file} exact seed\n"
+            f"{c20_file} exact\n"
+        )
+        out = tmp_path / "runs.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert "--colour" in rows[0]["error"]
+        assert "population" in rows[1]["error"]
+        assert "key=value" in rows[2]["error"]
+        assert rows[3]["d"] == "6" and rows[3]["error"] == ""
+
+    def test_bool_flag_rows(self, c20_file, tmp_path):
+        spec = tmp_path / "runs.spec"
+        spec.write_text(
+            f"{c20_file} exact enumerator=1\n"
+            f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=1\n"
+            f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=0\n"
+        )
+        out = tmp_path / "runs.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["d"] == "6"
+        assert all(r["error"] == "" for r in rows)
+        assert _parse_row(f"{c20_file} exact enumerator=1").enumerator is True
+        args = _parse_row(f"{c20_file} ga-b no_elitism=1 crossover_prob=0.5")
+        assert args.no_elitism is True and args.crossover_prob == 0.5
+        assert _parse_row(f"{c20_file} ga-b no_elitism=0").no_elitism is False
+
+    def test_consistency_failure_exits_4(self, c20_file, tmp_path, monkeypatch):
+        real = oracle.exact_min_distance
+
+        def forged(code, **kwargs):
+            res = real(code, **kwargs)
+            return oracle.ExactResult(res.d_exact - 1, res.witness, None, res.enumerated)
+
+        monkeypatch.setattr(oracle, "exact_min_distance", forged)
+        spec = tmp_path / "runs.spec"
+        spec.write_text(f"{c20_file} exact\n{c20_file} mim seed=1 nb_test=2\n")
+        out = tmp_path / "runs.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_CONSISTENCY
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert "witness" in rows[0]["error"]
         assert rows[1]["d"] == "6" and rows[1]["error"] == ""
 
     def test_parallel_matches_sequential(self, c20_file, tmp_path):

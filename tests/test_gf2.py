@@ -11,11 +11,11 @@ from mindist.gf2 import (
     GF2mField,
     PRIMITIVE_POLYS,
     cyclotomic_coset,
+    pack_rows,
     poly_gcd,
-    poly_mod,
-    poly_mul,
     systematize,
-    weight,
+    unpack_rows,
+    xor_rows,
 )
 from mindist.codes import build_dcc
 
@@ -27,14 +27,14 @@ words = st.integers(min_value=1, max_value=64).flatmap(
 
 class TestBitWord:
     def test_weight_zero_word(self):
-        assert weight(BitWord.zeros(7)) == 0
+        assert BitWord.zeros(7).weight == 0
 
     def test_weight_hand_counted(self):
-        assert weight(BitWord.parse("1001111110")) == 7
+        assert BitWord.parse("1001111110").weight == 7
 
     @pytest.mark.parametrize("n", [1, 5, 33, 64, 100])
     def test_weight_all_ones(self, n):
-        assert weight(BitWord.ones(n)) == n
+        assert BitWord.ones(n).weight == n
 
     def test_parse_round_trip(self):
         s = "100101110"
@@ -144,6 +144,31 @@ class TestBitMatrix:
     def test_rank_of_identity(self):
         assert BitMatrix.identity(6).rank() == 6
 
+    def test_transpose_hand_checked(self):
+        m = BitMatrix.from_strings(["110", "011"])
+        assert m.transpose() == BitMatrix.from_strings(["10", "11", "01"])
+
+
+class TestPackedRows:
+    @given(st.integers(1, 130).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))))
+    def test_round_trip(self, case):
+        n, rows = case
+        bits = unpack_rows(rows, n)
+        assert bits.shape == (len(rows), n) and bits.dtype == np.uint8
+        for row, unpacked in zip(rows, bits):
+            assert [int(b) for b in unpacked] == [(row >> j) & 1 for j in range(n)]
+        assert pack_rows(bits) == rows
+
+    @given(st.lists(st.integers(0, (1 << 40) - 1), min_size=1, max_size=8), st.data())
+    def test_xor_rows_is_vector_matrix_product(self, rows, data):
+        mask = data.draw(st.integers(0, (1 << len(rows)) - 1))
+        expected = 0
+        for i, row in enumerate(rows):
+            if (mask >> i) & 1:
+                expected ^= row
+        assert xor_rows(tuple(rows), mask) == expected
+
 
 class TestBinPoly:
     def test_square_of_x_plus_1(self):
@@ -157,11 +182,11 @@ class TestBinPoly:
 
     def test_self_mod_is_zero(self):
         p = BinPoly.from_exponents([4, 1, 0])
-        assert not poly_mod(p, p)
+        assert not p % p
 
     def test_mod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            poly_mod(BinPoly(0b101), BinPoly(0))
+            BinPoly(0b101) % BinPoly(0)
 
     def test_zero_degree_convention(self):
         assert BinPoly(0).degree == -1
@@ -174,7 +199,7 @@ class TestBinPoly:
 
     @given(st.integers(0, 2**24 - 1), st.integers(1, 2**12 - 1))
     def test_mod_degree_shrinks(self, a, b):
-        r = poly_mod(BinPoly(a), BinPoly(b))
+        r = BinPoly(a) % BinPoly(b)
         assert r.degree < BinPoly(b).degree or not r
 
     @given(st.integers(0, 2**16 - 1), st.integers(1, 2**10 - 1))

@@ -3,15 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from mindist.errors import ConsistencyError
 from mindist.gf2 import BitMatrix, BitWord
-from mindist.osd import (
-    OsdConfig,
-    OsdDecoder,
-    SoftWord,
-    hard_decision,
-    most_reliable_basis,
-    osd_decode,
-)
+from mindist.osd import OsdDecoder, SoftWord, _eliminate, hard_decision, most_reliable_basis
 
 
 def all_codewords(code) -> list[BitWord]:
@@ -191,15 +185,15 @@ class TestOsdDecode:
                     sc = np.array([1.0 if (cand >> i) & 1 else -1.0 for i in range(7)])
                     assert out_cost <= ((y - sc) ** 2).sum() + 1e-9
 
-    def test_osd_config_wrapper(self, golay24):
-        cfg = OsdConfig(golay24, order=2)
-        assert osd_decode(cfg, SoftWord.all_zero_channel(24)) == BitWord.zeros(24)
-
     def test_order_bounds(self, golay24):
         with pytest.raises(ValueError):
             OsdDecoder(golay24, order=13)
         with pytest.raises(ValueError):
-            OsdConfig(golay24, order=-1)
+            OsdDecoder(golay24, order=-1)
+
+    def test_rank_loss_is_a_consistency_error(self):
+        with pytest.raises(ConsistencyError, match="lost rank"):
+            _eliminate([0b011, 0b011], 2, 3)
 
     def test_wrong_length_rejected(self, golay24):
         with pytest.raises(ValueError, match="length"):

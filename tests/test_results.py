@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import mindist
 from mindist.codes import build_qr
+from mindist.errors import ConsistencyError
+from mindist.gf2 import BitWord
 from mindist.genetic import GaConfig, run_variant_b
 from mindist.mim import MimConfig, run
-from mindist.results import SCHEMA_VERSION, validate_result
+from mindist.results import SCHEMA_VERSION, DistanceEstimate, validate_result
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +70,23 @@ class TestValidateResult:
         with pytest.raises(ValueError):
             validate_result(doc)
 
+    @pytest.mark.parametrize("path, value", [
+        (("code", "family"), "TURBO"),
+        (("d",), 0),
+        (("wall_time_seconds",), True),
+        (("events",), [1]),
+        (("bounds", "violated"), [3]),
+        (("rng_seed",), 1.5),
+    ])
+    def test_schema_keywords_enforced(self, sample_ga_doc, path, value):
+        doc = json.loads(json.dumps(sample_ga_doc))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=path[-1]):
+            validate_result(doc)
+
     def test_qr_bounds_serialized(self):
         code = build_qr(17)
         est = run(code, MimConfig.for_code(code, nb_test=2, rng_seed=0))
@@ -90,3 +114,51 @@ class TestValidateResult:
         b = run_variant_b(hamming7, cfg).to_json()
         strip = lambda s: [l for l in s.splitlines() if "wall_time" not in l and '"time"' not in l]
         assert strip(a) == strip(b)
+
+
+FORGED = """
+import time
+from mindist.codes import build_dcc
+from mindist.errors import ConsistencyError
+from mindist.gf2 import BitWord
+from mindist.results import DistanceEstimate
+
+c20 = build_dcc(BitWord.parse("1001111110"))
+word = BitWord.parse("{word}")
+try:
+    DistanceEstimate.of(c20, "exact", {d}, word, {{}}, None, time.perf_counter(), [])
+except ConsistencyError:
+    raise SystemExit(0)
+raise SystemExit("forged witness accepted")
+"""
+
+
+class TestCertification:
+    # weight 6 but not a codeword; a real weight-6 codeword of C(20,10)
+    NON_CODEWORD = "11111100000000000000"
+    CODEWORD = "11000000001101000001"
+
+    def test_real_witness_accepted(self, c20):
+        est = DistanceEstimate.of(c20, "exact", 6, BitWord.parse(self.CODEWORD), {}, None,
+                                  time.perf_counter(), [])
+        assert est.d == 6 and est.witness.weight == 6
+
+    @pytest.mark.parametrize("word, d", [(CODEWORD, 5), (NON_CODEWORD, 6), ("0" * 20, 6)])
+    def test_forged_witness_rejected(self, c20, word, d):
+        with pytest.raises(ConsistencyError, match="witness"):
+            DistanceEstimate.of(c20, "exact", d, BitWord.parse(word), {}, None,
+                                time.perf_counter(), [])
+
+    def test_missing_witness_only_for_mim(self, c20):
+        with pytest.raises(ConsistencyError, match="no witness"):
+            DistanceEstimate.of(c20, "ga_b", 6, None, {}, 0, time.perf_counter(), [])
+
+    @pytest.mark.parametrize("word, d", [(CODEWORD, 5), (NON_CODEWORD, 6)])
+    def test_forged_witness_rejected_under_optimize(self, word, d):
+        src = Path(mindist.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", FORGED.format(word=word, d=d)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
