@@ -8,19 +8,30 @@ reprocesses every error pattern of weight up to the configured order on
 those positions, keeping the candidate closest to the received word in
 Euclidean distance.
 
-The candidate metric is evaluated as the weighted disagreement with the
-hard-decision word (sum of |y_i| over positions where the candidate
-differs), which is an affine function of the candidate bits; one matrix
-product then scores a whole pattern-weight class at once.  Minimizing it
-is algebraically the same as minimizing Euclidean distance or maximizing
-the correlation sum((1 - 2 bit_i) * (-y_i)).
+The candidate metric is the weighted disagreement with the hard-decision
+word: the sum of |y_i| over the positions where the candidate differs.
+Minimizing it is algebraically the same as minimizing Euclidean distance
+or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 
-The per-decode Gauss-Jordan runs on rows packed into Python ints (cheap
-XOR, no per-pivot array traffic); pattern scoring runs vectorized.
+The Gauss-Jordan pass runs on the generator's rows as Python ints (cheap
+XOR, no per-pivot array traffic).  Scoring then covers every flip set of
+weight 0..order in one vectorized pass.  The parity part of the reduced
+generator is packed into uint64 lanes, ceil((n - k) / 64) per row, and a
+flip set's parity change is the XOR of its rows' lanes.  Its cost relative
+to the re-encoded hard decisions is read from per-byte lookup tables, each
+holding the 256 partial sums of the signed parity weights one byte of a
+lane can select, plus a gather of the flipped MRB reliabilities.
+
+Those costs are rounded in an order of their own, so they only pick the
+candidates within a float-error tolerance of the least cost.  When more
+than one is that close, each is re-scored exactly with ``math.fsum``, and
+among equal exact costs the lexicographically smallest codeword wins.  The
+decoded word is thus a function of the received word alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -29,7 +40,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import ConsistencyError
-from .gf2 import BitMatrix, BitWord, pack_rows, unpack_rows
+from .gf2 import BitMatrix, BitWord, pack_rows, unpack_rows, xor_rows
 
 __all__ = [
     "SoftWord",
@@ -79,26 +90,45 @@ def hard_decision(y: SoftWord) -> BitWord:
     return BitWord(y.length, bits)
 
 
-_COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# column j is bit j of the row index: multiplied by one byte's eight weights
+# it lists the 256 partial sums that byte value can select
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.float64)
+
+_EPS = float(np.finfo(np.float64).eps)
+
+_PATTERN_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _combo_indices(k: int, t: int) -> np.ndarray:
-    key = (k, t)
-    idx = _COMBO_CACHE.get(key)
-    if idx is None:
-        idx = np.array(list(combinations(range(k), t)), dtype=np.intp)
-        _COMBO_CACHE[key] = idx
-    return idx
+def _patterns(k: int, order: int) -> np.ndarray:
+    """Every MRB flip set of weight 0..order, one per column, padded with k.
+
+    Columns hold max(order, 1) indices; the padding index k selects an
+    all-zero lane and a zero weight, so it flips nothing.
+    """
+    key = (k, order)
+    pat = _PATTERN_CACHE.get(key)
+    if pat is None:
+        width = max(order, 1)
+        rows = [
+            c + (k,) * (width - t) for t in range(order + 1) for c in combinations(range(k), t)
+        ]
+        pat = np.ascontiguousarray(np.array(rows, dtype=np.intp).T)
+        _PATTERN_CACHE[key] = pat
+    return pat
 
 
-def _eliminate(rows: list[int], k: int, n: int) -> list[int]:
-    """In-place Gauss-Jordan taking the first k independent columns as pivots.
+def _eliminate(rows: list[int], k: int, cols: Sequence[int]) -> list[int]:
+    """In-place Gauss-Jordan taking the first k independent columns of
+    ``cols``, in that order, as pivots.
 
-    Returns the pivot column indices in the order taken (ascending).
+    Returns the pivot columns in the order taken; afterwards row i is the
+    only row with a 1 in pivot column i.
     """
     piv: list[int] = []
     r = 0
-    for c in range(n):
+    for c in cols:
         bit = 1 << c
         p = next((i for i in range(r, k) if rows[i] & bit), None)
         if p is None:
@@ -126,10 +156,13 @@ def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
 class OsdDecoder:
     """Reusable order-l decoder for one code.
 
-    ``decode`` accepts a SoftWord or a float sequence and returns the
-    decoded codeword in original position order.  Ties on the candidate
-    metric break toward the lexicographically smaller codeword, so
-    decoding is deterministic.
+    ``decode`` accepts a SoftWord or a float sequence of finite samples and
+    returns the decoded codeword in original position order.  Every flip
+    set of weight up to the order is scored in one pass over packed parity
+    lanes with per-byte lookup tables.  The winner is the candidate of
+    least exact cost (``math.fsum`` of |y_i| where it differs from the hard
+    decision); ties on that cost break toward the lexicographically smaller
+    codeword, so the result is a function of y alone.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -137,118 +170,95 @@ class OsdDecoder:
             raise ValueError(f"order {order} outside 0..k = {code.k}")
         self.code = code
         self.order = order
-        self._g8 = unpack_rows(code.generator.rows, code.n)
-        self._combos = [_combo_indices(code.k, t) for t in range(1, order + 1)]
+        self._patterns = _patterns(code.k, order)
 
-    def _mrb_reduce(self, arr: np.ndarray):
-        """Shared per-word work: reliability sort, reduction, permuted views."""
+    def _mrb_reduce(self, arr: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Shared per-word work: reliability sort and reduction on the MRB.
+
+        Returns (rows, perm, |y|).  perm lists the MRB positions, then the
+        others in decreasing reliability; rows are the generator rows, in
+        original position order, reduced so that row i is the only one with
+        a 1 at position perm[i] among the MRB.
+        """
         code = self.code
         k, n = code.k, code.n
         if arr.shape[0] != n:
             raise ValueError(f"received word length {arr.shape[0]} != n = {n}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"received sample {i} is not finite: {arr[i]}")
         abs_y = np.abs(arr)
-        order_cols = _reliability_order(abs_y)
-        rows = pack_rows(self._g8[:, order_cols])
-        piv = _eliminate(rows, k, n)
+        cols = _reliability_order(abs_y).tolist()
+        rows = list(code.generator.rows)
+        piv = _eliminate(rows, k, cols)
         piv_set = set(piv)
-        rest = [c for c in range(n) if c not in piv_set]
-        bits = unpack_rows(rows, n)
-        perm = np.concatenate([order_cols[piv], order_cols[rest]])
-        return bits, piv, rest, perm, abs_y
+        perm = np.array(piv + [c for c in cols if c not in piv_set], dtype=np.intp)
+        return rows, perm, abs_y
 
     def decode(self, y: SoftWord | np.ndarray | Sequence[float]) -> BitWord:
         arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
         k, n = self.code.k, self.code.n
-        bits, piv, rest, perm, abs_y = self._mrb_reduce(arr)
-        P8 = bits[:, rest]
-        y_p = arr[perm]
+        rows, perm, abs_y = self._mrb_reduce(arr)
+        P8 = unpack_rows(rows, n)[:, perm[k:]]
         abs_p = abs_y[perm]
+        h = arr > 0
+        h_p = h[perm]
+        # disagreement of the re-encoded hard decisions with h; the MRB half
+        # agrees by construction
+        disagree = ((h_p[:k].astype(np.uint8) @ P8) & 1) ^ h_p[k:]
 
-        h = (y_p > 0).astype(np.uint8)
-        u0 = h[:k]
-        c0_par = (u0 @ P8) & 1  # uint8 wraparound is mod 256, which preserves parity
-        # disagreement with the hard decision; the MRB half of c0 agrees by construction
-        disagree = (c0_par ^ h[k:]).astype(np.float64)
-        base_cost = float(disagree @ abs_p[k:])
-        # flipping candidate bit j changes the cost by +|y_j| where the base
-        # agreed with the hard decision and -|y_j| where it disagreed
-        w_mrb = abs_p[:k]
-        w_par = abs_p[k:] * (1.0 - 2.0 * disagree)
+        # parity rows as little-endian bytes in uint64 lanes, one lane-major
+        # array per lane, plus the zero row that the padding index k selects
+        nbytes = (n - k + 7) // 8
+        nlanes = (nbytes + 7) // 8
+        packed = np.zeros((k + 1, 8 * nlanes), dtype=np.uint8)
+        packed[:k, :nbytes] = np.packbits(P8, axis=1, bitorder="little")
+        lanes = np.ascontiguousarray(packed.view(np.uint64).T)
+        pat = self._patterns
+        xp = np.take(lanes, pat[0], axis=1)
+        for col in pat[1:]:
+            xp ^= np.take(lanes, col, axis=1)
+        xb = xp.view(np.uint8).reshape(nlanes, -1, 8)
 
-        best_cost = base_cost
-        best_pattern: tuple[int, ...] = ()
-        best_word: BitWord | None = None  # materialized lazily for tie breaks
-        for t, idx in enumerate(self._combos, start=1):
-            xp = P8[idx[:, 0]]
-            for col in range(1, t):
-                xp = xp ^ P8[idx[:, col]]
-            costs = w_mrb[idx].sum(axis=1) + xp.astype(np.float64) @ w_par
-            costs += base_cost
-            c_min = float(costs.min())
-            if c_min > best_cost:
-                continue
-            ties = np.flatnonzero(costs == c_min)
-            if len(ties) == 1:
-                cand = tuple(int(x) for x in idx[ties[0]])
-                cand_word = None
-            else:
-                cand, cand_word = self._lex_min(idx[ties], u0, P8, perm, n)
-            if c_min < best_cost:
-                best_cost, best_pattern, best_word = c_min, cand, cand_word
-                continue
-            # equal cost: the lexicographically smaller codeword wins
-            if best_word is None:
-                best_word = self._materialize(best_pattern, u0, P8, perm, n)
-            if cand_word is None:
-                cand_word = self._materialize(cand, u0, P8, perm, n)
-            if cand_word.to01() < best_word.to01():
-                best_pattern, best_word = cand, cand_word
-        if best_word is None:
-            best_word = self._materialize(best_pattern, u0, P8, perm, n)
-        return best_word
+        # cost minus the base cost: flipping bit j adds |y_j| where the base
+        # agreed with the hard decision and subtracts it where it disagreed
+        w_mrb = np.append(abs_p[:k], 0.0)
+        w_par = np.zeros(nbytes * 8)
+        w_par[: n - k] = abs_p[k:] * (1.0 - 2.0 * disagree)
+        tables = w_par.reshape(nbytes, 8) @ _BYTE_BITS.T
+        costs = np.take(w_mrb, pat[0])
+        for col in pat[1:]:
+            costs += np.take(w_mrb, col)
+        for b in range(nbytes):
+            costs += np.take(tables[b], xb[b >> 3, :, b & 7].astype(np.intp))
 
-    def _materialize(
-        self,
-        pattern: tuple[int, ...],
-        u0: np.ndarray,
-        P8: np.ndarray,
-        perm: np.ndarray,
-        n: int,
-    ) -> BitWord:
-        u = u0.copy()
-        for i in pattern:
-            u[i] ^= 1
-        c_perm = np.concatenate([u, (u @ P8) & 1])
-        out_bits = 0
-        for j in np.flatnonzero(c_perm):
-            out_bits |= 1 << int(perm[j])
-        return BitWord(n, out_bits)
+        # each cost sums terms whose magnitudes add up to at most sum(|y|)
+        # in a tree of depth at most 8 + nbytes + width, so its rounding
+        # error is below tol / 2: a candidate more than tol above the least
+        # cost cannot tie the best candidate exactly
+        depth = 8 + nbytes + len(pat)
+        tol = 2.0 * depth * _EPS * float(abs_y.sum())
+        near = np.flatnonzero(costs <= costs.min() + tol)
 
-    def _lex_min(
-        self,
-        patterns: np.ndarray,
-        u0: np.ndarray,
-        P8: np.ndarray,
-        perm: np.ndarray,
-        n: int,
-    ) -> tuple[tuple[int, ...], BitWord]:
-        """Lexicographically smallest codeword among same-cost patterns.
-
-        Vectorized: equal-cost tie sets are common when many samples share
-        one reliability (every non-impulsed position in an impulse probe).
-        """
-        m, t = patterns.shape
-        U = np.repeat(u0[None, :], m, axis=0)
-        rows = np.arange(m)
-        for col in range(t):
-            U[rows, patterns[:, col]] ^= 1
-        c_perm = np.concatenate([U, (U @ P8) & 1], axis=1)
-        out = np.zeros((m, n), dtype=np.uint8)
-        out[:, perm] = c_perm
-        # MSB-first packing makes byte order equal bit-lexicographic order
-        packed = np.packbits(out, axis=1)
-        j = min(range(m), key=lambda i: packed[i].tobytes())
-        return tuple(int(x) for x in patterns[j]), BitWord(n, pack_rows(out[j:j + 1])[0])
+        u0 = pack_rows(h_p[None, :k])[0]
+        words = [
+            xor_rows(rows, u0 ^ sum(1 << i for i in flips if i < k))
+            for flips in pat[:, near].T.tolist()
+        ]
+        if len(words) == 1:
+            return BitWord(n, words[0])
+        # exact costs: sum |y_i| over the positions where a word differs
+        # from the hard decision, correctly rounded
+        h_bits = pack_rows(h[None])[0]
+        abs_list = abs_y.tolist()
+        exact = []
+        for w in words:
+            diff = w ^ h_bits
+            exact.append(math.fsum(a for i, a in enumerate(abs_list) if (diff >> i) & 1))
+        least = min(exact)
+        tied = [BitWord(n, w) for w, c in zip(words, exact) if c == least]
+        return min(tied, key=BitWord.to01)
 
 
 def most_reliable_basis(
@@ -264,6 +274,6 @@ def most_reliable_basis(
     """
     decoder = OsdDecoder(code, order=0)
     arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
-    bits, piv, rest, perm, _ = decoder._mrb_reduce(arr)
-    rows = pack_rows(np.concatenate([bits[:, piv], bits[:, rest]], axis=1))
-    return BitMatrix(code.n, tuple(rows)), tuple(int(x) for x in perm)
+    rows, perm, _ = decoder._mrb_reduce(arr)
+    gsys = pack_rows(unpack_rows(rows, code.n)[:, perm])
+    return BitMatrix(code.n, tuple(gsys)), tuple(int(x) for x in perm)

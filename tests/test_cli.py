@@ -235,3 +235,9 @@ class TestDecode:
         y = ",".join(f"{rng.uniform(-2, 2):.3f}" for _ in range(20))
         assert main(["decode", "--code", str(c20_file), f"--y={y}", "--order", "2"]) == EXIT_OK
         assert "decoded:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_a_config_error(self, c20_file, capsys, bad):
+        y = ",".join(["-1"] * 3 + [bad] + ["-1"] * 16)
+        assert main(["decode", "--code", str(c20_file), f"--y={y}"]) == EXIT_CONFIG
+        assert "received sample 3 is not finite" in capsys.readouterr().err

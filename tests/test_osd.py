@@ -1,10 +1,14 @@
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from mindist.codes import LinearCode
 from mindist.errors import ConsistencyError
-from mindist.gf2 import BitMatrix, BitWord
+from mindist.gf2 import BitMatrix, BitWord, xor_rows
+from mindist.mim import apply_pattern, make_pattern
 from mindist.osd import OsdDecoder, SoftWord, _eliminate, hard_decision, most_reliable_basis
 
 
@@ -31,6 +35,52 @@ def ml_decode(codewords: list[BitWord], y: np.ndarray) -> BitWord:
         if best is None or cost < best_cost or (cost == best_cost and cw.to01() < best.to01()):
             best, best_cost = cw, cost
     return best
+
+
+def reference_decode(code, y: np.ndarray, order: int) -> BitWord:
+    """Brute-force order-``order`` reprocessing with the exact tie rule.
+
+    Enumerates every flip set of weight up to ``order`` on the MRB that
+    ``most_reliable_basis`` returns, scores each candidate with math.fsum
+    of |y_i| where it differs from the hard decision, and returns the
+    lexicographically smallest codeword among those of least cost.
+    """
+    n, k = code.n, code.k
+    gsys, perm = most_reliable_basis(code, y)
+    rows = tuple(sum(((r >> j) & 1) << perm[j] for j in range(n)) for r in gsys.rows)
+    h = hard_decision(SoftWord.from_iterable(y)).bits
+    u0 = sum(((h >> perm[i]) & 1) << i for i in range(k))
+    best = best_cost = None
+    for t in range(order + 1):
+        for combo in combinations(range(k), t):
+            cand = xor_rows(rows, u0 ^ sum(1 << i for i in combo))
+            diff = cand ^ h
+            cost = math.fsum(abs(float(y[i])) for i in range(n) if (diff >> i) & 1)
+            if best is None or cost < best_cost or (
+                cost == best_cost and BitWord(n, cand).to01() < BitWord(n, best).to01()
+            ):
+                best, best_cost = cand, cost
+    return BitWord(n, best)
+
+
+def mim_words(n: int, count: int, seed: int) -> list[np.ndarray]:
+    """Impulse words as MIM draws them: the all-zero channel word plus a
+    half-integer amplitude split over random positions.  A few strong
+    impulses leave most |y_i| at exactly 1.0, so exact cost ties are common."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        nb_error = rng.randint(2, 5)
+        amplitude = rng.randint(5, 12) + 0.5
+        words.append(apply_pattern(make_pattern(n, nb_error, amplitude, rng)).as_array())
+    return words
+
+
+def random_code(n: int, k: int, rng: random.Random) -> LinearCode:
+    while True:
+        gen = BitMatrix(n, tuple(rng.getrandbits(n) for _ in range(k)))
+        if gen.rank() == k:
+            return LinearCode(n, k, gen)
 
 
 class TestHardDecision:
@@ -185,6 +235,36 @@ class TestOsdDecode:
                     sc = np.array([1.0 if (cand >> i) & 1 else -1.0 for i in range(7)])
                     assert out_cost <= ((y - sc) ** 2).sum() + 1e-9
 
+    def test_exact_tie_rule_on_impulse_words(self, golay24):
+        # impulse words tie often: every non-impulsed sample has |y| = 1.0
+        dec = OsdDecoder(golay24, order=3)
+        for y in mim_words(24, 500, seed=1):
+            assert dec.decode(y) == reference_decode(golay24, y, 3)
+
+    @pytest.mark.parametrize("r", [63, 64, 65, 130])
+    def test_lane_edges_match_reference(self, r):
+        # parity parts that fill, overrun and span more than one 64-bit lane
+        rng = random.Random(r)
+        code = random_code(7 + r, 7, rng)
+        dec = OsdDecoder(code, order=3)
+        words = mim_words(code.n, 20, seed=r)
+        words += [np.array([rng.uniform(-2, 2) for _ in range(code.n)]) for _ in range(20)]
+        # equal or few distinct magnitudes: exact ties across bytes and lanes,
+        # and the least reliable positions (the last lane's) weigh as much
+        for values in ((-1.0, 1.0), (-1.0, -0.5, 0.25, 1.0)):
+            words += [np.array([rng.choice(values) for _ in range(code.n)]) for _ in range(20)]
+        for y in words:
+            assert dec.decode(y) == reference_decode(code, y, 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sample_rejected(self, golay24, bad):
+        y = np.full(24, -1.0)
+        y[5] = bad
+        with pytest.raises(ValueError, match="sample 5 is not finite"):
+            OsdDecoder(golay24, order=3).decode(y)
+        with pytest.raises(ValueError, match="sample 5 is not finite"):
+            most_reliable_basis(golay24, y)
+
     def test_order_bounds(self, golay24):
         with pytest.raises(ValueError):
             OsdDecoder(golay24, order=13)
@@ -193,7 +273,7 @@ class TestOsdDecode:
 
     def test_rank_loss_is_a_consistency_error(self):
         with pytest.raises(ConsistencyError, match="lost rank"):
-            _eliminate([0b011, 0b011], 2, 3)
+            _eliminate([0b011, 0b011], 2, range(3))
 
     def test_wrong_length_rejected(self, golay24):
         with pytest.raises(ValueError, match="length"):
