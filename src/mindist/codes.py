@@ -215,7 +215,8 @@ def _qr_pick_residue_side(
     f = GF2mField(m)
     # beta = alpha^((2^m - 1)/p) has multiplicative order exactly p
     beta = f.alpha_pow(f.order // p)
-    assert f.pow(beta, p) == 1 and beta != 1
+    if f.pow(beta, p) != 1 or beta == 1:
+        raise ConsistencyError(f"QR({p}): alpha^((2^{m} - 1)/{p}) does not have order {p}")
     r0 = next(iter(Q.residues))
     if g.evaluate_in(f, f.pow(beta, r0)) == 0:
         chosen = g

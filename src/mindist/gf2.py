@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionError, RankError
+from .errors import ConsistencyError, DimensionError, RankError
 
 __all__ = [
     "BitWord",
@@ -399,7 +399,9 @@ class GF2mField:
             x <<= 1
             if x >> m:
                 x ^= PRIMITIVE_POLYS[m]
-        assert x == 1, "primitive polynomial table entry is not primitive"
+        # primitive: x returns to 1 after 2^m - 1 steps and not before
+        if x != 1 or 1 in exp[1 : self.order]:
+            raise ConsistencyError(f"primitive polynomial table entry for m = {m} is not primitive")
         exp[self.order:] = exp[: self.order]
         self._exp = exp
         self._log = log

@@ -148,7 +148,6 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
         all_zero = True
         while all_zero and amplitude <= a_min - 1.0:
             amplitude += 1.0
-            assert amplitude <= a_min, "amplitude schedule exceeded the ceiling"
             level_all_zero = True
             for nb_error in range(cfg.error_max, 0, -1):
                 pattern = make_pattern(n, nb_error, amplitude, rng)

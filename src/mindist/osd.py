@@ -14,13 +14,24 @@ Minimizing it is algebraically the same as minimizing Euclidean distance
 or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 
 The Gauss-Jordan pass runs on the generator's rows as Python ints (cheap
-XOR, no per-pivot array traffic).  Scoring then covers every flip set of
-weight 0..order in one vectorized pass.  The parity part of the reduced
-generator is packed into uint64 lanes, ceil((n - k) / 64) per row, and a
-flip set's parity change is the XOR of its rows' lanes.  Its cost relative
-to the re-encoded hard decisions is read from per-byte lookup tables, each
-holding the 256 partial sums of the signed parity weights one byte of a
-lane can select, plus a gather of the flipped MRB reliabilities.
+XOR, no per-pivot array traffic).  The parity part of the reduced
+generator is then packed into uint64 lanes, ceil((n - k) / 64) per row, and
+a flip set's parity change is the XOR of its rows' lanes.  Its cost
+relative to the re-encoded hard decisions is read from per-byte lookup
+tables, each holding the 256 partial sums of the signed parity weights one
+byte of a lane can select, plus a gather of the flipped MRB reliabilities.
+
+Scoring takes two vectorized passes.  The first covers every flip set of
+weight below the order.  The second covers the flip sets of weight equal
+to the order, and runs only when the sum of the ``order`` least reliable
+MRB positions is at most the base cost (that of the re-encoded hard
+decisions) plus the least cost found so far plus twice the tie tolerance
+below.  Any such candidate differs from the hard decisions at its flipped
+MRB positions, so that sum is a floor on its exact cost; when the floor is
+higher, no candidate of the top order can come within the tolerance of the
+least cost, and skipping the order leaves the decoded word unchanged.  On
+impulse words (the all-zero word plus a few strong samples) most decodes
+skip it, and the top order holds most of the flip sets.
 
 Those costs are rounded in an order of their own, so they only pick the
 candidates within a float-error tolerance of the least cost.  When more
@@ -98,25 +109,49 @@ _BYTE_BITS = np.unpackbits(
 
 _EPS = float(np.finfo(np.float64).eps)
 
-_PATTERN_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_PATTERN_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _patterns(k: int, order: int) -> np.ndarray:
-    """Every MRB flip set of weight 0..order, one per column, padded with k.
+def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The MRB flip sets of weight below ``order``, and those of weight
+    ``order``, as two index tables with one flip set per column.
 
-    Columns hold max(order, 1) indices; the padding index k selects an
-    all-zero lane and a zero weight, so it flips nothing.
+    The tables have max(order - 1, 1) and max(order, 1) rows; shorter flip
+    sets are padded with k, which selects an all-zero lane and a zero
+    weight, so it flips nothing.
     """
     key = (k, order)
-    pat = _PATTERN_CACHE.get(key)
-    if pat is None:
-        width = max(order, 1)
-        rows = [
-            c + (k,) * (width - t) for t in range(order + 1) for c in combinations(range(k), t)
-        ]
-        pat = np.ascontiguousarray(np.array(rows, dtype=np.intp).T)
-        _PATTERN_CACHE[key] = pat
-    return pat
+    pats = _PATTERN_CACHE.get(key)
+    if pats is None:
+
+        def table(weights: range, width: int) -> np.ndarray:
+            rows = [c + (k,) * (width - t) for t in weights for c in combinations(range(k), t)]
+            return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
+
+        pats = (
+            table(range(order), max(order - 1, 1)),
+            table(range(order, order + 1), max(order, 1)),
+        )
+        _PATTERN_CACHE[key] = pats
+    return pats
+
+
+def _score(
+    pat: np.ndarray, lanes: np.ndarray, w_mrb: np.ndarray, tables: np.ndarray
+) -> np.ndarray:
+    """LUT cost, relative to the re-encoded hard decisions, of each flip set
+    (column) of ``pat``: the XOR of its rows' parity lanes read byte by byte
+    through ``tables``, plus its flipped MRB weights."""
+    xp = np.take(lanes, pat[0], axis=1)
+    for col in pat[1:]:
+        xp ^= np.take(lanes, col, axis=1)
+    xb = xp.view(np.uint8).reshape(len(lanes), -1, 8)
+    costs = np.take(w_mrb, pat[0])
+    for col in pat[1:]:
+        costs += np.take(w_mrb, col)
+    for b, table in enumerate(tables):
+        costs += np.take(table, xb[b >> 3, :, b & 7].astype(np.intp))
+    return costs
 
 
 def _eliminate(rows: list[int], k: int, cols: Sequence[int]) -> list[int]:
@@ -157,12 +192,16 @@ class OsdDecoder:
     """Reusable order-l decoder for one code.
 
     ``decode`` accepts a SoftWord or a float sequence of finite samples and
-    returns the decoded codeword in original position order.  Every flip
-    set of weight up to the order is scored in one pass over packed parity
-    lanes with per-byte lookup tables.  The winner is the candidate of
-    least exact cost (``math.fsum`` of |y_i| where it differs from the hard
-    decision); ties on that cost break toward the lexicographically smaller
-    codeword, so the result is a function of y alone.
+    returns the decoded codeword in original position order.  Flip sets are
+    scored over packed parity lanes with per-byte lookup tables: first those
+    of weight below the order, then those of weight equal to it, unless the
+    sum of the ``order`` smallest MRB reliabilities already exceeds the base
+    cost plus the least cost so far by more than twice the tie tolerance.
+    Such flip sets cannot tie the best candidate, so the skip never changes
+    the result.  The winner is the candidate of least exact cost
+    (``math.fsum`` of |y_i| where it differs from the hard decision); ties
+    on that cost break toward the lexicographically smaller codeword, so the
+    result is a function of y alone.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -215,11 +254,6 @@ class OsdDecoder:
         packed = np.zeros((k + 1, 8 * nlanes), dtype=np.uint8)
         packed[:k, :nbytes] = np.packbits(P8, axis=1, bitorder="little")
         lanes = np.ascontiguousarray(packed.view(np.uint64).T)
-        pat = self._patterns
-        xp = np.take(lanes, pat[0], axis=1)
-        for col in pat[1:]:
-            xp ^= np.take(lanes, col, axis=1)
-        xb = xp.view(np.uint8).reshape(nlanes, -1, 8)
 
         # cost minus the base cost: flipping bit j adds |y_j| where the base
         # agreed with the hard decision and subtracts it where it disagreed
@@ -227,24 +261,40 @@ class OsdDecoder:
         w_par = np.zeros(nbytes * 8)
         w_par[: n - k] = abs_p[k:] * (1.0 - 2.0 * disagree)
         tables = w_par.reshape(nbytes, 8) @ _BYTE_BITS.T
-        costs = np.take(w_mrb, pat[0])
-        for col in pat[1:]:
-            costs += np.take(w_mrb, col)
-        for b in range(nbytes):
-            costs += np.take(tables[b], xb[b >> 3, :, b & 7].astype(np.intp))
 
         # each cost sums terms whose magnitudes add up to at most sum(|y|)
         # in a tree of depth at most 8 + nbytes + width, so its rounding
         # error is below tol / 2: a candidate more than tol above the least
         # cost cannot tie the best candidate exactly
-        depth = 8 + nbytes + len(pat)
+        order = self.order
+        depth = 8 + nbytes + max(order, 1)
         tol = 2.0 * depth * _EPS * float(abs_y.sum())
-        near = np.flatnonzero(costs <= costs.min() + tol)
+        low, top = self._patterns
+        scored = [(low, _score(low, lanes, w_mrb, tables))] if order else []
+        least = min((float(c.min()) for _, c in scored), default=math.inf)
+
+        # Score the weight-order flip sets only if one of them can come
+        # within tol of the least cost.  Such a candidate differs from the
+        # hard decisions at each of its flipped MRB positions, so its exact
+        # cost is at least floor, the sum of the ``order`` smallest MRB
+        # reliabilities (abs_p[:k] is non-increasing), and its LUT cost is
+        # within tol / 2 of that exact cost minus base, the exact cost of
+        # the re-encoded hard decisions.  Both sums are correctly rounded,
+        # so when floor > base + least + 2 tol every skipped LUT cost lies
+        # more than tol above least (the few roundings here stay far below
+        # the tol / 2 to spare): none of them could enter the near set, and
+        # the decoded word is the one full scoring would return.
+        floor = math.fsum(abs_p[k - order : k].tolist())
+        base = math.fsum(abs_p[k:][disagree == 1].tolist())
+        if floor <= base + least + 2.0 * tol:
+            scored.append((top, _score(top, lanes, w_mrb, tables)))
+            least = min(least, float(scored[-1][1].min()))
 
         u0 = pack_rows(h_p[None, :k])[0]
         words = [
             xor_rows(rows, u0 ^ sum(1 << i for i in flips if i < k))
-            for flips in pat[:, near].T.tolist()
+            for pat, costs in scored
+            for flips in pat[:, np.flatnonzero(costs <= least + tol)].T.tolist()
         ]
         if len(words) == 1:
             return BitWord(n, words[0])
@@ -256,8 +306,8 @@ class OsdDecoder:
         for w in words:
             diff = w ^ h_bits
             exact.append(math.fsum(a for i, a in enumerate(abs_list) if (diff >> i) & 1))
-        least = min(exact)
-        tied = [BitWord(n, w) for w, c in zip(words, exact) if c == least]
+        best = min(exact)
+        tied = [BitWord(n, w) for w, c in zip(words, exact) if c == best]
         return min(tied, key=BitWord.to01)
 
 

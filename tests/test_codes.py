@@ -1,8 +1,14 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import mindist
 
 from mindist.codes import (
     LinearCode,
@@ -270,3 +276,38 @@ class TestLinearCode:
         d = exact_min_distance(code).d_exact
         for i in range(k):
             assert d <= code.generator.row_word(i).weight
+
+
+BROKEN_CONSTRUCTIONS = """
+from mindist import codes, gf2
+from mindist.errors import ConsistencyError
+
+
+def raises(make, message):
+    try:
+        make()
+    except ConsistencyError as e:
+        return message in str(e)
+    return False
+
+
+poly = gf2.PRIMITIVE_POLYS[4]
+field = True
+# x^4 + 1 = (x + 1)^4, where x^15 = x^3; x^4 + x^3 + x^2 + x + 1, where x^5 = 1
+for bad in (0b10001, 0b11111):
+    gf2.PRIMITIVE_POLYS[4] = bad
+    field = field and raises(lambda: gf2.GF2mField(4), "is not primitive")
+gf2.PRIMITIVE_POLYS[4] = poly
+codes.multiplicative_order_of_2 = lambda p: 4  # GF(16)* has no element of order 7
+qr = raises(lambda: codes.qr_generator_poly(7), "does not have order 7")
+raise SystemExit(0 if field and qr else f"field raised: {field}, QR raised: {qr}")
+"""
+
+
+def test_construction_checks_hold_under_optimize():
+    src = Path(mindist.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CONSTRUCTIONS],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mindist.codes import LinearCode
+from mindist import osd
+from mindist.codes import LinearCode, build_bch
 from mindist.errors import ConsistencyError
 from mindist.gf2 import BitMatrix, BitWord, xor_rows
 from mindist.mim import apply_pattern, make_pattern
@@ -20,21 +21,21 @@ def all_codewords(code) -> list[BitWord]:
     return out
 
 
-def ml_decode(codewords: list[BitWord], y: np.ndarray) -> BitWord:
+def bpsk_table(codewords: list[BitWord]) -> np.ndarray:
+    """Row i is codeword i on the BPSK axis: bit 0 -> -1.0, bit 1 -> +1.0."""
+    return np.array(
+        [[1.0 if (cw.bits >> i) & 1 else -1.0 for i in range(cw.length)] for cw in codewords]
+    )
+
+
+def ml_decode(codewords: list[BitWord], table: np.ndarray, y: np.ndarray) -> BitWord:
     """Exhaustive minimum-Euclidean-distance reference decoder.
 
-    Ties break toward the lexicographically smaller codeword, matching the
-    OSD tie rule.
+    ``table`` is ``bpsk_table(codewords)``.  Ties break toward the
+    lexicographically smaller codeword, matching the OSD tie rule.
     """
-    best = None
-    best_cost = None
-    for cw in codewords:
-        s = np.fromiter(((1.0 if (cw.bits >> i) & 1 else -1.0) for i in range(cw.length)),
-                        dtype=np.float64, count=cw.length)
-        cost = float(((y - s) ** 2).sum())
-        if best is None or cost < best_cost or (cost == best_cost and cw.to01() < best.to01()):
-            best, best_cost = cw, cost
-    return best
+    costs = ((y - table) ** 2).sum(axis=1)
+    return min((codewords[i] for i in np.flatnonzero(costs == costs.min())), key=BitWord.to01)
 
 
 def reference_decode(code, y: np.ndarray, order: int) -> BitWord:
@@ -81,6 +82,20 @@ def random_code(n: int, k: int, rng: random.Random) -> LinearCode:
         gen = BitMatrix(n, tuple(rng.getrandbits(n) for _ in range(k)))
         if gen.rank() == k:
             return LinearCode(n, k, gen)
+
+
+@pytest.fixture
+def scored_tables(monkeypatch):
+    """Column counts of the flip-set tables that decodes score, in call order."""
+    sizes = []
+    score = osd._score
+
+    def spy(pat, *args):
+        sizes.append(pat.shape[1])
+        return score(pat, *args)
+
+    monkeypatch.setattr(osd, "_score", spy)
+    return sizes
 
 
 class TestHardDecision:
@@ -166,6 +181,7 @@ class TestOsdDecode:
 
     def test_agreement_with_ml_on_impulsed_words(self, golay24):
         codewords = all_codewords(golay24)
+        table = bpsk_table(codewords)
         rng = random.Random(23)
         dec = OsdDecoder(golay24, order=2)
         agree = 0
@@ -173,7 +189,7 @@ class TestOsdDecode:
         for _ in range(trials):
             y = np.full(24, -1.0)
             y[rng.sample(range(24), 3)] += 1.0
-            if dec.decode(y) == ml_decode(codewords, y):
+            if dec.decode(y) == ml_decode(codewords, table, y):
                 agree += 1
         assert agree / trials >= 0.95
 
@@ -181,11 +197,12 @@ class TestOsdDecode:
         # order k reprocessing enumerates the entire code: must match the
         # exhaustive reference exactly, tie rule included
         codewords = all_codewords(golay24)
+        table = bpsk_table(codewords)
         rng = random.Random(29)
         dec = OsdDecoder(golay24, order=12)
         for _ in range(25):
             y = np.array([rng.uniform(-1.5, 1.5) for _ in range(24)])
-            assert dec.decode(y) == ml_decode(codewords, y)
+            assert dec.decode(y) == ml_decode(codewords, table, y)
 
     def test_order_monotone_metric(self, golay24):
         rng = random.Random(31)
@@ -278,3 +295,58 @@ class TestOsdDecode:
     def test_wrong_length_rejected(self, golay24):
         with pytest.raises(ValueError, match="length"):
             OsdDecoder(golay24, order=1).decode(np.zeros(23))
+
+
+class TestTopOrderSkip:
+    """Order-2 decodes on [I3 | P] with parity rows 1110, 1100 and 0011.
+
+    On y = (-r0, -r1, -r1, b, b, b, b) with r0 >= r1 >= b, the MRB is
+    positions 0..2 and the re-encoded hard decisions (the zero word) cost 4b.
+    Flipping MRB position 1 or 2 costs r1 + 2b and flipping position 0 costs
+    r0 + b.  Flipping positions 1 and 2, the weight-2 flip set at the floor,
+    costs 2 r1 and gives 0111111, which matches the hard decisions on the
+    parity and is lexicographically smaller than 1001110, the codeword of
+    flipping position 0.  The low table holds 4 flip sets and the weight-2
+    table 3.
+    """
+
+    CODE = LinearCode(7, 3, BitMatrix(7, (0b0111001, 0b0011010, 0b1100100)))
+
+    @pytest.mark.parametrize(
+        "r0, r1, b",
+        [
+            # dyadic: the floor, 2, equals base + least exactly, and lies
+            # below the sum of the two largest MRB reliabilities
+            (1.25, 1.0, 0.75),
+            # 3 * 0.1 rounds up, so the LUT's least cost falls just below
+            # its exact value and base + least just below the floor: only
+            # the tolerance margin keeps the tying order
+            (0.1, 0.1, 0.1),
+        ],
+    )
+    def test_top_order_tie_is_scored_and_wins(self, scored_tables, r0, r1, b):
+        y = np.array([-r0, -r1, -r1, b, b, b, b])
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert out == reference_decode(self.CODE, y, 2) == BitWord.parse("0111111")
+        assert scored_tables == [4, 3]
+
+    def test_floor_just_above_bound_skips(self, scored_tables):
+        # r0 = r1 = 1 + 2^-43, b = 1: the floor exceeds base + least by
+        # 2^-43, about 1.7 times the 2 tol margin, so the weight-2 flip sets
+        # are not scored, and flipping position 0 still wins as it does
+        # under full reprocessing
+        r = 1.0 + 2.0**-43
+        y = np.array([-r, -r, -r, 1.0, 1.0, 1.0, 1.0])
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert out == reference_decode(self.CODE, y, 2) == BitWord.parse("1001110")
+        assert scored_tables == [4]
+
+    def test_bch63_mim_words_match_reference(self, scored_tables):
+        code = build_bch(6, 7)
+        dec = OsdDecoder(code, order=3)
+        words = mim_words(code.n, 30, seed=63)
+        for y in words:
+            assert dec.decode(y) == reference_decode(code, y, 3)
+        top = dec._patterns[1].shape[1]
+        scored_top = scored_tables.count(top)
+        assert 0 < scored_top < len(words)
