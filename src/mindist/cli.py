@@ -303,7 +303,7 @@ def _cmd_decode(args) -> int:
     text = args.y.replace(",", " ")
     values = [float(tok) for tok in text.split()]
     y = SoftWord.from_iterable(values)
-    order = args.order if args.order is not None else DEFAULT_ORDER
+    order = args.order if args.order is not None else min(DEFAULT_ORDER, code.k)
     decoded = OsdDecoder(code, order).decode(y)
     print(f"hard decision: {hard_decision(y).to01()}")
     print(f"decoded:       {decoded.to01()}")

@@ -13,13 +13,30 @@ word: the sum of |y_i| over the positions where the candidate differs.
 Minimizing it is algebraically the same as minimizing Euclidean distance
 or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 
-The Gauss-Jordan pass runs on the generator's rows as Python ints (cheap
-XOR, no per-pivot array traffic).  The parity part of the reduced
-generator is then packed into uint64 lanes, ceil((n - k) / 64) per row, and
-a flip set's parity change is the XOR of its rows' lanes.  Its cost
-relative to the re-encoded hard decisions is read from per-byte lookup
-tables, each holding the 256 partial sums of the signed parity weights one
-byte of a lane can select, plus a gather of the flipped MRB reliabilities.
+The MRB reduction runs on the generator's rows as Python ints (cheap XOR,
+no per-pivot array traffic), and starts from a basis each decoder caches.
+The decoder reduces the generator once, on the columns in index order, and
+keeps k rows, each the only row with a 1 at its unit column.  A word is
+reduced from those rows by walking its reliability order, one column at a
+time.  If the column is the unit column of a row not yet fixed, that row
+becomes the next pivot by a swap, with no XOR.  Otherwise the column takes
+a Gauss-Jordan step: the first unfixed row with a 1 there becomes the
+pivot and is XORed into every other row with that bit, and its own unit
+column is dropped.  The result is bit for bit that of a reduction from the
+generator's own rows.  The pivots, the first k independent columns in
+reliability order, depend only on which sets of columns are independent,
+and the reduced generator, G[:, piv]^-1 G, depends only on the row space
+and the pivots, not on the basis the reduction starts from.  Most samples
+of an impulse word are exactly -1 and the stable sort keeps them in index
+order, so most pivots are unit columns of the cached basis, and only the
+few columns the impulses move cost XORs.
+
+The parity part of the reduced generator is then packed into uint64 lanes,
+ceil((n - k) / 64) per row, and a flip set's parity change is the XOR of
+its rows' lanes.  Its cost relative to the re-encoded hard decisions is
+read from per-byte lookup tables, each holding the 256 partial sums of the
+signed parity weights one byte of a lane can select, plus a gather of the
+flipped MRB reliabilities.
 
 Scoring takes two vectorized passes.  The first covers every flip set of
 weight below the order.  The second covers the flip sets of weight equal
@@ -154,33 +171,74 @@ def _score(
     return costs
 
 
-def _eliminate(rows: list[int], k: int, cols: Sequence[int]) -> list[int]:
-    """In-place Gauss-Jordan taking the first k independent columns of
-    ``cols``, in that order, as pivots.
+def _eliminate(rows: list[int], units: list[int | None], cols: Sequence[int]) -> None:
+    """In-place Gauss-Jordan taking the first len(rows) independent columns
+    of ``cols``, in that order, as pivots.
 
-    Returns the pivot columns in the order taken; afterwards row i is the
-    only row with a 1 in pivot column i.
+    ``units[i]`` is a column where row i is the only row with a 1, or None:
+    such a column becomes a pivot by a row swap alone.  A cold start passes
+    None for every row.  Afterwards ``units`` lists the pivot columns in the
+    order taken, and row i is the only row with a 1 in column units[i].
     """
-    piv: list[int] = []
+    k = len(rows)
+    where = {u: i for i, u in enumerate(units) if u is not None}
     r = 0
     for c in cols:
-        bit = 1 << c
-        p = next((i for i in range(r, k) if rows[i] & bit), None)
+        p = where.pop(c, None)
         if p is None:
-            continue
+            bit = 1 << c
+            p = next((i for i in range(r, k) if rows[i] & bit), None)
+            if p is None:
+                continue
+            pr = rows[p]
+            for i in range(k):
+                if i != p and rows[i] & bit:
+                    rows[i] ^= pr
+            # the other rows may now have a 1 at the pivot row's unit column
+            where.pop(units[p], None)
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-        pr = rows[r]
-        for i in range(k):
-            if i != r and rows[i] & bit:
-                rows[i] ^= pr
-        piv.append(c)
+            u = units[p] = units[r]
+            if u is not None:
+                where[u] = p
+        units[r] = c
         r += 1
         if r == k:
             break
     if r != k:
         raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {k}")
-    return piv
+
+
+def _mrb_reduce(
+    n: int, rows: Sequence[int], units: Sequence[int | None], arr: np.ndarray
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Shared per-word work: checks, reliability sort and reduction on the MRB.
+
+    Reduces copies of ``rows`` on the k most reliable independent positions
+    of the received samples ``arr``.  ``units`` gives each row's unit column,
+    or None (see ``_eliminate``): a decoder passes its cached basis, whose
+    unit columns make most pivots of an impulse word a row swap, and
+    ``most_reliable_basis`` the generator's own rows with none.  Returns
+    (rows, perm, |y|).  perm lists the MRB positions, then the others in
+    decreasing reliability; rows are in original position order, reduced so
+    that row i is the only one with a 1 at position perm[i] among the MRB.
+    Both starts give the same result: the pivots depend only on the code and
+    the reliability order, and the reduced rows, G[:, piv]^-1 G, only on the
+    row space and the pivots.
+    """
+    if arr.shape[0] != n:
+        raise ValueError(f"received word length {arr.shape[0]} != n = {n}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"received sample {i} is not finite: {arr[i]}")
+    abs_y = np.abs(arr)
+    cols = _reliability_order(abs_y).tolist()
+    rows, piv = list(rows), list(units)
+    _eliminate(rows, piv, cols)
+    piv_set = set(piv)
+    perm = np.array(piv + [c for c in cols if c not in piv_set], dtype=np.intp)
+    return rows, perm, abs_y
 
 
 def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
@@ -201,7 +259,9 @@ class OsdDecoder:
     the result.  The winner is the candidate of least exact cost
     (``math.fsum`` of |y_i| where it differs from the hard decision); ties
     on that cost break toward the lexicographically smaller codeword, so the
-    result is a function of y alone.
+    result is a function of y alone.  Each word is reduced from the
+    generator's basis on the columns in index order, which the decoder
+    reduces once and keeps.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -210,35 +270,15 @@ class OsdDecoder:
         self.code = code
         self.order = order
         self._patterns = _patterns(code.k, order)
-
-    def _mrb_reduce(self, arr: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Shared per-word work: reliability sort and reduction on the MRB.
-
-        Returns (rows, perm, |y|).  perm lists the MRB positions, then the
-        others in decreasing reliability; rows are the generator rows, in
-        original position order, reduced so that row i is the only one with
-        a 1 at position perm[i] among the MRB.
-        """
-        code = self.code
-        k, n = code.k, code.n
-        if arr.shape[0] != n:
-            raise ValueError(f"received word length {arr.shape[0]} != n = {n}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"received sample {i} is not finite: {arr[i]}")
-        abs_y = np.abs(arr)
-        cols = _reliability_order(abs_y).tolist()
         rows = list(code.generator.rows)
-        piv = _eliminate(rows, k, cols)
-        piv_set = set(piv)
-        perm = np.array(piv + [c for c in cols if c not in piv_set], dtype=np.intp)
-        return rows, perm, abs_y
+        units = [None] * code.k
+        _eliminate(rows, units, range(code.n))
+        self._basis = (tuple(rows), tuple(units))
 
     def decode(self, y: SoftWord | np.ndarray | Sequence[float]) -> BitWord:
         arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
         k, n = self.code.k, self.code.n
-        rows, perm, abs_y = self._mrb_reduce(arr)
+        rows, perm, abs_y = _mrb_reduce(n, *self._basis, arr)
         P8 = unpack_rows(rows, n)[:, perm[k:]]
         abs_p = abs_y[perm]
         h = arr > 0
@@ -322,8 +362,7 @@ def most_reliable_basis(
     dependent land among the trailing columns, which keep decreasing
     reliability order.
     """
-    decoder = OsdDecoder(code, order=0)
     arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
-    rows, perm, _ = decoder._mrb_reduce(arr)
+    rows, perm, _ = _mrb_reduce(code.n, code.generator.rows, [None] * code.k, arr)
     gsys = pack_rows(unpack_rows(rows, code.n)[:, perm])
     return BitMatrix(code.n, tuple(gsys)), tuple(int(x) for x in perm)

@@ -236,6 +236,15 @@ class TestDecode:
         assert main(["decode", "--code", str(c20_file), f"--y={y}", "--order", "2"]) == EXIT_OK
         assert "decoded:" in capsys.readouterr().out
 
+    def test_default_order_capped_at_k(self, tmp_path, capsys):
+        path = tmp_path / "c5.gm"
+        path.write_text("5 2\n11100\n00111\n")
+        args = ["decode", "--code", str(path), "--y=-1,-1,2,2,2"]
+        assert main(args) == EXIT_OK
+        assert "decoded:       00111" in capsys.readouterr().out
+        assert main([*args, "--order", "3"]) == EXIT_CONFIG
+        assert "order 3 outside 0..k = 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_sample_is_a_config_error(self, c20_file, capsys, bad):
         y = ",".join(["-1"] * 3 + [bad] + ["-1"] * 16)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mindist import osd
-from mindist.codes import LinearCode, build_bch
+from mindist.codes import LinearCode, build_bch, build_dcc, build_qr
 from mindist.errors import ConsistencyError
 from mindist.gf2 import BitMatrix, BitWord, xor_rows
 from mindist.mim import apply_pattern, make_pattern
@@ -290,7 +290,7 @@ class TestOsdDecode:
 
     def test_rank_loss_is_a_consistency_error(self):
         with pytest.raises(ConsistencyError, match="lost rank"):
-            _eliminate([0b011, 0b011], 2, range(3))
+            _eliminate([0b011, 0b011], [None, None], range(3))
 
     def test_wrong_length_rejected(self, golay24):
         with pytest.raises(ValueError, match="length"):
@@ -350,3 +350,86 @@ class TestTopOrderSkip:
         top = dec._patterns[1].shape[1]
         scored_top = scored_tables.count(top)
         assert 0 < scored_top < len(words)
+
+
+def permuted_dcc() -> LinearCode:
+    """C(20,10) with its columns shuffled, so its basis in index order is
+    not columns 0..k-1."""
+    code = build_dcc(BitWord.parse("1001111110"))
+    perm = random.Random(20).sample(range(code.n), code.n)
+    rows = tuple(sum(((r >> j) & 1) << perm[j] for j in range(code.n)) for r in code.generator.rows)
+    return LinearCode(code.n, code.k, BitMatrix(code.n, rows))
+
+
+# (8,3) code whose columns 0 and 1 are equal and column 3 is the sum of
+# columns 0 and 2: its basis in index order is columns 0, 2 and 4
+DEPENDENT_LEAD = LinearCode(8, 3, BitMatrix(8, (0b00100111, 0b01001011, 0b11110000)))
+
+
+def mixed_words(n: int, count: int, seed: int) -> list[np.ndarray]:
+    """Impulse words, Gaussian words (no ties) and all-+-1 words (every
+    sample ties), ``count`` of each."""
+    rng = np.random.default_rng(seed)
+    gauss = [rng.normal(size=n) for _ in range(count)]
+    signs = [rng.choice([-1.0, 1.0], size=n) for _ in range(count)]
+    return mim_words(n, count, seed) + gauss + signs
+
+
+def cold_reduce(code: LinearCode, y: np.ndarray) -> tuple[list[int], list[int]]:
+    """Rows and pivots of a reduction from the generator's own rows."""
+    rows, piv = list(code.generator.rows), [None] * code.k
+    _eliminate(rows, piv, osd._reliability_order(np.abs(y)).tolist())
+    return rows, piv
+
+
+def warm_reduce(decoder: OsdDecoder, y: np.ndarray) -> tuple[list[int], list[int]]:
+    """Rows and pivots of a reduction from the decoder's cached basis."""
+    rows, perm, _ = osd._mrb_reduce(decoder.code.n, *decoder._basis, y)
+    return rows, perm[: decoder.code.k].tolist()
+
+
+def column_rank(code: LinearCode, cols: list[int]) -> int:
+    mask = sum(1 << c for c in cols)
+    return BitMatrix(code.n, tuple(r & mask for r in code.generator.rows)).rank()
+
+
+class TestCachedBasis:
+    """Each decoder reduces its words from a basis cached at construction;
+    the rows and pivots must be those of a reduction from scratch."""
+
+    CASES = {
+        "bch63-mim": (lambda: build_bch(6, 7), lambda n: mim_words(n, 120, seed=3)),
+        "qr47-mim": (lambda: build_qr(47), lambda n: mim_words(n, 120, seed=4)),
+        "bch63-mixed": (lambda: build_bch(6, 7), lambda n: mixed_words(n, 30, seed=5)),
+        "dcc20-permuted": (permuted_dcc, lambda n: mixed_words(n, 30, seed=6)),
+        "dependent-lead": (lambda: DEPENDENT_LEAD, lambda n: mixed_words(n, 30, seed=7)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_warm_start_equals_cold_start(self, case):
+        make_code, make_words = self.CASES[case]
+        code = make_code()
+        dec = OsdDecoder(code, order=min(3, code.k))
+        for y in make_words(code.n):
+            assert warm_reduce(dec, y) == cold_reduce(code, y)
+
+    def test_cached_basis_skips_dependent_columns(self):
+        assert OsdDecoder(DEPENDENT_LEAD, order=1)._basis[1] == (0, 2, 4)
+        assert OsdDecoder(permuted_dcc(), order=1)._basis[1] != tuple(range(10))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pivots_are_greedy_and_rows_reduced(self, case):
+        make_code, make_words = self.CASES[case]
+        code = make_code()
+        n, k = code.n, code.k
+        dec = OsdDecoder(code, order=1)
+        for y in make_words(n)[::6]:
+            rows, piv = warm_reduce(dec, y)
+            greedy: list[int] = []
+            for c in osd._reliability_order(np.abs(y)).tolist():
+                if len(greedy) < k and column_rank(code, greedy + [c]) > len(greedy):
+                    greedy.append(c)
+            assert piv == greedy
+            for i, c in enumerate(piv):
+                assert [j for j, r in enumerate(rows) if (r >> c) & 1] == [i]
+            assert BitMatrix(n, tuple(rows) + code.generator.rows).rank() == k
