@@ -32,7 +32,7 @@ from .gf2 import BinPoly, BitMatrix, BitWord, GF2mField, cyclotomic_coset, syste
 from .mim import ImpulsePattern, MimConfig, apply_pattern, make_pattern
 from .mim import run as run_mim
 from .oracle import ExactResult, exact_enumerator, exact_min_distance
-from .osd import OsdDecoder, SoftWord, hard_decision, most_reliable_basis
+from .osd import OsdDecoder, hard_decision, most_reliable_basis
 from .results import DistanceEstimate, SCHEMA_VERSION, validate_result
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "RankError",
     "ResidueSet",
     "SCHEMA_VERSION",
-    "SoftWord",
     "apply_pattern",
     "build_bch",
     "build_dcc",

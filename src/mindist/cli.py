@@ -17,7 +17,7 @@ from . import codes as codes_mod
 from . import genetic, mim, oracle
 from .errors import BudgetError, ConsistencyError
 from .gf2 import BitWord
-from .osd import DEFAULT_ORDER, OsdDecoder, SoftWord, hard_decision
+from .osd import DEFAULT_ORDER, OsdDecoder, hard_decision
 from .results import DistanceEstimate
 
 EXIT_OK = 0
@@ -301,8 +301,7 @@ def _cmd_table(args) -> int:
 def _cmd_decode(args) -> int:
     code = codes_mod.load_code(args.code)
     text = args.y.replace(",", " ")
-    values = [float(tok) for tok in text.split()]
-    y = SoftWord.from_iterable(values)
+    y = [float(tok) for tok in text.split()]
     order = args.order if args.order is not None else min(DEFAULT_ORDER, code.k)
     decoded = OsdDecoder(code, order).decode(y)
     print(f"hard decision: {hard_decision(y).to01()}")

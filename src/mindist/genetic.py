@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .codes import LinearCode
-from .errors import DimensionError
 from .gf2 import BitWord, xor_rows
 from .results import DistanceEstimate
 
@@ -152,8 +151,8 @@ class GaConfig:
             current = fields[key]
             if key == "elite_count" and value in (None, "none", ""):
                 value = None
-            elif isinstance(current, bool) or key == "elitism_enabled":
-                value = value in (True, "true", "True", "1", 1)
+            elif isinstance(current, bool):
+                value = _parse_bool(key, value)
             elif isinstance(current, float):
                 value = float(value)
             elif key in ("elite_count",) or isinstance(current, int):
@@ -163,40 +162,34 @@ class GaConfig:
         return cls(**fields)
 
 
+def _parse_bool(key: str, value) -> bool:
+    """A bool, or true/false/1/0 in any case; anything else is an error."""
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("true", "1"):
+        return True
+    if text in ("false", "0"):
+        return False
+    raise ValueError(f"{key} must be true or false (or 1 or 0), got {value!r}")
+
+
 # ---------------------------------------------------------------------------
-# fitness
+# fitness (genes are k-bit ints; ``rows`` are the generator's packed rows)
 
 
-def fitness(code: LinearCode, info: BitWord) -> int:
+def fitness(rows: tuple[int, ...], n: int, info: int) -> int:
     """Weight of the encoding; n when the encoding is the zero word."""
-    if info.length != code.k:
-        raise DimensionError(f"info length {info.length} != k = {code.k}")
-    return _fitness_int(code.generator.rows, code.n, info.bits)
-
-
-def _fitness_int(rows: tuple[int, ...], n: int, info: int) -> int:
     w = xor_rows(rows, info).bit_count()
     return w if w else n
 
 
 # ---------------------------------------------------------------------------
-# crossover (information words; children always satisfy ch1^ch2 == p1^p2)
+# crossover (k-bit ints; children always satisfy ch1^ch2 == a^b)
 
 
-def _check_parents(p1: BitWord, p2: BitWord) -> int:
-    if p1.length != p2.length:
-        raise DimensionError(f"parent lengths differ: {p1.length} vs {p2.length}")
-    return p1.length
-
-
-def crossover_one_point(p1: BitWord, p2: BitWord, rng: random.Random) -> tuple[BitWord, BitWord]:
+def crossover_one_point(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
     """Cut at a position in 1..k-1 and swap suffixes.  Degenerate for k < 2."""
-    k = _check_parents(p1, p2)
-    c1, c2 = _cross_one_point_int(p1.bits, p2.bits, k, rng)
-    return BitWord(k, c1), BitWord(k, c2)
-
-
-def _cross_one_point_int(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
     if k < 2:
         return a, b
     cut = rng.randint(1, k - 1)
@@ -204,14 +197,8 @@ def _cross_one_point_int(a: int, b: int, k: int, rng: random.Random) -> tuple[in
     return (a & low) | (b & ~low), (b & low) | (a & ~low)
 
 
-def crossover_two_point(p1: BitWord, p2: BitWord, rng: random.Random) -> tuple[BitWord, BitWord]:
+def crossover_two_point(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
     """Swap the segment between two cut positions.  Degenerate for k < 3."""
-    k = _check_parents(p1, p2)
-    c1, c2 = _cross_two_point_int(p1.bits, p2.bits, k, rng)
-    return BitWord(k, c1), BitWord(k, c2)
-
-
-def _cross_two_point_int(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
     if k < 3:
         return a, b
     lo, hi = sorted(rng.sample(range(1, k), 2))
@@ -219,22 +206,16 @@ def _cross_two_point_int(a: int, b: int, k: int, rng: random.Random) -> tuple[in
     return (a & ~mid) | (b & mid), (b & ~mid) | (a & mid)
 
 
-def crossover_uniform(p1: BitWord, p2: BitWord, rng: random.Random) -> tuple[BitWord, BitWord]:
+def crossover_uniform(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
     """Swap each gene independently with probability 1/2 (one shared mask)."""
-    k = _check_parents(p1, p2)
-    c1, c2 = _cross_uniform_int(p1.bits, p2.bits, k, rng)
-    return BitWord(k, c1), BitWord(k, c2)
-
-
-def _cross_uniform_int(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
     mask = rng.getrandbits(k) if k else 0
     return (a & ~mask) | (b & mask), (b & ~mask) | (a & mask)
 
 
-_CROSS_INT = {
-    "one_point": _cross_one_point_int,
-    "two_point": _cross_two_point_int,
-    "uniform": _cross_uniform_int,
+_CROSSOVERS = {
+    "one_point": crossover_one_point,
+    "two_point": crossover_two_point,
+    "uniform": crossover_uniform,
 }
 
 
@@ -242,12 +223,8 @@ _CROSS_INT = {
 # mutation
 
 
-def mutate_classic(w: BitWord, p_m: float, rng: random.Random) -> BitWord:
-    """Flip each bit independently with probability p_m."""
-    return BitWord(w.length, _mutate_classic_int(w.bits, w.length, p_m, rng))
-
-
-def _mutate_classic_int(bits: int, k: int, p_m: float, rng: random.Random) -> int:
+def mutate_classic(bits: int, k: int, p_m: float, rng: random.Random) -> int:
+    """Flip each of the k genes independently with probability p_m."""
     if p_m <= 0.0:
         return bits
     for i in range(k):
@@ -256,18 +233,12 @@ def _mutate_classic_int(bits: int, k: int, p_m: float, rng: random.Random) -> in
     return bits
 
 
-def mutate_greedy(code: LinearCode, w: BitWord) -> BitWord:
+def mutate_greedy(rows: tuple[int, ...], n: int, bits: int, k: int) -> int:
     """Flip the first gene whose flip strictly improves fitness, if any."""
-    if w.length != code.k:
-        raise DimensionError(f"word length {w.length} != k = {code.k}")
-    return BitWord(w.length, _mutate_greedy_int(code.generator.rows, code.n, w.bits, code.k))
-
-
-def _mutate_greedy_int(rows: tuple[int, ...], n: int, bits: int, k: int) -> int:
-    current = _fitness_int(rows, n, bits)
+    current = fitness(rows, n, bits)
     for i in range(k):
         flipped = bits ^ (1 << i)
-        if _fitness_int(rows, n, flipped) < current:
+        if fitness(rows, n, flipped) < current:
             return flipped
     return bits
 
@@ -340,8 +311,8 @@ def _sort_by_fitness(pop: list[int], fits: list[int]) -> tuple[list[int], list[i
 def _mutator(cfg: GaConfig, rows: tuple[int, ...], n: int, k: int):
     if cfg.mutation_kind == "classic":
         p_m = cfg.mutation_prob
-        return lambda bits, rng: _mutate_classic_int(bits, k, p_m, rng)
-    return lambda bits, rng: _mutate_greedy_int(rows, n, bits, k)
+        return lambda bits, rng: mutate_classic(bits, k, p_m, rng)
+    return lambda bits, rng: mutate_greedy(rows, n, bits, k)
 
 
 def _best_with_witness(
@@ -383,12 +354,12 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     rng = random.Random(cfg.rng_seed)
     rows, n, k = code.generator.rows, code.n, code.k
     size = cfg.population_size
-    cross = _CROSS_INT[cfg.crossover_kind]
+    cross = _CROSSOVERS[cfg.crossover_kind]
     mutate = _mutator(cfg, rows, n, k)
     select = _make_selector(cfg, n)
 
     pop = _initial_population(k, size, rng)
-    fits = [_fitness_int(rows, n, b) for b in pop]
+    fits = [fitness(rows, n, b) for b in pop]
     events: list[dict] = []
     for gen in range(1, cfg.max_generations):
         pop, fits = _sort_by_fitness(pop, fits)
@@ -405,8 +376,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
                 ch1, ch2 = cross(pa, pb, k, rng)
             else:
                 ch1, ch2 = pa, pb
-            f1 = _fitness_int(rows, n, ch1)
-            f2 = _fitness_int(rows, n, ch2)
+            f1 = fitness(rows, n, ch1)
+            f2 = fitness(rows, n, ch2)
             if f1 < f2:
                 new_pop.append(ch1)
                 new_fits.append(f1)
@@ -441,7 +412,7 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     rows, n, k = code.generator.rows, code.n, code.k
     size = cfg.population_size
     elite = cfg.resolved_elite_count()
-    cross = _CROSS_INT[cfg.crossover_kind]
+    cross = _CROSSOVERS[cfg.crossover_kind]
     mutate = _mutator(cfg, rows, n, k)
     select = _make_selector(cfg, n)
 
@@ -450,7 +421,7 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     best_bits = 0
     events: list[dict] = []
     for gen in range(1, cfg.max_generations + 1):
-        fits = [_fitness_int(rows, n, b) for b in pop]
+        fits = [fitness(rows, n, b) for b in pop]
         for b, f in zip(pop, fits):
             if f < best_f and b:
                 best_f, best_bits = f, b
@@ -474,6 +445,6 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         witness = BitWord(code.n, xor_rows(rows, best_bits))
         d = best_f
     else:
-        d, witness = _best_with_witness(code, pop, [_fitness_int(rows, n, b) for b in pop])
+        d, witness = _best_with_witness(code, pop, [fitness(rows, n, b) for b in pop])
     return DistanceEstimate.of(code, "ga_b", d, witness, cfg.to_dict(), cfg.rng_seed,
                                started, events)

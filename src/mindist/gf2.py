@@ -7,7 +7,9 @@ so a word and the polynomial it represents are literally the same int.
 Weight is a single popcount; XOR is a single int op.  The exhaustive
 sweep over 2^k codewords elsewhere in the package leans on this.
 ``unpack_rows`` and ``pack_rows`` convert such rows to and from 0/1
-numpy matrices for the vectorized code.
+numpy matrices for the vectorized code.  ``eliminate`` is the package's
+one Gauss-Jordan routine: matrix rank, the systematizer and the OSD
+decoder's reduction on the most reliable basis all run it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "GF2mField",
     "PRIMITIVE_POLYS",
     "cyclotomic_coset",
+    "eliminate",
     "systematize",
     "poly_gcd",
     "xor_rows",
@@ -162,21 +165,7 @@ class BitMatrix:
 
     def rank(self) -> int:
         """Row rank over GF(2) by elimination on a scratch copy."""
-        mat = list(self.rows)
-        r = 0
-        for c in range(self.cols):
-            bit = 1 << c
-            piv = next((i for i in range(r, len(mat)) if mat[i] & bit), None)
-            if piv is None:
-                continue
-            mat[r], mat[piv] = mat[piv], mat[r]
-            for i in range(len(mat)):
-                if i != r and mat[i] & bit:
-                    mat[i] ^= mat[r]
-            r += 1
-            if r == len(mat):
-                break
-        return r
+        return eliminate(list(self.rows), [None] * self.nrows, range(self.cols))
 
     def mul_word(self, w: BitWord) -> BitWord:
         """Vector-matrix product w * M over GF(2); w has one bit per row."""
@@ -213,37 +202,68 @@ def pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def eliminate(rows: list[int], units: list[int | None], cols: Iterable[int]) -> int:
+    """In-place Gauss-Jordan taking the first len(rows) independent columns
+    of ``cols``, in that order, as pivots; returns the number of pivots taken.
+
+    ``units[i]`` is a column where row i is the only row with a 1, or None:
+    such a column becomes a pivot by a row swap alone.  A cold start passes
+    None for every row.  Afterwards, with r the count returned, units[:r]
+    lists the pivot columns in the order taken, and for i < r row i is the
+    only row with a 1 in column units[i].  The pivots depend only on the
+    row space and ``cols``, and the reduced pivot rows, G[:, piv]^-1 G, only
+    on the row space and the pivots, not on the basis the rows start from.
+    """
+    k = len(rows)
+    where = {u: i for i, u in enumerate(units) if u is not None}
+    r = 0
+    for c in cols:
+        if r == k:
+            break
+        p = where.pop(c, None)
+        if p is None:
+            bit = 1 << c
+            p = next((i for i in range(r, k) if rows[i] & bit), None)
+            if p is None:
+                continue
+            pr = rows[p]
+            for i in range(k):
+                if i != p and rows[i] & bit:
+                    rows[i] ^= pr
+            # the other rows may now have a 1 at the pivot row's unit column
+            where.pop(units[p], None)
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            u = units[p] = units[r]
+            if u is not None:
+                where[u] = p
+        units[r] = c
+        r += 1
+    return r
+
+
 def systematize(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduce a full-row-rank matrix to systematic form [I_k | P].
 
-    Columns are swapped only when the natural pivot column is linearly
-    dependent on the pivots already taken, so an already-systematic input
-    comes back untouched.  Returns the reduced matrix and the column
-    permutation ``perm`` with ``perm[j]`` = original index of column j.
-    Raises RankError (with the achieved rank) on rank-deficient input.
+    The pivots are the first k independent columns in index order.  Pivot r
+    moves to column r by swapping it with the column there, so an
+    already-systematic input comes back untouched and a dependent column
+    keeps its place until a later pivot displaces it.  Returns the reduced
+    matrix and the column permutation ``perm`` with ``perm[j]`` = original
+    index of column j.  Raises RankError (with the achieved rank) on
+    rank-deficient input.
     """
-    k = matrix.nrows
-    n = matrix.cols
+    k, n = matrix.nrows, matrix.cols
     rows = list(matrix.rows)
+    piv: list[int | None] = [None] * k
+    r = eliminate(rows, piv, range(n))
+    if r < k:
+        raise RankError(f"rank {r} < {k} rows", rank=r)
     perm = list(range(n))
-    for r in range(k):
-        pc = piv = None
-        for c in range(r, n):
-            bit = 1 << perm[c]
-            piv = next((i for i in range(r, k) if rows[i] & bit), None)
-            if piv is not None:
-                pc = c
-                break
-        if pc is None:
-            raise RankError(f"rank {r} < {k} rows", rank=r)
-        if pc != r:
-            perm[r], perm[pc] = perm[pc], perm[r]
-        rows[r], rows[piv] = rows[piv], rows[r]
-        bit = 1 << perm[r]
-        for i in range(k):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-    if any(perm[j] != j for j in range(n)):
+    for i, c in enumerate(piv):
+        j = perm.index(c)
+        perm[i], perm[j] = perm[j], perm[i]
+    if perm != list(range(n)):
         rows = pack_rows(unpack_rows(rows, n)[:, perm])
     return BitMatrix(n, tuple(rows)), tuple(perm)
 
@@ -447,7 +467,7 @@ class GF2mField:
                 nxt[i] ^= self.mul(c, root)
             coeffs = nxt
         if any(c not in (0, 1) for c in coeffs):
-            raise AssertionError(
+            raise ConsistencyError(
                 f"minimal polynomial of alpha^{exponent} left GF(2): {coeffs}"
             )
         return BinPoly.from_coeffs(coeffs)

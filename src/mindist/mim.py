@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import singleton
 from .codes import LinearCode
 from .gf2 import BitWord
-from .osd import DEFAULT_ORDER, OsdDecoder, SoftWord
+from .osd import DEFAULT_ORDER, OsdDecoder
 from .results import DistanceEstimate
 
 __all__ = ["MimConfig", "ImpulsePattern", "make_pattern", "apply_pattern", "run"]
@@ -113,12 +113,13 @@ def make_pattern(n: int, nb_error: int, amplitude: float, rng: random.Random) ->
     return ImpulsePattern(n, positions, tuple(amplitude * g for g in gaps))
 
 
-def apply_pattern(pattern: ImpulsePattern) -> SoftWord:
-    """All-zero channel word plus the impulses: y_i = -1 + amplitude_i."""
+def apply_pattern(pattern: ImpulsePattern) -> np.ndarray:
+    """All-zero channel word plus the impulses: y_i = -1 + amplitude_i, as a
+    new float64 array on every call."""
     y = np.full(pattern.n, -1.0)
     for pos, amp in zip(pattern.positions, pattern.amplitudes):
         y[pos] += amp
-    return SoftWord(tuple(y))
+    return y
 
 
 def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:

@@ -1,7 +1,8 @@
 """Soft-input ordered statistics decoding.
 
-Received samples live on the BPSK axis (bit 0 -> -1, bit 1 -> +1): the
-sign of a sample is its hard decision and the magnitude its reliability.
+A received word is a float64 array of samples on the BPSK axis (bit 0 ->
+-1, bit 1 -> +1): the sign of a sample is its hard decision and the
+magnitude its reliability.
 Decoding reduces the generator to identity form on the k most reliable
 independent positions (the MRB), re-encodes the hard decisions there, and
 reprocesses every error pattern of weight up to the configured order on
@@ -13,8 +14,9 @@ word: the sum of |y_i| over the positions where the candidate differs.
 Minimizing it is algebraically the same as minimizing Euclidean distance
 or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 
-The MRB reduction runs on the generator's rows as Python ints (cheap XOR,
-no per-pivot array traffic), and starts from a basis each decoder caches.
+The MRB reduction (``gf2.eliminate``) runs on the generator's rows as
+Python ints (cheap XOR, no per-pivot array traffic), and starts from a
+basis each decoder caches.
 The decoder reduces the generator once, on the columns in index order, and
 keeps k rows, each the only row with a 1 at its unit column.  A word is
 reduced from those rows by walking its reliability order, one column at a
@@ -60,7 +62,6 @@ decoded word is thus a function of the received word alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -68,10 +69,9 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import ConsistencyError
-from .gf2 import BitMatrix, BitWord, pack_rows, unpack_rows, xor_rows
+from .gf2 import BitMatrix, BitWord, eliminate, pack_rows, unpack_rows, xor_rows
 
 __all__ = [
-    "SoftWord",
     "hard_decision",
     "most_reliable_basis",
     "OsdDecoder",
@@ -81,41 +81,12 @@ __all__ = [
 DEFAULT_ORDER = 3
 
 
-@dataclass(frozen=True)
-class SoftWord:
-    """Real-valued received samples; sign = hard decision, magnitude = reliability."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_iterable(cls, values: Sequence[float]) -> "SoftWord":
-        return cls(tuple(float(v) for v in values))
-
-    @classmethod
-    def bpsk(cls, word: BitWord) -> "SoftWord":
-        """Noiseless modulation: bit 0 -> -1.0, bit 1 -> +1.0."""
-        return cls(tuple(1.0 if (word.bits >> i) & 1 else -1.0 for i in range(word.length)))
-
-    @classmethod
-    def all_zero_channel(cls, n: int) -> "SoftWord":
-        """The all-zero codeword on the channel: (-1, -1, ..., -1)."""
-        return cls((-1.0,) * n)
-
-    @property
-    def length(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
-def hard_decision(y: SoftWord) -> BitWord:
+def hard_decision(y: np.ndarray | Sequence[float]) -> BitWord:
     """bit i = 1 iff y_i > 0; an exact zero demaps to 0."""
-    bits = 0
-    for i, v in enumerate(y.values):
-        if v > 0:
-            bits |= 1 << i
-    return BitWord(y.length, bits)
+    arr = np.asarray(y, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"received word of shape {arr.shape} is not a vector")
+    return BitWord(len(arr), pack_rows((arr > 0)[None])[0])
 
 
 # column j is bit j of the row index: multiplied by one byte's eight weights
@@ -171,44 +142,6 @@ def _score(
     return costs
 
 
-def _eliminate(rows: list[int], units: list[int | None], cols: Sequence[int]) -> None:
-    """In-place Gauss-Jordan taking the first len(rows) independent columns
-    of ``cols``, in that order, as pivots.
-
-    ``units[i]`` is a column where row i is the only row with a 1, or None:
-    such a column becomes a pivot by a row swap alone.  A cold start passes
-    None for every row.  Afterwards ``units`` lists the pivot columns in the
-    order taken, and row i is the only row with a 1 in column units[i].
-    """
-    k = len(rows)
-    where = {u: i for i, u in enumerate(units) if u is not None}
-    r = 0
-    for c in cols:
-        p = where.pop(c, None)
-        if p is None:
-            bit = 1 << c
-            p = next((i for i in range(r, k) if rows[i] & bit), None)
-            if p is None:
-                continue
-            pr = rows[p]
-            for i in range(k):
-                if i != p and rows[i] & bit:
-                    rows[i] ^= pr
-            # the other rows may now have a 1 at the pivot row's unit column
-            where.pop(units[p], None)
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            u = units[p] = units[r]
-            if u is not None:
-                where[u] = p
-        units[r] = c
-        r += 1
-        if r == k:
-            break
-    if r != k:
-        raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {k}")
-
-
 def _mrb_reduce(
     n: int, rows: Sequence[int], units: Sequence[int | None], arr: np.ndarray
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -216,7 +149,7 @@ def _mrb_reduce(
 
     Reduces copies of ``rows`` on the k most reliable independent positions
     of the received samples ``arr``.  ``units`` gives each row's unit column,
-    or None (see ``_eliminate``): a decoder passes its cached basis, whose
+    or None (see ``gf2.eliminate``): a decoder passes its cached basis, whose
     unit columns make most pivots of an impulse word a row swap, and
     ``most_reliable_basis`` the generator's own rows with none.  Returns
     (rows, perm, |y|).  perm lists the MRB positions, then the others in
@@ -226,8 +159,8 @@ def _mrb_reduce(
     the reliability order, and the reduced rows, G[:, piv]^-1 G, only on the
     row space and the pivots.
     """
-    if arr.shape[0] != n:
-        raise ValueError(f"received word length {arr.shape[0]} != n = {n}")
+    if arr.shape != (n,):
+        raise ValueError(f"received word of shape {arr.shape} is not a length-{n} vector")
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -235,7 +168,9 @@ def _mrb_reduce(
     abs_y = np.abs(arr)
     cols = _reliability_order(abs_y).tolist()
     rows, piv = list(rows), list(units)
-    _eliminate(rows, piv, cols)
+    r = eliminate(rows, piv, cols)
+    if r < len(rows):
+        raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {len(rows)}")
     piv_set = set(piv)
     perm = np.array(piv + [c for c in cols if c not in piv_set], dtype=np.intp)
     return rows, perm, abs_y
@@ -249,7 +184,7 @@ def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
 class OsdDecoder:
     """Reusable order-l decoder for one code.
 
-    ``decode`` accepts a SoftWord or a float sequence of finite samples and
+    ``decode`` accepts a float array or sequence of finite samples and
     returns the decoded codeword in original position order.  Flip sets are
     scored over packed parity lanes with per-byte lookup tables: first those
     of weight below the order, then those of weight equal to it, unless the
@@ -272,11 +207,13 @@ class OsdDecoder:
         self._patterns = _patterns(code.k, order)
         rows = list(code.generator.rows)
         units = [None] * code.k
-        _eliminate(rows, units, range(code.n))
+        r = eliminate(rows, units, range(code.n))
+        if r < code.k:
+            raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {code.k}")
         self._basis = (tuple(rows), tuple(units))
 
-    def decode(self, y: SoftWord | np.ndarray | Sequence[float]) -> BitWord:
-        arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
+    def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
+        arr = np.asarray(y, dtype=np.float64)
         k, n = self.code.k, self.code.n
         rows, perm, abs_y = _mrb_reduce(n, *self._basis, arr)
         P8 = unpack_rows(rows, n)[:, perm[k:]]
@@ -340,7 +277,7 @@ class OsdDecoder:
             return BitWord(n, words[0])
         # exact costs: sum |y_i| over the positions where a word differs
         # from the hard decision, correctly rounded
-        h_bits = pack_rows(h[None])[0]
+        h_bits = hard_decision(arr).bits
         abs_list = abs_y.tolist()
         exact = []
         for w in words:
@@ -352,7 +289,7 @@ class OsdDecoder:
 
 
 def most_reliable_basis(
-    code: LinearCode, y: SoftWord | np.ndarray | Sequence[float]
+    code: LinearCode, y: np.ndarray | Sequence[float]
 ) -> tuple[BitMatrix, tuple[int, ...]]:
     """Systematic generator on the k most reliable independent positions.
 
@@ -362,7 +299,7 @@ def most_reliable_basis(
     dependent land among the trailing columns, which keep decreasing
     reliability order.
     """
-    arr = y.as_array() if isinstance(y, SoftWord) else np.asarray(y, dtype=np.float64)
+    arr = np.asarray(y, dtype=np.float64)
     rows, perm, _ = _mrb_reduce(code.n, code.generator.rows, [None] * code.k, arr)
     gsys = pack_rows(unpack_rows(rows, code.n)[:, perm])
     return BitMatrix(code.n, tuple(gsys)), tuple(int(x) for x in perm)

@@ -18,6 +18,7 @@ from mindist.genetic import (
     crossover_one_point,
     crossover_two_point,
     crossover_uniform,
+    fitness,
     mutate_classic,
     mutate_greedy,
     run_variant_a,
@@ -27,7 +28,7 @@ from mindist.gf2 import BitMatrix, BitWord
 from mindist.mim import MimConfig
 from mindist.mim import run as run_mim
 from mindist.oracle import exact_min_distance
-from mindist.osd import OsdDecoder, SoftWord
+from mindist.osd import OsdDecoder
 
 
 def report(criterion: int, detail: str) -> None:
@@ -210,32 +211,29 @@ def test_criterion_7_operator_property_suite():
     for cross in (crossover_one_point, crossover_two_point, crossover_uniform):
         for _ in range(10_000):
             k = rng.randint(2, 40)
-            p1 = BitWord(k, rng.getrandbits(k))
-            p2 = BitWord(k, rng.getrandbits(k))
-            ch1, ch2 = cross(p1, p2, rng)
+            p1 = rng.getrandbits(k)
+            p2 = rng.getrandbits(k)
+            ch1, ch2 = cross(p1, p2, k, rng)
+            assert ch1 >> k == ch2 >> k == 0
             assert (ch1 ^ ch2) == (p1 ^ p2)
 
     # classic mutation edge identities
     for _ in range(200):
         k = rng.randint(1, 48)
-        w = BitWord(k, rng.getrandbits(k))
-        assert mutate_classic(w, 0.0, rng) == w
-        assert mutate_classic(w, 1.0, rng) == BitWord(k, w.bits ^ ((1 << k) - 1))
+        w = rng.getrandbits(k)
+        assert mutate_classic(w, k, 0.0, rng) == w
+        assert mutate_classic(w, k, 1.0, rng) == w ^ ((1 << k) - 1)
 
     # greedy mutation fixed point: unchanged exactly when no single flip helps
     code = build_qdc(11)
-    from mindist.genetic import fitness
-
+    rows, n = code.generator.rows, code.n
     for _ in range(300):
-        w = BitWord(12, rng.getrandbits(12))
-        out = mutate_greedy(code, w)
-        base = fitness(code, w)
-        improvements = [
-            i for i in range(12)
-            if fitness(code, BitWord(12, w.bits ^ (1 << i))) < base
-        ]
+        w = rng.getrandbits(12)
+        out = mutate_greedy(rows, n, w, 12)
+        base = fitness(rows, n, w)
+        improvements = [i for i in range(12) if fitness(rows, n, w ^ (1 << i)) < base]
         if improvements:
-            assert out == BitWord(12, w.bits ^ (1 << improvements[0]))
+            assert out == w ^ (1 << improvements[0])
         else:
             assert out == w
 
@@ -243,9 +241,9 @@ def test_criterion_7_operator_property_suite():
     dec = OsdDecoder(code, order=3)
     for _ in range(1000):
         cw = code.encode(BitWord(12, rng.getrandbits(12)))
-        y = SoftWord.bpsk(cw)
+        y = np.where(list(cw), 1.0, -1.0)
         assert dec.decode(y) == cw
-        scaled = np.asarray(y.values) * rng.uniform(0.1, 50.0)
+        scaled = y * rng.uniform(0.1, 50.0)
         assert dec.decode(scaled) == cw
     report(7, "3x10^4 crossover pairs, mutation identities, greedy fixed point, 10^3 OSD fixed points: zero violations")
 

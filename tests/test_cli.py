@@ -87,15 +87,21 @@ class TestEstimate:
 
     def test_ga_config_file_key_value(self, c20_file, tmp_path, capsys):
         cfgfile = tmp_path / "ga.cfg"
-        cfgfile.write_text(
-            "population_size = 40\nmax_generations = 6\ncrossover_kind = uniform\n"
-        )
-        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
-                   "--config", str(cfgfile), "--json", str(tmp_path / "r.json")])
-        assert rc == EXIT_OK
-        doc = json.loads((tmp_path / "r.json").read_text())
-        assert doc["config"]["population_size"] == 40
-        assert doc["config"]["crossover_kind"] == "uniform"
+        base = "population_size = 40\nmax_generations = 6\ncrossover_kind = uniform\n"
+        args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
+                "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
+        for text, flag in (("false", False), ("TRUE", True), ("0", False), ("True", True)):
+            cfgfile.write_text(base + f"elitism_enabled = {text}\n")
+            assert main(args) == EXIT_OK
+            doc = json.loads((tmp_path / "r.json").read_text())
+            assert doc["config"]["population_size"] == 40
+            assert doc["config"]["crossover_kind"] == "uniform"
+            assert doc["config"]["elitism_enabled"] is flag
+        capsys.readouterr()
+        # a spelling that is neither true nor false is an error, not False
+        cfgfile.write_text(base + "elitism_enabled = yes\n")
+        assert main(args) == EXIT_CONFIG
+        assert "elitism_enabled must be true or false" in capsys.readouterr().err
 
     def test_ga_config_file_json(self, c20_file, tmp_path):
         cfgfile = tmp_path / "ga.json"

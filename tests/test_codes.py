@@ -300,7 +300,10 @@ for bad in (0b10001, 0b11111):
 gf2.PRIMITIVE_POLYS[4] = poly
 codes.multiplicative_order_of_2 = lambda p: 4  # GF(16)* has no element of order 7
 qr = raises(lambda: codes.qr_generator_poly(7), "does not have order 7")
-raise SystemExit(0 if field and qr else f"field raised: {field}, QR raised: {qr}")
+gf2.cyclotomic_coset = lambda s, n: frozenset({s})  # minimal polynomial x + alpha
+minpoly = raises(lambda: gf2.GF2mField(4).minimal_polynomial(1), "left GF(2)")
+ok = field and qr and minpoly
+raise SystemExit(0 if ok else f"field raised: {field}, QR raised: {qr}, minpoly raised: {minpoly}")
 """
 
 

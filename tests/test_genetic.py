@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mindist.codes import build_bch
-from mindist.errors import DimensionError
 from mindist.genetic import (
     GaConfig,
     crossover_one_point,
@@ -47,19 +46,24 @@ class FakeRng:
         return self._getrandbits.pop(0)
 
 
+def parse(text: str) -> int:
+    """Genes from a string like "1001"; the leftmost char is gene 0."""
+    return BitWord.parse(text).bits
+
+
+def genes(bits: int, k: int) -> str:
+    return BitWord(k, bits).to01()
+
+
 class TestFitness:
     def test_all_zero_scores_n(self, c20):
-        assert fitness(c20, BitWord.zeros(10)) == 20
+        assert fitness(c20.generator.rows, c20.n, 0) == 20
 
     def test_repetition(self, repetition3):
-        assert fitness(repetition3, BitWord.parse("1")) == 3
+        assert fitness(repetition3.generator.rows, 3, parse("1")) == 3
 
     def test_c20_unit_vector(self, c20):
-        assert fitness(c20, BitWord.unit(10, 0)) == 8
-
-    def test_length_check(self, c20):
-        with pytest.raises(DimensionError):
-            fitness(c20, BitWord.zeros(9))
+        assert fitness(c20.generator.rows, c20.n, 1) == 8
 
 
 class TestCrossover:
@@ -68,29 +72,26 @@ class TestCrossover:
     )
     def test_identical_parents(self, cross):
         rng = random.Random(0)
-        p = BitWord.parse("1011001")
-        ch1, ch2 = cross(p, p, rng)
-        assert ch1 == p and ch2 == p
+        p = parse("1011001")
+        assert cross(p, p, 7, rng) == (p, p)
 
     def test_one_point_forced_cut(self):
-        p1, p2 = BitWord.parse("1100"), BitWord.parse("0011")
-        ch1, ch2 = crossover_one_point(p1, p2, FakeRng(randint=[2]))
-        assert (ch1.to01(), ch2.to01()) == ("1111", "0000")
+        p1, p2 = parse("1100"), parse("0011")
+        ch1, ch2 = crossover_one_point(p1, p2, 4, FakeRng(randint=[2]))
+        assert (genes(ch1, 4), genes(ch2, 4)) == ("1111", "0000")
 
     def test_two_point_forced_cuts(self):
-        p1, p2 = BitWord.parse("111111"), BitWord.parse("000000")
-        ch1, ch2 = crossover_two_point(p1, p2, FakeRng(sample=[[2, 4]]))
-        assert (ch1.to01(), ch2.to01()) == ("110011", "001100")
+        p1, p2 = parse("111111"), parse("000000")
+        ch1, ch2 = crossover_two_point(p1, p2, 6, FakeRng(sample=[[2, 4]]))
+        assert (genes(ch1, 6), genes(ch2, 6)) == ("110011", "001100")
 
     def test_uniform_zero_mask_children_equal_parents(self):
-        p1, p2 = BitWord.parse("1010"), BitWord.parse("0110")
-        ch1, ch2 = crossover_uniform(p1, p2, FakeRng(getrandbits=[0]))
-        assert (ch1, ch2) == (p1, p2)
+        p1, p2 = parse("1010"), parse("0110")
+        assert crossover_uniform(p1, p2, 4, FakeRng(getrandbits=[0])) == (p1, p2)
 
     def test_uniform_full_mask_swaps(self):
-        p1, p2 = BitWord.parse("1010"), BitWord.parse("0110")
-        ch1, ch2 = crossover_uniform(p1, p2, FakeRng(getrandbits=[0b1111]))
-        assert (ch1, ch2) == (p2, p1)
+        p1, p2 = parse("1010"), parse("0110")
+        assert crossover_uniform(p1, p2, 4, FakeRng(getrandbits=[0b1111])) == (p2, p1)
 
     @pytest.mark.parametrize(
         "cross", [crossover_one_point, crossover_two_point, crossover_uniform]
@@ -99,59 +100,54 @@ class TestCrossover:
         rng = random.Random(42)
         for _ in range(300):
             k = rng.randint(2, 48)
-            p1 = BitWord(k, rng.getrandbits(k))
-            p2 = BitWord(k, rng.getrandbits(k))
-            ch1, ch2 = cross(p1, p2, rng)
+            p1 = rng.getrandbits(k)
+            p2 = rng.getrandbits(k)
+            ch1, ch2 = cross(p1, p2, k, rng)
+            assert ch1 >> k == ch2 >> k == 0
             assert (ch1 ^ ch2) == (p1 ^ p2)
 
     def test_one_point_degenerate_k1(self):
-        p1, p2 = BitWord.parse("1"), BitWord.parse("0")
-        assert crossover_one_point(p1, p2, random.Random(0)) == (p1, p2)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            crossover_one_point(BitWord.zeros(3), BitWord.zeros(4), random.Random(0))
+        assert crossover_one_point(1, 0, 1, random.Random(0)) == (1, 0)
 
 
 class TestMutation:
     def test_classic_pm_zero_identity(self):
-        w = BitWord.parse("100110")
-        assert mutate_classic(w, 0.0, random.Random(0)) == w
+        w = parse("100110")
+        assert mutate_classic(w, 6, 0.0, random.Random(0)) == w
 
     def test_classic_pm_one_complement(self):
-        w = BitWord.parse("100110")
-        assert mutate_classic(w, 1.0, random.Random(0)).to01() == "011001"
+        w = parse("100110")
+        assert genes(mutate_classic(w, 6, 1.0, random.Random(0)), 6) == "011001"
 
     def test_classic_binomial_statistics(self):
         # p = 0.5 over 10^4 bits: flip count within 3 sigma on every trial
         rng = random.Random(7)
         n, p = 10_000, 0.5
         sigma = math.sqrt(n * p * (1 - p))
-        w = BitWord.zeros(n)
         for _ in range(20):
-            flipped = mutate_classic(w, p, rng).weight
+            flipped = mutate_classic(0, n, p, rng).bit_count()
             assert abs(flipped - n * p) < 3 * sigma
 
     def test_greedy_local_minimum_fixed_point(self, repetition3):
         # flipping the lone bit gives the zero word, fitness n = 3: no gain
-        w = BitWord.parse("1")
-        assert mutate_greedy(repetition3, w) == w
+        assert mutate_greedy(repetition3.generator.rows, 3, 1, 1) == 1
 
     def test_greedy_improving_flip(self, padded_identity8):
-        w = BitWord.parse("11000000")
-        out = mutate_greedy(padded_identity8, w)
-        assert out.to01() == "01000000"
+        code = padded_identity8
+        out = mutate_greedy(code.generator.rows, code.n, parse("11000000"), 8)
+        assert genes(out, 8) == "01000000"
 
     def test_greedy_single_flip_only(self, padded_identity8):
-        w = BitWord.parse("11110000")
-        out = mutate_greedy(padded_identity8, w)
-        assert out.weight == 3  # one flip per call, not a full descent
+        code = padded_identity8
+        out = mutate_greedy(code.generator.rows, code.n, parse("11110000"), 8)
+        assert out.bit_count() == 3  # one flip per call, not a full descent
 
     def test_greedy_no_improvement_anywhere(self, padded_identity8):
-        w = BitWord.parse("10000000")
+        code = padded_identity8
+        w = parse("10000000")
         # flipping the set bit gives the zero word (fitness n); flipping any
         # clear bit increases weight: strict local minimum
-        assert mutate_greedy(padded_identity8, w) == w
+        assert mutate_greedy(code.generator.rows, code.n, w, 8) == w
 
 
 class TestSelection:

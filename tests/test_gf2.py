@@ -93,6 +93,15 @@ class TestSystematize:
         assert out == m
         assert perm == (0, 1, 2, 3, 4)
 
+    def test_dependent_columns_keep_swap_order(self):
+        # pivots 0, 2, 4; column 1 equals column 0 and column 3 is their sum
+        # with column 2: each pivot swaps into place, so the dependent
+        # columns come back as 3, 1, out of index order
+        m = BitMatrix.from_strings(["11010", "00110", "00001"])
+        out, perm = systematize(m)
+        assert perm == (0, 2, 4, 3, 1)
+        assert out == BitMatrix.from_strings(["10011", "01010", "00100"])
+
     def test_duplicate_rows_rank_error(self):
         m = BitMatrix.from_strings(["1011", "1011"])
         with pytest.raises(RankError) as exc:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mindist.codes import LinearCode
@@ -55,8 +56,16 @@ class TestApplyPattern:
     def test_single_impulse_arithmetic(self):
         p = ImpulsePattern(5, (2,), (2.0,))
         y = apply_pattern(p)
-        assert y.values[2] == pytest.approx(1.0)
-        assert all(v == -1.0 for i, v in enumerate(y.values) if i != 2)
+        assert y.dtype == np.float64 and y.shape == (5,)
+        assert y[2] == pytest.approx(1.0)
+        assert all(v == -1.0 for i, v in enumerate(y) if i != 2)
+
+    def test_fresh_array_per_call(self):
+        # callers may keep the words they decoded, so no buffer is reused
+        p = ImpulsePattern(5, (2,), (2.0,))
+        y = apply_pattern(p)
+        y[0] = 7.0
+        assert apply_pattern(p)[0] == -1.0
 
     def test_hard_decision_flips_only_above_unit_amplitude(self):
         rng = random.Random(4)

@@ -8,9 +8,9 @@ import pytest
 from mindist import osd
 from mindist.codes import LinearCode, build_bch, build_dcc, build_qr
 from mindist.errors import ConsistencyError
-from mindist.gf2 import BitMatrix, BitWord, xor_rows
+from mindist.gf2 import BitMatrix, BitWord, eliminate, xor_rows
 from mindist.mim import apply_pattern, make_pattern
-from mindist.osd import OsdDecoder, SoftWord, _eliminate, hard_decision, most_reliable_basis
+from mindist.osd import OsdDecoder, hard_decision, most_reliable_basis
 
 
 def all_codewords(code) -> list[BitWord]:
@@ -49,7 +49,7 @@ def reference_decode(code, y: np.ndarray, order: int) -> BitWord:
     n, k = code.n, code.k
     gsys, perm = most_reliable_basis(code, y)
     rows = tuple(sum(((r >> j) & 1) << perm[j] for j in range(n)) for r in gsys.rows)
-    h = hard_decision(SoftWord.from_iterable(y)).bits
+    h = hard_decision(y).bits
     u0 = sum(((h >> perm[i]) & 1) << i for i in range(k))
     best = best_cost = None
     for t in range(order + 1):
@@ -73,7 +73,7 @@ def mim_words(n: int, count: int, seed: int) -> list[np.ndarray]:
     for _ in range(count):
         nb_error = rng.randint(2, 5)
         amplitude = rng.randint(5, 12) + 0.5
-        words.append(apply_pattern(make_pattern(n, nb_error, amplitude, rng)).as_array())
+        words.append(apply_pattern(make_pattern(n, nb_error, amplitude, rng)))
     return words
 
 
@@ -100,20 +100,20 @@ def scored_tables(monkeypatch):
 
 class TestHardDecision:
     def test_all_minus_one_is_zero_word(self):
-        assert hard_decision(SoftWord.all_zero_channel(6)) == BitWord.zeros(6)
+        assert hard_decision(np.full(6, -1.0)) == BitWord.zeros(6)
 
     def test_sign_readout(self):
-        y = SoftWord.from_iterable([0.3, -0.1, 2.0])
+        y = [0.3, -0.1, 2.0]
         assert hard_decision(y).to01() == "101"
 
     def test_exact_zero_demaps_to_zero(self):
-        y = SoftWord.from_iterable([0.0, 1.0, -1.0])
+        y = [0.0, 1.0, -1.0]
         assert hard_decision(y).to01() == "010"
 
 
 class TestMostReliableBasis:
     def test_identity_prefix_when_reliability_decreasing(self, golay24):
-        y = SoftWord.from_iterable([float(24 - i) * (-1) ** i for i in range(24)])
+        y = np.array([float(24 - i) * (-1) ** i for i in range(24)])
         gsys, perm = most_reliable_basis(golay24, y)
         # strictly decreasing |y| and independent first k columns: identity order
         assert perm[: golay24.k] == tuple(range(golay24.k))
@@ -122,14 +122,14 @@ class TestMostReliableBasis:
                 assert gsys.entry(i, j) == (1 if i == j else 0)
 
     def test_equal_reliabilities_prefer_lower_index(self, golay24):
-        y = SoftWord.all_zero_channel(24)
+        y = np.full(24, -1.0)
         _, perm = most_reliable_basis(golay24, y)
         assert perm[: golay24.k] == tuple(range(golay24.k))
 
     def test_mrb_reencoding_agrees_on_basis_positions(self, golay24):
         rng = random.Random(3)
         for _ in range(50):
-            y = SoftWord.from_iterable([rng.uniform(-2, 2) for _ in range(24)])
+            y = np.array([rng.uniform(-2, 2) for _ in range(24)])
             gsys, perm = most_reliable_basis(golay24, y)
             h = hard_decision(y)
             info = BitWord(golay24.k, sum(
@@ -140,7 +140,7 @@ class TestMostReliableBasis:
                 assert cw_sys[i] == (h.bits >> perm[i]) & 1
 
     def test_perm_is_permutation(self, golay24):
-        y = SoftWord.from_iterable([0.1 * ((i * 7) % 11 - 5) for i in range(24)])
+        y = np.array([0.1 * ((i * 7) % 11 - 5) for i in range(24)])
         _, perm = most_reliable_basis(golay24, y)
         assert sorted(perm) == list(range(24))
 
@@ -151,19 +151,19 @@ class TestOsdDecode:
         dec = OsdDecoder(golay24, order=1)
         for _ in range(50):
             cw = golay24.encode(BitWord(12, rng.getrandbits(12)))
-            assert dec.decode(SoftWord.bpsk(cw)) == cw
+            assert dec.decode(np.where(list(cw), 1.0, -1.0)) == cw
 
     def test_all_minus_one_decodes_to_zero(self, golay24):
         for order in (0, 1, 2, 3):
             dec = OsdDecoder(golay24, order=order)
-            assert dec.decode(SoftWord.all_zero_channel(24)) == BitWord.zeros(24)
+            assert dec.decode(np.full(24, -1.0)) == BitWord.zeros(24)
 
     def test_output_is_always_a_codeword(self, golay24):
         rng = random.Random(5)
         dec = OsdDecoder(golay24, order=2)
         for _ in range(60):
             y = [rng.uniform(-2, 2) for _ in range(24)]
-            out = dec.decode(SoftWord.from_iterable(y))
+            out = dec.decode(y)
             stacked = BitMatrix(24, golay24.generator.rows + (out.bits,))
             assert stacked.rank() == golay24.k
 
@@ -235,7 +235,7 @@ class TestOsdDecode:
             s = np.array([1.0 if (out.bits >> i) & 1 else -1.0 for i in range(7)])
             out_cost = ((y - s) ** 2).sum()
             gsys, perm = most_reliable_basis(hamming7, y)
-            h = hard_decision(SoftWord.from_iterable(y))
+            h = hard_decision(y)
             u0 = sum(((h.bits >> perm[i]) & 1) << i for i in range(4))
             import itertools
 
@@ -289,12 +289,23 @@ class TestOsdDecode:
             OsdDecoder(golay24, order=-1)
 
     def test_rank_loss_is_a_consistency_error(self):
+        assert eliminate([0b011, 0b011], [None, None], range(3)) == 1
         with pytest.raises(ConsistencyError, match="lost rank"):
-            _eliminate([0b011, 0b011], [None, None], range(3))
+            osd._mrb_reduce(3, [0b011, 0b011], [None, None], np.array([-1.0, -0.5, -0.25]))
 
     def test_wrong_length_rejected(self, golay24):
         with pytest.raises(ValueError, match="length"):
             OsdDecoder(golay24, order=1).decode(np.zeros(23))
+
+    @pytest.mark.parametrize("shape", [(24, 2), ()])
+    def test_non_vector_rejected(self, golay24, shape):
+        y = np.full(shape, -1.0)
+        with pytest.raises(ValueError, match="not a length-24 vector"):
+            OsdDecoder(golay24, order=1).decode(y)
+        with pytest.raises(ValueError, match="not a length-24 vector"):
+            most_reliable_basis(golay24, y)
+        with pytest.raises(ValueError, match="not a vector"):
+            hard_decision(y)
 
 
 class TestTopOrderSkip:
@@ -378,7 +389,7 @@ def mixed_words(n: int, count: int, seed: int) -> list[np.ndarray]:
 def cold_reduce(code: LinearCode, y: np.ndarray) -> tuple[list[int], list[int]]:
     """Rows and pivots of a reduction from the generator's own rows."""
     rows, piv = list(code.generator.rows), [None] * code.k
-    _eliminate(rows, piv, osd._reliability_order(np.abs(y)).tolist())
+    eliminate(rows, piv, osd._reliability_order(np.abs(y)).tolist())
     return rows, piv
 
 

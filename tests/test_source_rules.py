@@ -1,0 +1,28 @@
+"""Static rules over the package source."""
+
+import ast
+from pathlib import Path
+
+import mindist
+
+SOURCES = sorted(Path(mindist.__file__).resolve().parent.glob("*.py"))
+
+
+def _raises_assertion_error(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assert_in_package():
+    # checks in src/ must hold under python -O, which strips assert
+    # statements; an AssertionError would also escape the CLI's exit codes
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert) or _raises_assertion_error(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
