@@ -11,6 +11,8 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import codes as codes_mod
@@ -60,14 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--load", metavar="PATH", help="copy an existing matrix file")
     p_con.add_argument("--corner", type=int, choices=(0, 1), default=0,
                        help="QDC border corner entry (default 0)")
-    p_con.add_argument("--design-distance", type=int, default=None,
-                       help="override the BCH designed-distance label")
     p_con.add_argument("--out", required=True, help="output matrix path")
     p_con.set_defaults(handler=_cmd_construct)
 
     p_est = sub.add_parser("estimate", help="estimate the minimum distance of a code")
     _add_estimate_args(p_est)
-    p_est.set_defaults(handler=_cmd_estimate)
+    p_est.set_defaults(handler=partial(_cmd_estimate, p_est))
 
     p_tab = sub.add_parser("table", help="run a batch of estimates and emit CSV")
     p_tab.add_argument("--spec", required=True,
@@ -89,30 +89,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
+    """Each method flag's dest is the setting it sets: a config field, or
+    an ``oracle.run`` parameter."""
     p_est.add_argument("--code", required=True, help="generator matrix file")
     p_est.add_argument("--method", required=True, choices=("exact", "ga-a", "ga-b", "mim"))
-    p_est.add_argument("--seed", type=int, default=0)
+    p_est.add_argument("--seed", dest="rng_seed", type=int)
     p_est.add_argument("--json", metavar="PATH", help="write the full result record here")
-    p_est.add_argument("--budget", type=int, default=None, help="oracle k budget override")
-    p_est.add_argument("--enumerator", action="store_true",
+    p_est.add_argument("--budget", type=int, help="oracle k budget override")
+    p_est.add_argument("--enumerator", dest="collect_enumerator", action="store_true",
                        help="collect the weight enumerator (exact method)")
     p_est.add_argument("--config", metavar="PATH",
                        help="GA config file (JSON or key = value lines)")
-    p_est.add_argument("--population", type=int, default=None)
-    p_est.add_argument("--generations", type=int, default=None)
-    p_est.add_argument("--elite-count", type=int, default=None)
-    p_est.add_argument("--crossover-prob", type=float, default=None)
-    p_est.add_argument("--mutation-prob", type=float, default=None)
-    p_est.add_argument("--crossover", choices=genetic.CROSSOVER_KINDS, default=None)
-    p_est.add_argument("--selection", choices=genetic.SELECTION_KINDS, default=None)
-    p_est.add_argument("--tournament-size", type=int, default=None)
-    p_est.add_argument("--mutation", choices=genetic.MUTATION_KINDS, default=None)
-    p_est.add_argument("--no-elitism", action="store_true")
-    p_est.add_argument("--d0", type=int, default=None)
-    p_est.add_argument("--d1", type=int, default=None)
-    p_est.add_argument("--nb-test", type=int, default=None)
-    p_est.add_argument("--error-max", type=int, default=None)
-    p_est.add_argument("--osd-order", type=int, default=None)
+    p_est.add_argument("--population", dest="population_size", type=int)
+    p_est.add_argument("--generations", dest="max_generations", type=int)
+    p_est.add_argument("--elite-count", type=int)
+    p_est.add_argument("--crossover-prob", type=float)
+    p_est.add_argument("--mutation-prob", type=float)
+    p_est.add_argument("--crossover", dest="crossover_kind", choices=genetic.CROSSOVER_KINDS)
+    p_est.add_argument("--selection", dest="selection_kind", choices=genetic.SELECTION_KINDS)
+    p_est.add_argument("--tournament-size", type=int)
+    p_est.add_argument("--mutation", dest="mutation_kind", choices=genetic.MUTATION_KINDS)
+    p_est.add_argument("--no-elitism", dest="elitism_enabled", action="store_false",
+                       default=None)
+    p_est.add_argument("--d0", type=int)
+    p_est.add_argument("--d1", type=int)
+    p_est.add_argument("--nb-test", type=int)
+    p_est.add_argument("--error-max", type=int)
+    p_est.add_argument("--osd-order", type=int)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,7 @@ def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
 def _cmd_construct(args) -> int:
     if args.bch:
         m, t = args.bch
-        code = codes_mod.build_bch(m, t, design_distance=args.design_distance)
+        code = codes_mod.build_bch(m, t)
     elif args.qr is not None:
         code = codes_mod.build_qr(args.qr)
     elif args.dcc is not None:
@@ -138,28 +141,6 @@ def _cmd_construct(args) -> int:
 
 # ---------------------------------------------------------------------------
 # estimate
-
-
-def _ga_config(args, variant: str) -> genetic.GaConfig:
-    mapping: dict = {}
-    if args.config:
-        mapping.update(_read_config_file(args.config))
-    flag_map = {
-        "population_size": args.population,
-        "max_generations": args.generations,
-        "elite_count": args.elite_count,
-        "crossover_prob": args.crossover_prob,
-        "mutation_prob": args.mutation_prob,
-        "crossover_kind": args.crossover,
-        "selection_kind": args.selection,
-        "tournament_size": args.tournament_size,
-        "mutation_kind": args.mutation,
-    }
-    mapping.update({k: v for k, v in flag_map.items() if v is not None})
-    if args.no_elitism:
-        mapping["elitism_enabled"] = False
-    mapping["rng_seed"] = args.seed
-    return genetic.GaConfig.from_mapping(variant, mapping)
 
 
 def _read_config_file(path: str) -> dict:
@@ -179,26 +160,46 @@ def _read_config_file(path: str) -> dict:
     return mapping
 
 
-def _estimate(code: codes_mod.LinearCode, method: str, args) -> DistanceEstimate:
-    if method == "exact":
-        return oracle.run(code, budget=args.budget, collect_enumerator=args.enumerator)
-    if method == "ga-a":
-        return genetic.run_variant_a(code, _ga_config(args, "A"))
-    if method == "ga-b":
-        return genetic.run_variant_b(code, _ga_config(args, "B"))
-    overrides: dict = {"rng_seed": args.seed}
-    for field_name, value in (
-        ("d0", args.d0), ("d1", args.d1), ("nb_test", args.nb_test),
-        ("error_max", args.error_max), ("osd_order", args.osd_order),
-    ):
-        if value is not None:
-            overrides[field_name] = value
-    return mim.run(code, mim.MimConfig.for_code(code, **overrides))
+_GA_READS = {f.name for f in fields(genetic.GaConfig)} | {"config"}
+_READS = {
+    "exact": {"budget", "collect_enumerator"},
+    "ga-a": _GA_READS,
+    "ga-b": _GA_READS,
+    "mim": {f.name for f in fields(mim.MimConfig)},
+}
 
 
-def _cmd_estimate(args) -> int:
+def _given(parser: argparse.ArgumentParser, args) -> dict:
+    """The method flags that were set, by dest; a set flag that the method
+    does not read is an error naming the flag."""
+    given = {}
+    for action in parser._actions:
+        value = getattr(args, action.dest, action.default)
+        if action.dest in ("code", "method", "json") or value == action.default:
+            continue
+        if action.dest not in _READS[args.method]:
+            raise ValueError(f"{action.option_strings[0]} is not read by --method {args.method}")
+        given[action.dest] = value
+    return given
+
+
+def _estimate(code: codes_mod.LinearCode, parser: argparse.ArgumentParser,
+              args) -> DistanceEstimate:
+    given = _given(parser, args)
+    if args.method == "exact":
+        return oracle.run(code, **given)
+    if args.method == "mim":
+        return mim.run(code, mim.MimConfig.for_code(code, **given))
+    mapping = _read_config_file(given.pop("config")) if "config" in given else {}
+    mapping.update(given)
+    if args.method == "ga-a":
+        return genetic.run_variant_a(code, genetic.GaConfig.from_mapping("A", mapping))
+    return genetic.run_variant_b(code, genetic.GaConfig.from_mapping("B", mapping))
+
+
+def _cmd_estimate(parser: argparse.ArgumentParser, args) -> int:
     code = codes_mod.load_code(args.code)
-    est = _estimate(code, args.method, args)
+    est = _estimate(code, parser, args)
     wit = est.witness.weight if est.witness is not None else "none"
     print(f"code: {est.family}({est.n},{est.k})  method: {est.method}")
     print(f"d = {est.d}  witness weight = {wit}")
@@ -226,30 +227,33 @@ def _cmd_estimate(args) -> int:
 class _RowParser(argparse.ArgumentParser):
     """The ``estimate`` arguments; a parse error becomes a row error, not an exit."""
 
+    def __init__(self):
+        super().__init__(prog="table row", add_help=False)
+        _add_estimate_args(self)
+
     def error(self, message):
         raise ValueError(message)
 
 
-def _parse_row(line: str) -> argparse.Namespace:
+def _parse_row(parser: _RowParser, line: str) -> argparse.Namespace:
     """``CODE METHOD key=value ...`` parsed as ``estimate`` arguments.
 
     ``key=value`` becomes ``--key value`` with ``_`` written as ``-``; a
-    bool flag (``enumerator``, ``no_elitism``) is passed bare when its
-    value is 1 or true and left out otherwise.
+    switch (``enumerator``, ``no_elitism``) is passed bare when its value
+    is true or 1 and left out when it is false or 0, in any case.
     """
     tokens = line.split()
     if len(tokens) < 2:
         raise ValueError(f"expected 'CODE METHOD [key=value ...]', got {line!r}")
-    parser = _RowParser(prog="table row", add_help=False)
-    _add_estimate_args(parser)
+    switches = {a.option_strings[0] for a in parser._actions if a.nargs == 0}
     argv = ["--code", tokens[0], "--method", tokens[1]]
     for tok in tokens[2:]:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, _, value = tok.partition("=")
         flag = "--" + key.replace("_", "-")
-        if isinstance(parser.get_default(key), bool):
-            argv += [flag] if value in ("1", "true", "True") else []
+        if flag in switches:
+            argv += [flag] if genetic.parse_bool(key, value) else []
         else:
             argv += [flag, value]
     return parser.parse_args(argv)
@@ -259,13 +263,13 @@ def _run_table_row(line: str) -> tuple[dict, bool]:
     """One CSV row, and whether the row failed a consistency check."""
     out = {"code": "", "method": "", "d": "", "runtime": "", "seed": "", "error": ""}
     try:
-        args = _parse_row(line)
-        out["code"], out["method"], out["seed"] = args.code, args.method, args.seed
-        est = _estimate(codes_mod.load_code(args.code), args.method, args)
+        parser = _RowParser()
+        args = _parse_row(parser, line)
+        out["code"], out["method"] = args.code, args.method
+        est = _estimate(codes_mod.load_code(args.code), parser, args)
         out["d"] = est.d
         out["runtime"] = f"{est.wall_time_seconds:.3f}"
-        if est.rng_seed is None:
-            out["seed"] = ""
+        out["seed"] = est.rng_seed
     except Exception as e:  # per-row failures become rows, the batch continues
         out["error"] = str(e)
         return out, isinstance(e, ConsistencyError)

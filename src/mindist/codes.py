@@ -111,13 +111,13 @@ def quadratic_residues(p: int) -> ResidueSet:
 # BCH
 
 
-def build_bch(m: int, t: int, design_distance: int | None = None) -> LinearCode:
+def build_bch(m: int, t: int) -> LinearCode:
     """Narrow-sense primitive BCH code of length 2^m - 1.
 
     The generator polynomial is the lcm of the minimal polynomials of
-    alpha^1 .. alpha^2t over the fixed GF(2^m) representation.  The designed
-    distance defaults to 2t + 1; pass ``design_distance`` to pin the Bose
-    distance label instead when it is larger.
+    alpha^1 .. alpha^2t over the fixed GF(2^m) representation.  Its roots
+    include 2t consecutive powers of alpha, so by the BCH bound the
+    distance is at least the designed distance 2t + 1.
     """
     if not 3 <= m <= 9:
         raise ValueError(f"BCH field degree {m} outside supported range 3..9")
@@ -144,7 +144,7 @@ def build_bch(m: int, t: int, design_distance: int | None = None) -> LinearCode:
         k,
         gen,
         family="BCH",
-        design_distance=design_distance if design_distance is not None else 2 * t + 1,
+        design_distance=2 * t + 1,
         metadata={
             "m": m,
             "t": t,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .codes import LinearCode
@@ -51,13 +51,12 @@ MUTATION_KINDS = ("classic", "greedy")
 
 @dataclass
 class GaConfig:
-    """Hyperparameters for one GA run.
+    """Hyperparameters for one GA run; a record's ``config`` is its fields.
 
-    ``elite_count`` of None means the variant default: half the population
-    for variant A (fixed by the algorithm), 5% for variant B.  Setting
-    ``elitism_enabled`` False zeroes the elite copy step (variant B
-    ablation; variant A's best-half copy is part of its definition and is
-    not toggled).
+    ``elite_count`` and ``elitism_enabled`` are variant B's: None means 5%
+    of the population, and ``elitism_enabled`` False zeroes the elite copy
+    step (an ablation).  Variant A's best-half copy is part of its
+    definition, so ``validate`` rejects either setting on variant A.
     """
 
     variant: str
@@ -113,56 +112,46 @@ class GaConfig:
             raise ValueError(
                 f"elite_count {self.elite_count} outside 0..{self.population_size}"
             )
+        if self.variant == "A" and (self.elite_count is not None or not self.elitism_enabled):
+            raise ValueError(
+                "variant A always copies the best half; it takes no elite_count "
+                "and no elitism_enabled = false"
+            )
 
     def resolved_elite_count(self) -> int:
-        if self.variant == "A":
-            return self.population_size // 2
+        """Variant B's elite size."""
         if not self.elitism_enabled:
             return 0
         if self.elite_count is not None:
             return self.elite_count
         return max(1, self.population_size * 5 // 100)
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "population_size": self.population_size,
-            "max_generations": self.max_generations,
-            "elite_count": self.elite_count,
-            "crossover_prob": self.crossover_prob,
-            "mutation_prob": self.mutation_prob,
-            "crossover_kind": self.crossover_kind,
-            "selection_kind": self.selection_kind,
-            "tournament_size": self.tournament_size,
-            "mutation_kind": self.mutation_kind,
-            "elitism_enabled": self.elitism_enabled,
-            "rng_seed": self.rng_seed,
-        }
-
     @classmethod
     def from_mapping(cls, variant: str, mapping: dict) -> "GaConfig":
+        """The variant's defaults with ``mapping`` applied; string values
+        from a config file are parsed by the field's type."""
         base = cls.variant_a() if variant == "A" else cls.variant_b()
-        fields = base.to_dict()
+        defaults = asdict(base)
+        changes = {}
         for key, value in mapping.items():
             if key == "variant":
                 continue
-            if key not in fields:
+            if key not in defaults:
                 raise ValueError(f"unknown GaConfig field {key!r}")
-            current = fields[key]
+            current = defaults[key]
             if key == "elite_count" and value in (None, "none", ""):
                 value = None
             elif isinstance(current, bool):
-                value = _parse_bool(key, value)
+                value = parse_bool(key, value)
             elif isinstance(current, float):
                 value = float(value)
-            elif key in ("elite_count",) or isinstance(current, int):
+            elif key == "elite_count" or isinstance(current, int):
                 value = int(value)
-            fields[key] = value
-        fields["variant"] = variant
-        return cls(**fields)
+            changes[key] = value
+        return replace(base, **changes)
 
 
-def _parse_bool(key: str, value) -> bool:
+def parse_bool(key: str, value) -> bool:
     """A bool, or true/false/1/0 in any case; anything else is an error."""
     if isinstance(value, bool):
         return value
@@ -387,7 +376,7 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         pop, fits = new_pop, new_fits
     d, witness = _best_with_witness(code, pop, fits)
     events.append({"generation": cfg.max_generations, "best_fitness": d})
-    return DistanceEstimate.of(code, "ga_a", d, witness, cfg.to_dict(), cfg.rng_seed,
+    return DistanceEstimate.of(code, "ga_a", d, witness, asdict(cfg), cfg.rng_seed,
                                started, events)
 
 
@@ -446,5 +435,5 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         d = best_f
     else:
         d, witness = _best_with_witness(code, pop, [fitness(rows, n, b) for b in pop])
-    return DistanceEstimate.of(code, "ga_b", d, witness, cfg.to_dict(), cfg.rng_seed,
+    return DistanceEstimate.of(code, "ga_b", d, witness, asdict(cfg), cfg.rng_seed,
                                started, events)

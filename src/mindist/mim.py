@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -65,16 +65,6 @@ class MimConfig:
         cfg = cls(d0=1, d1=d1, error_max=min(20, d1),
                   osd_order=min(DEFAULT_ORDER, code.k))
         return replace(cfg, **overrides)
-
-    def to_dict(self) -> dict:
-        return {
-            "d0": self.d0,
-            "d1": self.d1,
-            "nb_test": self.nb_test,
-            "error_max": self.error_max,
-            "osd_order": self.osd_order,
-            "rng_seed": self.rng_seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -175,5 +165,5 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
 
     if witness is None:
         events.append({"kind": "no_witness", "d_init": d_t})
-    return DistanceEstimate.of(code, "mim", d_t, witness, cfg.to_dict(), cfg.rng_seed,
+    return DistanceEstimate.of(code, "mim", d_t, witness, asdict(cfg), cfg.rng_seed,
                                started, events)

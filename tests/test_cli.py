@@ -5,7 +5,9 @@ import random
 import pytest
 
 from mindist import oracle
-from mindist.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _parse_row, main
+from mindist.cli import (
+    EXIT_BUDGET, EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _parse_row, _RowParser, main,
+)
 from mindist.oracle import BUDGET_ENV_VAR
 from mindist.results import validate_result
 
@@ -105,17 +107,74 @@ class TestEstimate:
 
     def test_ga_config_file_json(self, c20_file, tmp_path):
         cfgfile = tmp_path / "ga.json"
-        cfgfile.write_text(json.dumps({"population_size": 40, "max_generations": 6}))
+        cfgfile.write_text(json.dumps({"population_size": 40, "max_generations": 6,
+                                       "rng_seed": 7}))
         out = tmp_path / "r.json"
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
                    "--config", str(cfgfile), "--json", str(out)])
         assert rc == EXIT_OK
-        assert json.loads(out.read_text())["config"]["population_size"] == 40
+        doc = json.loads(out.read_text())
+        assert doc["config"]["population_size"] == 40
+        assert doc["config"]["rng_seed"] == doc["rng_seed"] == 7
 
     def test_bad_ga_flag_value_exits_2(self, c20_file):
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
                    "--population", "7"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("method, flags, config", [
+        ("exact", ["--budget", "12", "--enumerator"], {"budget": 12, "enumerator": True}),
+        ("ga-a",
+         ["--seed", "5", "--population", "40", "--generations", "4", "--crossover-prob", "0.5",
+          "--mutation-prob", "0.05", "--crossover", "uniform", "--selection", "tournament",
+          "--tournament-size", "3", "--mutation", "greedy"],
+         {"rng_seed": 5, "population_size": 40, "max_generations": 4, "crossover_prob": 0.5,
+          "mutation_prob": 0.05, "crossover_kind": "uniform", "selection_kind": "tournament",
+          "tournament_size": 3, "mutation_kind": "greedy"}),
+        ("ga-b",
+         ["--seed", "5", "--population", "40", "--generations", "4", "--elite-count", "3",
+          "--crossover-prob", "0.5", "--mutation-prob", "0.05", "--crossover", "uniform",
+          "--selection", "roulette", "--tournament-size", "3", "--mutation", "greedy",
+          "--no-elitism"],
+         {"rng_seed": 5, "population_size": 40, "max_generations": 4, "elite_count": 3,
+          "crossover_prob": 0.5, "mutation_prob": 0.05, "crossover_kind": "uniform",
+          "selection_kind": "roulette", "tournament_size": 3, "mutation_kind": "greedy",
+          "elitism_enabled": False}),
+        ("mim",
+         ["--seed", "5", "--d0", "2", "--d1", "7", "--nb-test", "2", "--error-max", "4",
+          "--osd-order", "2"],
+         {"rng_seed": 5, "d0": 2, "d1": 7, "nb_test": 2, "error_max": 4, "osd_order": 2}),
+    ])
+    def test_every_flag_reaches_the_record(self, c20_file, tmp_path, method, flags, config):
+        # every value differs from the method's default, so a flag whose
+        # dest misses its config field leaves the default and fails here
+        out = tmp_path / "r.json"
+        rc = main(["estimate", "--code", str(c20_file), "--method", method, *flags,
+                   "--json", str(out)])
+        assert rc == EXIT_OK
+        recorded = json.loads(out.read_text())["config"]
+        assert {key: recorded[key] for key in config} == config
+
+    @pytest.mark.parametrize("method, flags", [
+        ("mim", ["--population", "40"]),
+        ("mim", ["--no-elitism"]),
+        ("exact", ["--d0", "3"]),
+        ("exact", ["--seed", "1"]),
+        ("ga-b", ["--budget", "12"]),
+        ("ga-a", ["--nb-test", "3"]),
+        ("mim", ["--config", "ga.cfg"]),
+    ])
+    def test_flag_the_method_does_not_read_exits_2(self, c20_file, capsys, method, flags):
+        rc = main(["estimate", "--code", str(c20_file), "--method", method, *flags])
+        assert rc == EXIT_CONFIG
+        assert f"{flags[0]} is not read by --method {method}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--elite-count", "3"], ["--no-elitism"]])
+    def test_ga_a_elite_settings_exit_2(self, c20_file, capsys, flags):
+        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a",
+                   "--population", "40", "--generations", "4", *flags])
+        assert rc == EXIT_CONFIG
+        assert "variant A always copies the best half" in capsys.readouterr().err
 
     def test_exact_records_env_budget(self, c20_file, tmp_path, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "12")
@@ -169,6 +228,7 @@ class TestTable:
             f"{c20_file} exact colour=red\n"
             f"{c20_file} ga-b population=many\n"
             f"{c20_file} exact seed\n"
+            f"{c20_file} mim population=40\n"
             f"{c20_file} exact\n"
         )
         out = tmp_path / "runs.csv"
@@ -177,7 +237,8 @@ class TestTable:
         assert "--colour" in rows[0]["error"]
         assert "population" in rows[1]["error"]
         assert "key=value" in rows[2]["error"]
-        assert rows[3]["d"] == "6" and rows[3]["error"] == ""
+        assert rows[3]["error"] == "--population is not read by --method mim"
+        assert rows[4]["d"] == "6" and rows[4]["error"] == ""
 
     def test_bool_flag_rows(self, c20_file, tmp_path):
         spec = tmp_path / "runs.spec"
@@ -185,16 +246,25 @@ class TestTable:
             f"{c20_file} exact enumerator=1\n"
             f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=1\n"
             f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=0\n"
+            f"{c20_file} exact enumerator=yes\n"
+            f"{c20_file} ga-b no_elitism=on\n"
         )
         out = tmp_path / "runs.csv"
         assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert rows[0]["d"] == "6"
-        assert all(r["error"] == "" for r in rows)
-        assert _parse_row(f"{c20_file} exact enumerator=1").enumerator is True
-        args = _parse_row(f"{c20_file} ga-b no_elitism=1 crossover_prob=0.5")
-        assert args.no_elitism is True and args.crossover_prob == 0.5
-        assert _parse_row(f"{c20_file} ga-b no_elitism=0").no_elitism is False
+        assert all(r["error"] == "" for r in rows[:3])
+        assert "enumerator must be true or false" in rows[3]["error"]
+        assert "no_elitism must be true or false" in rows[4]["error"]
+        row = lambda text: _parse_row(_RowParser(), f"{c20_file} {text}")
+        for text in ("1", "true", "TRUE", "True"):
+            assert row(f"exact enumerator={text}").collect_enumerator is True
+            assert row(f"ga-b no_elitism={text}").elitism_enabled is False
+        for text in ("0", "false", "FALSE"):
+            assert row(f"exact enumerator={text}").collect_enumerator is False
+            assert row(f"ga-b no_elitism={text}").elitism_enabled is None
+        args = row("ga-b no_elitism=1 crossover_prob=0.5")
+        assert args.elitism_enabled is False and args.crossover_prob == 0.5
 
     def test_consistency_failure_exits_4(self, c20_file, tmp_path, monkeypatch):
         real = oracle.exact_min_distance

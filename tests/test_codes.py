@@ -90,10 +90,6 @@ class TestBch:
         with pytest.raises(ValueError, match="absorbs"):
             build_bch(3, 4)
 
-    def test_design_distance_override(self):
-        code = build_bch(4, 1, design_distance=5)
-        assert code.design_distance == 5
-
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             build_bch(2, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -262,7 +263,7 @@ class TestEstimateContract:
 
     def test_config_snapshot_round_trips(self):
         cfg = GaConfig.variant_b(population_size=44, crossover_prob=0.5)
-        back = GaConfig.from_mapping("B", cfg.to_dict())
+        back = GaConfig.from_mapping("B", asdict(cfg))
         assert back == cfg
 
     def test_from_mapping_parses_strings(self):
@@ -277,6 +278,12 @@ class TestEstimateContract:
     def test_validation_rejects_odd_population(self):
         with pytest.raises(ValueError):
             GaConfig.variant_a(population_size=7).validate()
+
+    @pytest.mark.parametrize("setting", [{"elite_count": 3}, {"elitism_enabled": False}])
+    def test_variant_a_rejects_elite_settings(self, setting):
+        with pytest.raises(ValueError, match="variant A always copies the best half"):
+            GaConfig.variant_a(**setting).validate()
+        GaConfig.variant_b(**setting).validate()
 
     def test_validation_rejects_bad_probability(self):
         with pytest.raises(ValueError):
