@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True, help="output matrix path")
     p_con.set_defaults(handler=_cmd_construct)
 
-    p_est = sub.add_parser("estimate", help="estimate the minimum distance of a code")
+    p_est = sub.add_parser("estimate", help="estimate the minimum distance of a code",
+                           allow_abbrev=False)
     _add_estimate_args(p_est)
     p_est.set_defaults(handler=partial(_cmd_estimate, p_est))
 
@@ -228,7 +229,7 @@ class _RowParser(argparse.ArgumentParser):
     """The ``estimate`` arguments; a parse error becomes a row error, not an exit."""
 
     def __init__(self):
-        super().__init__(prog="table row", add_help=False)
+        super().__init__(prog="table row", add_help=False, allow_abbrev=False)
         _add_estimate_args(self)
 
     def error(self, message):
@@ -240,7 +241,8 @@ def _parse_row(parser: _RowParser, line: str) -> argparse.Namespace:
 
     ``key=value`` becomes ``--key value`` with ``_`` written as ``-``; a
     switch (``enumerator``, ``no_elitism``) is passed bare when its value
-    is true or 1 and left out when it is false or 0, in any case.
+    is true or 1 and left out when it is false or 0, in any case.  A row
+    writes no JSON record, so ``json`` is an error.
     """
     tokens = line.split()
     if len(tokens) < 2:
@@ -256,16 +258,19 @@ def _parse_row(parser: _RowParser, line: str) -> argparse.Namespace:
             argv += [flag] if genetic.parse_bool(key, value) else []
         else:
             argv += [flag, value]
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.json is not None:
+        raise ValueError("--json is not written by a table row; use estimate --json")
+    return args
 
 
 def _run_table_row(line: str) -> tuple[dict, bool]:
     """One CSV row, and whether the row failed a consistency check."""
-    out = {"code": "", "method": "", "d": "", "runtime": "", "seed": "", "error": ""}
+    code, method = (line.split() + ["", ""])[:2]
+    out = {"code": code, "method": method, "d": "", "runtime": "", "seed": "", "error": ""}
     try:
         parser = _RowParser()
         args = _parse_row(parser, line)
-        out["code"], out["method"] = args.code, args.method
         est = _estimate(codes_mod.load_code(args.code), parser, args)
         out["d"] = est.d
         out["runtime"] = f"{est.wall_time_seconds:.3f}"

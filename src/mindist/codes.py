@@ -173,16 +173,15 @@ def multiplicative_order_of_2(p: int) -> int:
     return o
 
 
-def qr_generator_poly(p: int) -> BinPoly:
-    """Degree-(p-1)/2 generator polynomial of a binary QR code of length p.
+def qr_factors(p: int) -> tuple[BinPoly, BinPoly]:
+    """The two degree-(p-1)/2 factors of x^p - 1 (p prime, p = +-1 mod 8).
 
     Derived from the residue idempotent: with 2 a residue mod p, the residue
     polynomial sum_{r in Q} x^r has all residue-indexed roots or all
     non-residue-indexed roots of x^p - 1, so its gcd with x^p - 1 (after
-    stripping a possible x + 1 factor) is one of the two degree-(p-1)/2
-    factors.  The two factors generate equivalent codes.  When the splitting
-    field fits in the supported table range the root set is checked and the
-    residue-side factor is returned.
+    stripping a possible x + 1 factor) is one of the two factors; the other
+    is x^p - 1 divided by it and by x + 1.  Which side the gcd gives is not
+    checked here.
     """
     Q = quadratic_residues(p)
     if 2 not in Q:
@@ -202,26 +201,33 @@ def qr_generator_poly(p: int) -> BinPoly:
         )
     if x_p_1 % g:
         raise ConsistencyError(f"QR({p}) generator does not divide x^{p} - 1")
+    return g, x_p_1 // x_plus_1 // g
+
+
+def qr_generator_poly(p: int) -> BinPoly:
+    """Degree-(p-1)/2 generator polynomial of a binary QR code of length p.
+
+    One of the two ``qr_factors``; they generate equivalent codes.  When the
+    splitting field fits in the supported table range the root set is
+    checked and the residue-side factor is returned.
+    """
+    g, other = qr_factors(p)
     m = multiplicative_order_of_2(p)
     if m in PRIMITIVE_POLYS:
-        g = _qr_pick_residue_side(p, g, x_p_1, Q, m)
+        g = _qr_pick_residue_side(p, g, other, m)
     return g
 
 
-def _qr_pick_residue_side(
-    p: int, g: BinPoly, x_p_1: BinPoly, Q: ResidueSet, m: int
-) -> BinPoly:
+def _qr_pick_residue_side(p: int, g: BinPoly, other: BinPoly, m: int) -> BinPoly:
     """Return the factor whose roots are alpha^r for r in Q, verified in GF(2^m)."""
+    Q = quadratic_residues(p)
     f = GF2mField(m)
     # beta = alpha^((2^m - 1)/p) has multiplicative order exactly p
     beta = f.alpha_pow(f.order // p)
     if f.pow(beta, p) != 1 or beta == 1:
         raise ConsistencyError(f"QR({p}): alpha^((2^{m} - 1)/{p}) does not have order {p}")
     r0 = next(iter(Q.residues))
-    if g.evaluate_in(f, f.pow(beta, r0)) == 0:
-        chosen = g
-    else:
-        chosen = (x_p_1 // BinPoly(0b11)) // g
+    chosen = g if g.evaluate_in(f, f.pow(beta, r0)) == 0 else other
     for r in Q.residues:
         if chosen.evaluate_in(f, f.pow(beta, r)) != 0:
             raise ConsistencyError(f"QR({p}) root check failed at residue {r}")

@@ -57,6 +57,26 @@ candidates within a float-error tolerance of the least cost.  When more
 than one is that close, each is re-scored exactly with ``math.fsum``, and
 among equal exact costs the lexicographically smallest codeword wins.  The
 decoded word is thus a function of the received word alone.
+
+Before any of that, a certificate returns the all-zero word when it is
+provably the decoded word, with no sort, reduction or scoring.  MIM decodes
+the all-zero channel word plus a few impulses, so most of its decodes end
+there.  Each decoder holds d_lb = ``bounds.certified_lower(code)``, a lower
+bound on the minimum distance proven from the generator.  Let P be the
+number of samples above 0.  The zero word is certified when P <= order and
+its exact cost, the ``fsum`` of those P samples, is strictly below the
+``fsum`` of the d_lb - P smallest |y_i| among the other samples.  Proof:
+the zero word differs from the hard decisions at the P positive positions
+only, so on the MRB it is at most P <= order flips away, and it is a
+candidate.  A nonzero codeword has weight >= d_lb, and the hard decisions
+have only P ones, so it has a 1 at d_lb - P or more positions where the
+hard decision is 0; each adds its |y_i| to the codeword's cost, so that
+cost is at least the sum of the d_lb - P smallest such |y_i|.  Correct
+rounding is monotone: the strict test on the two rounded sums implies it
+on the real sums, and every nonzero codeword's rounded exact cost is at
+least the rounded floor, so above the zero word's.  The zero word is then
+the unique candidate of least exact cost, and would also win a tie, being
+the lexicographically smallest word.
 """
 
 from __future__ import annotations
@@ -67,6 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import certified_lower
 from .codes import LinearCode
 from .errors import ConsistencyError
 from .gf2 import BitMatrix, BitWord, eliminate, pack_rows, unpack_rows, xor_rows
@@ -142,29 +163,36 @@ def _score(
     return costs
 
 
-def _mrb_reduce(
-    n: int, rows: Sequence[int], units: Sequence[int | None], arr: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Shared per-word work: checks, reliability sort and reduction on the MRB.
-
-    Reduces copies of ``rows`` on the k most reliable independent positions
-    of the received samples ``arr``.  ``units`` gives each row's unit column,
-    or None (see ``gf2.eliminate``): a decoder passes its cached basis, whose
-    unit columns make most pivots of an impulse word a row swap, and
-    ``most_reliable_basis`` the generator's own rows with none.  Returns
-    (rows, perm, |y|).  perm lists the MRB positions, then the others in
-    decreasing reliability; rows are in original position order, reduced so
-    that row i is the only one with a 1 at position perm[i] among the MRB.
-    Both starts give the same result: the pivots depend only on the code and
-    the reliability order, and the reduced rows, G[:, piv]^-1 G, only on the
-    row space and the pivots.
-    """
+def _received(n: int, y: np.ndarray | Sequence[float]) -> np.ndarray:
+    """``y`` as a float64 array, checked to be a length-n vector of finite
+    samples."""
+    arr = np.asarray(y, dtype=np.float64)
     if arr.shape != (n,):
         raise ValueError(f"received word of shape {arr.shape} is not a length-{n} vector")
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"received sample {i} is not finite: {arr[i]}")
+    return arr
+
+
+def _mrb_reduce(
+    rows: Sequence[int], units: Sequence[int | None], arr: np.ndarray
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Shared per-word work: reliability sort and reduction on the MRB.
+
+    Reduces copies of ``rows`` on the k most reliable independent positions
+    of the received samples ``arr`` (checked by ``_received``).  ``units``
+    gives each row's unit column, or None (see ``gf2.eliminate``): a decoder
+    passes its cached basis, whose unit columns make most pivots of an
+    impulse word a row swap, and ``most_reliable_basis`` the generator's own
+    rows with none.  Returns (rows, perm, |y|).  perm lists the MRB
+    positions, then the others in decreasing reliability; rows are in
+    original position order, reduced so that row i is the only one with a 1
+    at position perm[i] among the MRB.  Both starts give the same result:
+    the pivots depend only on the code and the reliability order, and the
+    reduced rows, G[:, piv]^-1 G, only on the row space and the pivots.
+    """
     abs_y = np.abs(arr)
     cols = _reliability_order(abs_y).tolist()
     rows, piv = list(rows), list(units)
@@ -197,6 +225,15 @@ class OsdDecoder:
     result is a function of y alone.  Each word is reduced from the
     generator's basis on the columns in index order, which the decoder
     reduces once and keeps.
+
+    A word with P <= order samples above 0 decodes to the all-zero word
+    with no reduction when the sum of those samples is below the sum of the
+    d_lb - P smallest magnitudes among the others, where d_lb is the
+    code's ``bounds.certified_lower``.  Zero is then a candidate (at most P
+    MRB flips from the hard decisions), and that second sum is a floor on
+    the cost of every nonzero codeword, whose weight is at least d_lb; the
+    module docstring has the proof, rounding included.  The decoded word is
+    the one full reprocessing returns.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -211,11 +248,32 @@ class OsdDecoder:
         if r < code.k:
             raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {code.k}")
         self._basis = (tuple(rows), tuple(units))
+        self._d_lb = certified_lower(code)
+
+    def _zero_certified(self, arr: np.ndarray) -> bool:
+        """Whether the all-zero word is provably the decoded word of ``arr``.
+
+        With P samples above 0, it is when P <= order and the zero word's
+        cost, the sum of those P samples, is below the sum of the d_lb - P
+        smallest |y_i| among the other samples (see the module docstring).
+        When P >= d_lb that sum is empty and the test fails: the zero
+        word's cost is then above 0.
+        """
+        pos = arr > 0
+        npos = int(np.count_nonzero(pos))
+        need = self._d_lb - npos
+        if npos > self.order or need <= 0:
+            return False
+        rest = -arr[~pos]
+        floor = np.partition(rest, need - 1)[:need]
+        return math.fsum(arr[pos].tolist()) < math.fsum(floor.tolist())
 
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
-        arr = np.asarray(y, dtype=np.float64)
         k, n = self.code.k, self.code.n
-        rows, perm, abs_y = _mrb_reduce(n, *self._basis, arr)
+        arr = _received(n, y)
+        if self._zero_certified(arr):
+            return BitWord(n, 0)
+        rows, perm, abs_y = _mrb_reduce(*self._basis, arr)
         P8 = unpack_rows(rows, n)[:, perm[k:]]
         abs_p = abs_y[perm]
         h = arr > 0
@@ -299,7 +357,7 @@ def most_reliable_basis(
     dependent land among the trailing columns, which keep decreasing
     reliability order.
     """
-    arr = np.asarray(y, dtype=np.float64)
-    rows, perm, _ = _mrb_reduce(code.n, code.generator.rows, [None] * code.k, arr)
+    arr = _received(code.n, y)
+    rows, perm, _ = _mrb_reduce(code.generator.rows, [None] * code.k, arr)
     gsys = pack_rows(unpack_rows(rows, code.n)[:, perm])
     return BitMatrix(code.n, tuple(gsys)), tuple(int(x) for x in perm)

@@ -1,8 +1,12 @@
+import dataclasses
+import random
+
 import pytest
 
 from mindist.bounds import (
     BoundReport,
     build_report,
+    certified_lower,
     enforce,
     krasikov_upper,
     pless_parity_adjust,
@@ -11,7 +15,18 @@ from mindist.bounds import (
     sqrt_display,
     truncate2,
 )
+from mindist.codes import (
+    LinearCode,
+    _cyclic_generator,
+    build_bch,
+    build_dcc,
+    build_qdc,
+    build_qr,
+    qr_factors,
+)
 from mindist.errors import ConsistencyError
+from mindist.gf2 import BitMatrix, BitWord, systematize
+from mindist.oracle import exact_min_distance
 
 
 class TestSingleton:
@@ -115,3 +130,99 @@ class TestBuildReport:
             "singleton_upper", "sqrt_lower", "sqrt_of_n",
             "krasikov_upper", "parity_adjusted_d", "violated", "warnings",
         }
+
+
+# every BCH and QR code the tests build, with the bound certified_lower
+# proves for it
+BUILT = {
+    "BCH(15,11)": (lambda: build_bch(4, 1), 3),
+    "BCH(15,7)": (lambda: build_bch(4, 2), 5),
+    "BCH(31,26)": (lambda: build_bch(5, 1), 3),
+    "BCH(31,16)": (lambda: build_bch(5, 3), 7),
+    "BCH(63,24)": (lambda: build_bch(6, 7), 15),
+    "BCH(63,36)": (lambda: build_bch(6, 5), 11),
+    "BCH(127,64)": (lambda: build_bch(7, 10), 21),
+    "QR(7)": (lambda: build_qr(7), 3),
+    "QR(17)": (lambda: build_qr(17), 5),
+    "QR(23)": (lambda: build_qr(23), 7),
+    "QR(31)": (lambda: build_qr(31), 7),
+    "QR(41)": (lambda: build_qr(41), 7),
+    "QR(47)": (lambda: build_qr(47), 9),
+    "QR(73)": (lambda: build_qr(73), 9),
+}
+
+# k too large for the 2^k oracle: the distances the criterion 4 and 8 MIM
+# runs reach with a witness, which the literature gives as exact
+PUBLISHED = {"BCH(63,36)": 11, "BCH(127,64)": 21, "QR(73)": 13}
+
+
+class TestCertifiedLower:
+    @pytest.mark.parametrize("label", BUILT)
+    def test_value_and_at_most_d(self, label):
+        make, want = BUILT[label]
+        code = make()
+        got = certified_lower(code)
+        assert got == want
+        d = PUBLISHED.get(label) or exact_min_distance(code).d_exact
+        assert got <= d
+
+    def test_bch127_bound_is_exact(self):
+        # the BCH bound on BCH(127,64) is 21, the distance MIM finds
+        assert certified_lower(build_bch(7, 10)) == 21
+
+    @pytest.mark.parametrize("label", ["BCH(63,24)", "QR(47)"])
+    def test_labels_are_not_read(self, label):
+        code = BUILT[label][0]()
+        relabelled = dataclasses.replace(code, family="GENERIC", design_distance=99)
+        assert certified_lower(relabelled) == certified_lower(code)
+
+    def test_other_codes_get_1(self, c20):
+        assert certified_lower(build_qdc(11)) == 1
+        assert certified_lower(c20) == 1
+        assert certified_lower(build_dcc(BitWord.parse("1101"))) == 1
+
+    def test_forged_generator_poly_gets_1(self):
+        bch = build_bch(6, 7)
+        g = bch.metadata["generator_poly"]
+        rng = random.Random(63)
+        while True:
+            rows = tuple(rng.getrandbits(63) for _ in range(24))
+            if BitMatrix(63, rows).rank() == 24:
+                break
+        forged = [
+            # right degree and a divisor of x^63 - 1, but not this generator
+            LinearCode(63, 24, BitMatrix(63, rows), metadata={"generator_poly": g}),
+            # wrong degree
+            dataclasses.replace(bch, metadata={"generator_poly": build_bch(6, 5).metadata["generator_poly"]}),
+            # right degree, not a divisor
+            dataclasses.replace(bch, metadata={"generator_poly": g ^ 0b110}),
+            # not a polynomial
+            dataclasses.replace(bch, metadata={"generator_poly": str(g)}),
+            dataclasses.replace(bch, metadata={"generator_poly": float(g)}),
+            dataclasses.replace(bch, metadata={}),
+        ]
+        for code in forged:
+            assert certified_lower(code) == 1
+
+    def test_either_qr_factor_gets_the_sqrt_bound(self):
+        # the non-residue factor generates an equivalent QR code; on the
+        # residue code's rows it is a forged hint
+        qr47 = build_qr(47)
+        (g_n,) = [g for g in qr_factors(47) if g.bits != qr47.metadata["generator_poly"]]
+        gen, _ = systematize(_cyclic_generator(g_n, 47))
+        other = LinearCode(47, 24, gen, metadata={"generator_poly": g_n.bits})
+        assert certified_lower(other) == 9
+        assert exact_min_distance(other).d_exact == 11
+        assert certified_lower(dataclasses.replace(qr47, metadata={"generator_poly": g_n.bits})) == 1
+
+    @pytest.mark.parametrize(
+        "p, want",
+        # d^2 >= p for p = 1 (mod 8), d^2 - d + 1 >= p for p = 7, then odd
+        [(7, 3), (17, 5), (23, 7), (31, 7), (41, 7), (47, 9), (71, 9), (73, 9), (79, 11), (89, 11),
+         (97, 11), (103, 11), (113, 11), (127, 13)],
+    )
+    def test_qr_sqrt_bound(self, p, want):
+        code = build_qr(p)
+        assert certified_lower(code) >= want
+        if (p + 1) & p:  # not 2^m - 1: the square-root bound alone
+            assert certified_lower(code) == want

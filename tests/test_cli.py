@@ -184,6 +184,14 @@ class TestEstimate:
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["config"]["budget"] == 12
 
+    def test_abbreviated_flags_exit_2(self, c20_file, capsys):
+        # --pop and --gen are prefixes of --population and --generations
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--code", str(c20_file), "--method", "ga-b",
+                  "--pop", "40", "--gen", "4"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --pop 40 --gen 4" in capsys.readouterr().err
+
     def test_missing_code_file_exits_2(self, tmp_path):
         rc = main(["estimate", "--code", str(tmp_path / "nope.gm"), "--method", "exact"])
         assert rc == EXIT_CONFIG
@@ -239,6 +247,29 @@ class TestTable:
         assert "key=value" in rows[2]["error"]
         assert rows[3]["error"] == "--population is not read by --method mim"
         assert rows[4]["d"] == "6" and rows[4]["error"] == ""
+
+    def test_abbreviated_and_json_keys_are_row_errors(self, c20_file, tmp_path):
+        spec = tmp_path / "runs.spec"
+        spec.write_text(
+            f"{c20_file} ga-b pop=40 gen=4\n"
+            f"{c20_file} exact json={tmp_path / 'out.json'}\n"
+        )
+        out = tmp_path / "runs.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert "unrecognized arguments: --pop 40 --gen 4" in rows[0]["error"]
+        assert rows[0]["d"] == ""
+        assert "--json" in rows[1]["error"] and rows[1]["d"] == ""
+        assert not (tmp_path / "out.json").exists()
+
+    def test_failed_row_keeps_code_and_method(self, c20_file, tmp_path):
+        spec = tmp_path / "runs.spec"
+        spec.write_text(f"{c20_file} exact enumerator=yes\n")
+        out = tmp_path / "runs.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert (row["code"], row["method"]) == (str(c20_file), "exact")
+        assert "enumerator must be true or false" in row["error"]
 
     def test_bool_flag_rows(self, c20_file, tmp_path):
         spec = tmp_path / "runs.spec"

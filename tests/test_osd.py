@@ -291,7 +291,7 @@ class TestOsdDecode:
     def test_rank_loss_is_a_consistency_error(self):
         assert eliminate([0b011, 0b011], [None, None], range(3)) == 1
         with pytest.raises(ConsistencyError, match="lost rank"):
-            osd._mrb_reduce(3, [0b011, 0b011], [None, None], np.array([-1.0, -0.5, -0.25]))
+            osd._mrb_reduce([0b011, 0b011], [None, None], np.array([-1.0, -0.5, -0.25]))
 
     def test_wrong_length_rejected(self, golay24):
         with pytest.raises(ValueError, match="length"):
@@ -363,6 +363,97 @@ class TestTopOrderSkip:
         assert 0 < scored_top < len(words)
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """A list that grows by one entry for each word a decoder reduces, so
+    it stays empty across decodes the zero-word certificate ends."""
+    calls = []
+    reduce = osd._mrb_reduce
+
+    def spy(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(osd, "_mrb_reduce", spy)
+    return calls
+
+
+class TestZeroCertificate:
+    """BCH(15,7) has d = 5, and ``certified_lower`` proves 5.
+
+    Every word here has P = 2 samples above 0 at positions 0 and 1 and
+    -1.0 elsewhere unless stated, so the floor on a nonzero codeword's cost
+    is the sum of the 5 - 2 = 3 smallest magnitudes among the rest.
+    """
+
+    CODE = build_bch(4, 2)
+
+    def word(self, *positives: float) -> np.ndarray:
+        y = np.full(15, -1.0)
+        y[: len(positives)] = positives
+        return y
+
+    def test_bound_is_the_distance(self):
+        assert OsdDecoder(self.CODE, order=2)._d_lb == 5
+
+    def test_cost_just_below_floor_is_certified(self, reductions):
+        y = self.word(1.5, 1.25)  # zero costs 2.75 < 3.0
+        assert OsdDecoder(self.CODE, order=2).decode(y) == BitWord.zeros(15)
+        assert reductions == []
+        assert reference_decode(self.CODE, y, 2) == BitWord.zeros(15)
+
+    def test_cost_equal_to_floor_falls_through(self, reductions):
+        y = self.word(1.5, 1.5)  # zero costs 3.0, the floor exactly
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert len(reductions) == 1
+        assert out == reference_decode(self.CODE, y, 2)
+
+    def test_more_positives_than_order_falls_through(self, reductions):
+        # zero costs 2.0 < 3.0, but with P = order + 1 its MRB part is
+        # order + 1 flips from the hard decisions, so it is no candidate
+        y = self.word(1.0, 1.0)
+        out = OsdDecoder(self.CODE, order=1).decode(y)
+        assert len(reductions) == 1
+        assert out == reference_decode(self.CODE, y, 1)
+        assert out.weight > 0
+
+    def test_floor_takes_d_lb_minus_p_samples(self, reductions):
+        # a weight-5 codeword c: +1.0 on two of its positions, -0.5 on the
+        # other three.  c costs 1.5 < 2.0, the zero word's cost, and the
+        # floor is 3 * 0.5 = 1.5; one more sample in it would read 2.5
+        c = next(cw for cw in all_codewords(self.CODE) if cw.weight == 5)
+        support = [i for i in range(15) if c[i]]
+        y = np.full(15, -1.0)
+        y[support[:2]] = 1.0
+        y[support[2:]] = -0.5
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert len(reductions) == 1
+        assert out == reference_decode(self.CODE, y, 2)
+        assert out.weight > 0
+
+    def test_zero_sample_is_no_floor(self, reductions, golay24):
+        # QDC(24,12) gets d_lb = 1: with no positive sample zero costs 0,
+        # certified while every other magnitude is above 0
+        dec = OsdDecoder(golay24, order=3)
+        y = np.full(24, -1.0)
+        assert dec.decode(y) == BitWord.zeros(24) and reductions == []
+        y[7] = 0.0
+        out = dec.decode(y)
+        assert len(reductions) == 1
+        assert out == reference_decode(golay24, y, 3)
+
+    @pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_qr(47)], ids=["bch63", "qr47"])
+    def test_mim_words_match_reference(self, reductions, make):
+        code = make()
+        dec = OsdDecoder(code, order=3)
+        words = mim_words(code.n, 40, seed=code.n)
+        for y in words:
+            assert dec.decode(y) == reference_decode(code, y, 3)
+        # reference_decode reduces once per word through most_reliable_basis
+        reduced = len(reductions) - len(words)
+        assert 0 < reduced < len(words)
+
+
 def permuted_dcc() -> LinearCode:
     """C(20,10) with its columns shuffled, so its basis in index order is
     not columns 0..k-1."""
@@ -395,7 +486,7 @@ def cold_reduce(code: LinearCode, y: np.ndarray) -> tuple[list[int], list[int]]:
 
 def warm_reduce(decoder: OsdDecoder, y: np.ndarray) -> tuple[list[int], list[int]]:
     """Rows and pivots of a reduction from the decoder's cached basis."""
-    rows, perm, _ = osd._mrb_reduce(decoder.code.n, *decoder._basis, y)
+    rows, perm, _ = osd._mrb_reduce(*decoder._basis, y)
     return rows, perm[: decoder.code.k].tolist()
 
 
