@@ -1,13 +1,27 @@
 """Exact minimum distance by exhaustive enumeration of all 2^k codewords.
 
 The sweep follows the reflected Gray sequence over information words, so
-consecutive codewords differ by one generator row.  For speed the k-bit
-Gray counter is split into a low block (a precomputed table of 2^L partial
-codewords, packed into uint64 lanes) and a high block walked one Gray step
-at a time; each high step XORs one row into a running base and the whole
-low block is scored with vectorized popcounts.  The visit order is exactly
-the single Gray chain, so "first codeword attaining the minimum" is well
-defined and deterministic.
+consecutive codewords differ by one generator row.  The k-bit Gray counter
+is split into a low block of L = min(k, 16) bits and a high block of k - L
+bits.
+
+The low block is a table of the 2^L partial codewords in Gray order,
+packed into uint64 lanes and stored lane-major (one row of 2^L words per
+64 code bits).  It is built by reflection, one numpy call per low bit:
+entries h..2h-1 are entries h-1..0 in reverse, each XORed with row
+log2(h).
+
+The high block is walked one Gray step at a time.  Each step XORs one
+generator row into every table entry in place, so the table always holds
+the current block's codewords.  The block is then scored into buffers
+allocated once per call: a uint8 popcount per lane, summed over lanes
+into the narrowest unsigned dtype that holds the sentinel weight n + 1.
+With one lane (n <= 64) the popcount buffer is the weight buffer.
+``argmin`` runs only when a block improves the best weight.
+
+The visit order is exactly the single Gray chain (odd high blocks run
+the low table in reverse), so "first codeword attaining the minimum" is
+well defined and deterministic.
 """
 
 from __future__ import annotations
@@ -82,28 +96,31 @@ def exact_min_distance(
 
     low = min(k, _LOW_BLOCK_BITS)
     high = k - low
+    size = 1 << low
 
-    # low-block table in Gray order: entry j = codeword of gray(j) over rows[:low]
-    table = np.zeros((1 << low, lanes), dtype=np.uint64)
-    for j in range(1, 1 << low):
-        flip = (j & -j).bit_length() - 1
-        table[j] = table[j - 1] ^ rows_u[flip]
+    # low-block table in Gray order, lane-major: column j = codeword of
+    # gray(j) over rows[:low]; gray(j) for h <= j < 2h is gray(2h-1-j) | h
+    table = np.zeros((lanes, size), dtype=np.uint64)
+    for i in range(low):
+        h = 1 << i
+        np.bitwise_xor(table[:, h - 1::-1], rows_u[i, :, None], out=table[:, h:2 * h])
 
     counts = np.zeros(n + 1, dtype=np.int64) if collect_enumerator else None
     sentinel = n + 1
+    # block buffers, allocated once; the weight dtype holds the sentinel
+    lane_w = np.empty((lanes, size), dtype=np.uint8)
+    w = lane_w[0] if lanes == 1 else np.empty(size, dtype=np.min_scalar_type(sentinel))
     best_w = sentinel
     best_block = best_pos = 0
 
-    base = np.zeros(lanes, dtype=np.uint64)
-    prev_gray = 0
     for b in range(1 << high):
-        hi_gray = b ^ (b >> 1)
-        step = hi_gray ^ prev_gray
-        if step:
-            base = base ^ rows_u[low + (step & -step).bit_length() - 1]
-        prev_gray = hi_gray
-
-        w = np.bitwise_count(table ^ base).sum(axis=1, dtype=np.int64)
+        if b:
+            # high Gray step b-1 -> b flips one row into every table entry
+            row = rows_u[low + (b & -b).bit_length() - 1, :, None]
+            np.bitwise_xor(table, row, out=table)
+        np.bitwise_count(table, out=lane_w)
+        if lanes > 1:
+            np.add.reduce(lane_w, axis=0, dtype=w.dtype, out=w)
         if counts is not None:
             counts += np.bincount(w, minlength=n + 1)
         if b == 0:

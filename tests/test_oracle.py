@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,20 @@ from mindist.gf2 import BitMatrix, BitWord
 from mindist.oracle import BUDGET_ENV_VAR, exact_enumerator, exact_min_distance
 
 from conftest import naive_min_distance
+
+
+def random_systematic(rng: random.Random, k: int, n: int) -> LinearCode:
+    rows = tuple((1 << i) | (rng.getrandbits(n - k) << k) for i in range(k))
+    return LinearCode(n, k, BitMatrix(n, rows))
+
+
+def naive_enumerator(code: LinearCode) -> dict[int, int]:
+    """Weight count over all 2^k codewords, built by doubling the word list
+    row by row (no Gray order, no packing)."""
+    words = [0]
+    for row in code.generator.rows:
+        words += [w ^ row for w in words]
+    return dict(Counter(w.bit_count() for w in words))
 
 
 class TestExactMinDistance:
@@ -104,6 +119,61 @@ class TestAgainstNaiveReference:
         res = exact_min_distance(code)
         want_d, want_witness = naive_min_distance(code)
         assert (res.d_exact, res.witness) == (want_d, want_witness)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_lane_codes_bit_for_bit(self, seed):
+        # n > 64 packs each codeword into two uint64 lanes; k = 17 gives a
+        # second, odd high block, which runs the low table in reverse
+        code = random_systematic(random.Random(seed), 17, 70)
+        want_d, want_witness = naive_min_distance(code)
+        res = exact_min_distance(code)
+        assert (res.d_exact, res.witness) == (want_d, want_witness)
+
+    def test_tie_in_odd_block_takes_first_visited(self):
+        # rows 15 and 16 have parities E = D + {x} and D, |D| = 2: row 16 and
+        # row 15 ^ row 16 both weigh 3, and both lie in high block 1.  That
+        # block visits gray(j) for j = 2^16 - 1 down to 0, so row 15 ^ row 16
+        # (j = 2^16 - 1) comes before row 16 alone (j = 0).
+        k, n = 17, 70
+        rng = random.Random(5)
+        rows = [(1 << i) | (rng.getrandbits(n - k) << k) for i in range(k - 2)]
+        d_bits = (1 << k) | (1 << (k + 1))
+        rows.append((1 << 15) | d_bits | (1 << (k + 2)))
+        rows.append((1 << 16) | d_bits)
+        code = LinearCode(n, k, BitMatrix(n, tuple(rows)))
+        res = exact_min_distance(code)
+        assert res.d_exact == 3
+        assert res.witness.bits == rows[15] ^ rows[16]
+        assert (res.d_exact, res.witness) == naive_min_distance(code)
+
+    def test_weights_above_255_do_not_wrap(self):
+        # n + 1 = 301 and a weight-290 codeword: both would wrap in uint8
+        # (to 45 and 34), below the true distance
+        k, n = 3, 300
+        rng = random.Random(11)
+        heavy = (1 << 289) - 1
+        rows = (1 | (heavy << k),
+                2 | (rng.getrandbits(n - k) << k),
+                4 | (rng.getrandbits(n - k) << k))
+        code = LinearCode(n, k, BitMatrix(n, rows))
+        want_d, want_witness = naive_min_distance(code)
+        assert want_d > 45
+        res = exact_enumerator(code)
+        assert (res.d_exact, res.witness) == (want_d, want_witness)
+        assert res.enumerator == naive_enumerator(code)
+        assert res.enumerator[290] == 1
+
+
+class TestEnumeratorAgainstNaive:
+    @pytest.mark.parametrize("n", [40, 70])
+    def test_k18_enumerator(self, n):
+        # k = 18: four high blocks, two of them reversed; one and two lanes
+        code = random_systematic(random.Random(n), 18, n)
+        res = exact_enumerator(code)
+        want = naive_enumerator(code)
+        assert want[0] == 1
+        assert res.enumerator == want
+        assert res.d_exact == min(w for w in want if w)
 
 
 class TestStructuralInvariants:
