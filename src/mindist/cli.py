@@ -110,8 +110,6 @@ def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
     p_est.add_argument("--selection", dest="selection_kind", choices=genetic.SELECTION_KINDS)
     p_est.add_argument("--tournament-size", type=int)
     p_est.add_argument("--mutation", dest="mutation_kind", choices=genetic.MUTATION_KINDS)
-    p_est.add_argument("--no-elitism", dest="elitism_enabled", action="store_false",
-                       default=None)
     p_est.add_argument("--d0", type=int)
     p_est.add_argument("--d1", type=int)
     p_est.add_argument("--nb-test", type=int)
@@ -236,13 +234,23 @@ class _RowParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _parse_bool(key: str, value: str) -> bool:
+    """true/false/1/0 in any case; anything else is an error."""
+    text = value.strip().lower()
+    if text in ("true", "1"):
+        return True
+    if text in ("false", "0"):
+        return False
+    raise ValueError(f"{key} must be true or false (or 1 or 0), got {value!r}")
+
+
 def _parse_row(parser: _RowParser, line: str) -> argparse.Namespace:
     """``CODE METHOD key=value ...`` parsed as ``estimate`` arguments.
 
     ``key=value`` becomes ``--key value`` with ``_`` written as ``-``; a
-    switch (``enumerator``, ``no_elitism``) is passed bare when its value
-    is true or 1 and left out when it is false or 0, in any case.  A row
-    writes no JSON record, so ``json`` is an error.
+    switch (``enumerator``) is passed bare when its value is true or 1 and
+    left out when it is false or 0, in any case.  A row writes no JSON
+    record, so ``json`` is an error.
     """
     tokens = line.split()
     if len(tokens) < 2:
@@ -255,7 +263,7 @@ def _parse_row(parser: _RowParser, line: str) -> argparse.Namespace:
         key, _, value = tok.partition("=")
         flag = "--" + key.replace("_", "-")
         if flag in switches:
-            argv += [flag] if genetic.parse_bool(key, value) else []
+            argv += [flag] if _parse_bool(key, value) else []
         else:
             argv += [flag, value]
     args = parser.parse_args(argv)

@@ -53,13 +53,13 @@ MUTATION_KINDS = ("classic", "greedy")
 class GaConfig:
     """Hyperparameters for one GA run; a record's ``config`` is its fields.
 
-    ``elite_count`` and ``elitism_enabled`` are variant B's: None means 5%
-    of the population, and ``elitism_enabled`` False zeroes the elite copy
-    step (an ablation).  Variant A's best-half copy is part of its
-    definition, so ``validate`` rejects either setting on variant A.
+    The runner called, ``run_variant_a`` or ``run_variant_b``, is the
+    variant, and ``variant_a``/``variant_b`` give each its published
+    defaults.  ``elite_count`` is variant B's: None means 5% of the
+    population and 0 copies no elites.  Variant A's best-half copy is part
+    of its definition, so ``run_variant_a`` rejects an ``elite_count``.
     """
 
-    variant: str
     population_size: int = 1000
     max_generations: int = 75
     elite_count: int | None = None
@@ -69,13 +69,11 @@ class GaConfig:
     selection_kind: str = "tournament"
     tournament_size: int = 2
     mutation_kind: str = "classic"
-    elitism_enabled: bool = True
     rng_seed: int = 0
 
     @classmethod
     def variant_a(cls, **overrides) -> "GaConfig":
         cfg = cls(
-            variant="A",
             crossover_prob=0.93,
             mutation_prob=0.01,
             crossover_kind="one_point",
@@ -85,11 +83,9 @@ class GaConfig:
 
     @classmethod
     def variant_b(cls, **overrides) -> "GaConfig":
-        return replace(cls(variant="B"), **overrides)
+        return cls(**overrides)
 
     def validate(self) -> None:
-        if self.variant not in ("A", "B"):
-            raise ValueError(f"variant must be A or B, got {self.variant!r}")
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError(
                 f"population size must be even and >= 2, got {self.population_size}"
@@ -112,16 +108,9 @@ class GaConfig:
             raise ValueError(
                 f"elite_count {self.elite_count} outside 0..{self.population_size}"
             )
-        if self.variant == "A" and (self.elite_count is not None or not self.elitism_enabled):
-            raise ValueError(
-                "variant A always copies the best half; it takes no elite_count "
-                "and no elitism_enabled = false"
-            )
 
     def resolved_elite_count(self) -> int:
         """Variant B's elite size."""
-        if not self.elitism_enabled:
-            return 0
         if self.elite_count is not None:
             return self.elite_count
         return max(1, self.population_size * 5 // 100)
@@ -134,33 +123,17 @@ class GaConfig:
         defaults = asdict(base)
         changes = {}
         for key, value in mapping.items():
-            if key == "variant":
-                continue
             if key not in defaults:
                 raise ValueError(f"unknown GaConfig field {key!r}")
             current = defaults[key]
             if key == "elite_count" and value in (None, "none", ""):
                 value = None
-            elif isinstance(current, bool):
-                value = parse_bool(key, value)
             elif isinstance(current, float):
                 value = float(value)
             elif key == "elite_count" or isinstance(current, int):
                 value = int(value)
             changes[key] = value
         return replace(base, **changes)
-
-
-def parse_bool(key: str, value) -> bool:
-    """A bool, or true/false/1/0 in any case; anything else is an error."""
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "1"):
-        return True
-    if text in ("false", "0"):
-        return False
-    raise ValueError(f"{key} must be true or false (or 1 or 0), got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +310,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     the two children survives.  Returns the best of the final population.
     """
     cfg.validate()
-    if cfg.variant != "A":
-        raise ValueError(f"run_variant_a got variant {cfg.variant!r}")
+    if cfg.elite_count is not None:
+        raise ValueError("variant A always copies the best half; it takes no elite_count")
     started = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
     rows, n, k = code.generator.rows, code.n, code.k
@@ -394,8 +367,6 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     individual observed in any generation.
     """
     cfg.validate()
-    if cfg.variant != "B":
-        raise ValueError(f"run_variant_b got variant {cfg.variant!r}")
     started = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
     rows, n, k = code.generator.rows, code.n, code.k

@@ -299,10 +299,6 @@ class BinPoly:
             v ^= 1 << e
         return cls(v)
 
-    @classmethod
-    def x_pow(cls, e: int) -> "BinPoly":
-        return cls(1 << e)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -57,7 +57,7 @@ class MimConfig:
     def for_code(cls, code: LinearCode, **overrides) -> "MimConfig":
         """Defaults: d0 = 1; d1 = the design distance when the family has
         one, else the Singleton bound capped at n/2; error_max = min(20, d1);
-        decoder order capped at k."""
+        decoder order min(3, k).  A given order above k fails in ``run``."""
         d1 = code.design_distance
         if d1 is None:
             d1 = min(singleton(code.n, code.k), code.n // 2)
@@ -127,7 +127,7 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
     cfg.validate(n)
     started = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
-    decoder = OsdDecoder(code, min(cfg.osd_order, k))
+    decoder = OsdDecoder(code, cfg.osd_order)
 
     a_min = cfg.d1 + 0.5
     d_t = singleton(n, k)

@@ -26,7 +26,6 @@ well defined and deterministic.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -40,19 +39,8 @@ from .results import DistanceEstimate
 __all__ = ["ExactResult", "exact_min_distance", "exact_enumerator", "run", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 32
-BUDGET_ENV_VAR = "MINDIST_ORACLE_BUDGET"
 
 _LOW_BLOCK_BITS = 16
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -73,18 +61,15 @@ class ExactResult:
 
 def exact_min_distance(
     code: LinearCode,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     collect_enumerator: bool = False,
 ) -> ExactResult:
     """Minimum weight over all nonzero information words, with witness.
 
-    Refuses to run when k exceeds the budget (default 32, overridable via
-    the MINDIST_ORACLE_BUDGET environment variable or the ``budget``
-    argument) because the sweep visits 2^k codewords.
+    Refuses to run when k exceeds ``budget`` (default 32) because the
+    sweep visits 2^k codewords.
     """
     k, n = code.k, code.n
-    if budget is None:
-        budget = _default_budget()
     if k > budget:
         raise BudgetError(
             f"k = {k} exceeds oracle budget {budget}: the sweep would visit "
@@ -149,20 +134,18 @@ def exact_min_distance(
     )
 
 
-def exact_enumerator(code: LinearCode, budget: int | None = None) -> ExactResult:
+def exact_enumerator(code: LinearCode, budget: int = DEFAULT_BUDGET) -> ExactResult:
     """Same sweep with the full weight enumerator populated."""
     return exact_min_distance(code, budget=budget, collect_enumerator=True)
 
 
 def run(
     code: LinearCode,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     collect_enumerator: bool = False,
 ) -> DistanceEstimate:
     """The exact method's certified record; ``config`` holds the budget the
     sweep ran under, and the enumerator, when collected, is its one event."""
-    if budget is None:
-        budget = _default_budget()
     started = time.perf_counter()
     res = exact_min_distance(code, budget=budget, collect_enumerator=collect_enumerator)
     events = []

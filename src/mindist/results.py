@@ -133,8 +133,6 @@ def _jsonable(value: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, BitWord):
-        return value.to01()
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)

@@ -8,7 +8,6 @@ from mindist import oracle
 from mindist.cli import (
     EXIT_BUDGET, EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _parse_row, _RowParser, main,
 )
-from mindist.oracle import BUDGET_ENV_VAR
 from mindist.results import validate_result
 
 
@@ -87,23 +86,27 @@ class TestEstimate:
         assert rc == EXIT_OK
         assert "ga_a" in capsys.readouterr().out
 
-    def test_ga_config_file_key_value(self, c20_file, tmp_path, capsys):
+    def test_ga_config_file_key_value(self, c20_file, tmp_path):
         cfgfile = tmp_path / "ga.cfg"
         base = "population_size = 40\nmax_generations = 6\ncrossover_kind = uniform\n"
         args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
                 "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
-        for text, flag in (("false", False), ("TRUE", True), ("0", False), ("True", True)):
-            cfgfile.write_text(base + f"elitism_enabled = {text}\n")
+        for text, count in (("0", 0), ("3", 3), ("none", None)):
+            cfgfile.write_text(base + f"elite_count = {text}\n")
             assert main(args) == EXIT_OK
             doc = json.loads((tmp_path / "r.json").read_text())
             assert doc["config"]["population_size"] == 40
             assert doc["config"]["crossover_kind"] == "uniform"
-            assert doc["config"]["elitism_enabled"] is flag
-        capsys.readouterr()
-        # a spelling that is neither true nor false is an error, not False
-        cfgfile.write_text(base + "elitism_enabled = yes\n")
-        assert main(args) == EXIT_CONFIG
-        assert "elitism_enabled must be true or false" in capsys.readouterr().err
+            assert doc["config"]["elite_count"] == count
+
+    def test_ga_config_file_variant_exits_2(self, c20_file, tmp_path, capsys):
+        # the method picks the variant; a config file cannot contradict it
+        cfgfile = tmp_path / "ga.cfg"
+        cfgfile.write_text("population_size = 40\nmax_generations = 4\nvariant = B\n")
+        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a",
+                   "--config", str(cfgfile)])
+        assert rc == EXIT_CONFIG
+        assert "unknown GaConfig field 'variant'" in capsys.readouterr().err
 
     def test_ga_config_file_json(self, c20_file, tmp_path):
         cfgfile = tmp_path / "ga.json"
@@ -134,12 +137,10 @@ class TestEstimate:
         ("ga-b",
          ["--seed", "5", "--population", "40", "--generations", "4", "--elite-count", "3",
           "--crossover-prob", "0.5", "--mutation-prob", "0.05", "--crossover", "uniform",
-          "--selection", "roulette", "--tournament-size", "3", "--mutation", "greedy",
-          "--no-elitism"],
+          "--selection", "roulette", "--tournament-size", "3", "--mutation", "greedy"],
          {"rng_seed": 5, "population_size": 40, "max_generations": 4, "elite_count": 3,
           "crossover_prob": 0.5, "mutation_prob": 0.05, "crossover_kind": "uniform",
-          "selection_kind": "roulette", "tournament_size": 3, "mutation_kind": "greedy",
-          "elitism_enabled": False}),
+          "selection_kind": "roulette", "tournament_size": 3, "mutation_kind": "greedy"}),
         ("mim",
          ["--seed", "5", "--d0", "2", "--d1", "7", "--nb-test", "2", "--error-max", "4",
           "--osd-order", "2"],
@@ -157,7 +158,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("method, flags", [
         ("mim", ["--population", "40"]),
-        ("mim", ["--no-elitism"]),
+        ("mim", ["--elite-count", "0"]),
         ("exact", ["--d0", "3"]),
         ("exact", ["--seed", "1"]),
         ("ga-b", ["--budget", "12"]),
@@ -169,20 +170,35 @@ class TestEstimate:
         assert rc == EXIT_CONFIG
         assert f"{flags[0]} is not read by --method {method}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--elite-count", "3"], ["--no-elitism"]])
+    @pytest.mark.parametrize("flags", [["--elite-count", "3"], ["--elite-count", "0"]])
     def test_ga_a_elite_settings_exit_2(self, c20_file, capsys, flags):
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a",
                    "--population", "40", "--generations", "4", *flags])
         assert rc == EXIT_CONFIG
         assert "variant A always copies the best half" in capsys.readouterr().err
 
-    def test_exact_records_env_budget(self, c20_file, tmp_path, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV_VAR, "12")
+    def test_no_elitism_flag_exits_2(self, c20_file, capsys):
+        # --elite-count 0 is the one way to turn variant B's elite copy off
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--code", str(c20_file), "--method", "ga-b", "--no-elitism"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --no-elitism" in capsys.readouterr().err
+
+    def test_exact_records_budget(self, c20_file, tmp_path, capsys):
         out = tmp_path / "r.json"
         rc = main(["estimate", "--code", str(c20_file), "--method", "exact",
                    "--json", str(out)])
         assert rc == EXIT_OK
-        assert json.loads(out.read_text())["config"]["budget"] == 12
+        assert json.loads(out.read_text())["config"]["budget"] == oracle.DEFAULT_BUDGET
+        rc = main(["estimate", "--code", str(c20_file), "--method", "exact", "--budget", "9"])
+        assert rc == EXIT_BUDGET
+        assert "exceeds oracle budget 9" in capsys.readouterr().err
+
+    def test_mim_order_above_k_exits_2(self, c20_file, capsys):
+        rc = main(["estimate", "--code", str(c20_file), "--method", "mim",
+                   "--nb-test", "1", "--osd-order", "11"])
+        assert rc == EXIT_CONFIG
+        assert "order 11 outside 0..k = 10" in capsys.readouterr().err
 
     def test_abbreviated_flags_exit_2(self, c20_file, capsys):
         # --pop and --gen are prefixes of --population and --generations
@@ -275,27 +291,26 @@ class TestTable:
         spec = tmp_path / "runs.spec"
         spec.write_text(
             f"{c20_file} exact enumerator=1\n"
-            f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=1\n"
-            f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=0\n"
+            f"{c20_file} exact enumerator=0\n"
+            f"{c20_file} ga-b seed=1 population=40 generations=6 elite_count=0\n"
             f"{c20_file} exact enumerator=yes\n"
-            f"{c20_file} ga-b no_elitism=on\n"
+            f"{c20_file} ga-b seed=1 population=40 generations=6 no_elitism=1\n"
         )
         out = tmp_path / "runs.csv"
         assert main(["table", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
         rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert rows[0]["d"] == "6"
+        assert rows[0]["d"] == rows[1]["d"] == "6"
         assert all(r["error"] == "" for r in rows[:3])
         assert "enumerator must be true or false" in rows[3]["error"]
-        assert "no_elitism must be true or false" in rows[4]["error"]
+        assert "unrecognized arguments: --no-elitism 1" in rows[4]["error"]
+        assert rows[4]["d"] == ""
         row = lambda text: _parse_row(_RowParser(), f"{c20_file} {text}")
         for text in ("1", "true", "TRUE", "True"):
             assert row(f"exact enumerator={text}").collect_enumerator is True
-            assert row(f"ga-b no_elitism={text}").elitism_enabled is False
         for text in ("0", "false", "FALSE"):
             assert row(f"exact enumerator={text}").collect_enumerator is False
-            assert row(f"ga-b no_elitism={text}").elitism_enabled is None
-        args = row("ga-b no_elitism=1 crossover_prob=0.5")
-        assert args.elitism_enabled is False and args.crossover_prob == 0.5
+        args = row("exact enumerator=1 budget=12")
+        assert args.collect_enumerator is True and args.budget == 12
 
     def test_consistency_failure_exits_4(self, c20_file, tmp_path, monkeypatch):
         real = oracle.exact_min_distance

@@ -191,10 +191,6 @@ class TestRunVariantA:
         assert est.d == 3
         assert est.witness.weight == 3
 
-    def test_rejects_wrong_variant(self, repetition7):
-        with pytest.raises(ValueError):
-            run_variant_a(repetition7, GaConfig.variant_b())
-
     def test_determinism(self, c20):
         cfg = GaConfig.variant_a(population_size=60, max_generations=10, rng_seed=5)
         a = run_variant_a(c20, cfg)
@@ -238,7 +234,7 @@ class TestRunVariantB:
 
     def test_no_elitism_ablation_runs(self, c20):
         cfg = GaConfig.variant_b(
-            population_size=40, max_generations=8, elitism_enabled=False, rng_seed=0
+            population_size=40, max_generations=8, elite_count=0, rng_seed=0
         )
         est = run_variant_b(c20, cfg)
         assert est.witness.weight == est.d
@@ -269,9 +265,10 @@ class TestEstimateContract:
     def test_from_mapping_parses_strings(self):
         cfg = GaConfig.from_mapping(
             "A", {"population_size": "500", "crossover_prob": "0.9",
-                  "elitism_enabled": "true", "crossover_kind": "uniform"}
+                  "tournament_size": "3", "crossover_kind": "uniform"}
         )
         assert cfg.population_size == 500
+        assert cfg.tournament_size == 3
         assert cfg.crossover_prob == 0.9
         assert cfg.crossover_kind == "uniform"
 
@@ -279,11 +276,12 @@ class TestEstimateContract:
         with pytest.raises(ValueError):
             GaConfig.variant_a(population_size=7).validate()
 
-    @pytest.mark.parametrize("setting", [{"elite_count": 3}, {"elitism_enabled": False}])
-    def test_variant_a_rejects_elite_settings(self, setting):
+    @pytest.mark.parametrize("setting", [{"elite_count": 3}, {"elite_count": 0}])
+    def test_variant_a_rejects_elite_settings(self, repetition7, setting):
+        small = {"population_size": 10, "max_generations": 2, **setting}
         with pytest.raises(ValueError, match="variant A always copies the best half"):
-            GaConfig.variant_a(**setting).validate()
-        GaConfig.variant_b(**setting).validate()
+            run_variant_a(repetition7, GaConfig.variant_a(**small))
+        run_variant_b(repetition7, GaConfig.variant_b(**small))
 
     def test_validation_rejects_bad_probability(self):
         with pytest.raises(ValueError):

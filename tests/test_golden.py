@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from mindist.cli import EXIT_OK, main
-from mindist.oracle import BUDGET_ENV_VAR
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -34,8 +33,7 @@ def without_runtimes(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_seeded_record_matches_golden(name, c20_file, tmp_path, monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+def test_seeded_record_matches_golden(name, c20_file, tmp_path):
     out = tmp_path / f"{name}.json"
     rc = main(["estimate", "--code", str(c20_file), *CASES[name], "--json", str(out)])
     assert rc == EXIT_OK

@@ -141,7 +141,7 @@ class TestRun:
         # repetition(31,1) with the amplitude capped at d1 = 1: a single
         # impulse of 1.5 cannot pull the decoder off the zero word
         code = LinearCode(31, 1, BitMatrix(31, ((1 << 31) - 1,)))
-        cfg = MimConfig(d0=1, d1=1, nb_test=4, error_max=1, rng_seed=0)
+        cfg = MimConfig(d0=1, d1=1, nb_test=4, error_max=1, osd_order=1, rng_seed=0)
         est = run(code, cfg)
         assert est.witness is None
         assert est.d == 31  # untouched Singleton initialization

@@ -6,7 +6,7 @@ import pytest
 from mindist.codes import LinearCode, build_dcc
 from mindist.errors import BudgetError
 from mindist.gf2 import BitMatrix, BitWord
-from mindist.oracle import BUDGET_ENV_VAR, exact_enumerator, exact_min_distance
+from mindist.oracle import exact_enumerator, exact_min_distance
 
 from conftest import naive_min_distance
 
@@ -82,14 +82,6 @@ class TestBudget:
         with pytest.raises(BudgetError):
             exact_min_distance(c20, budget=9)
         assert exact_min_distance(c20, budget=10).d_exact == 6
-
-    def test_env_var_budget(self, c20, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV_VAR, "9")
-        with pytest.raises(BudgetError):
-            exact_min_distance(c20)
-        monkeypatch.setenv(BUDGET_ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            exact_min_distance(c20)
 
 
 class TestAgainstNaiveReference:
