@@ -16,13 +16,21 @@ next population:
 Operator defaults per variant follow the published parameter sets
 (crossover 93%/80%, mutation 1%/2%, one-point+random vs two-point+
 tournament-of-2, 75 generations).
+
+Classic mutation draws the geometric gap to the next flipped gene
+(Devroye's skip method for Bernoulli sequences, *Non-Uniform Random
+Variate Generation*, Springer 1986), so a k-gene word costs about
+k*p_m + 1 draws instead of k.  The runners score an individual through
+byte tables of XORed generator rows, one lookup per 8 genes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .codes import LinearCode
@@ -118,7 +126,8 @@ class GaConfig:
     @classmethod
     def from_mapping(cls, variant: str, mapping: dict) -> "GaConfig":
         """The variant's defaults with ``mapping`` applied; string values
-        from a config file are parsed by the field's type."""
+        from a config file are parsed by the field's type, and an int field
+        rejects a bool or a fractional number."""
         base = cls.variant_a() if variant == "A" else cls.variant_b()
         defaults = asdict(base)
         changes = {}
@@ -131,6 +140,10 @@ class GaConfig:
             elif isinstance(current, float):
                 value = float(value)
             elif key == "elite_count" or isinstance(current, int):
+                if isinstance(value, bool) or (
+                    isinstance(value, float) and not value.is_integer()
+                ):
+                    raise ValueError(f"GaConfig field {key!r} takes an integer, got {value!r}")
                 value = int(value)
             changes[key] = value
         return replace(base, **changes)
@@ -144,6 +157,30 @@ def fitness(rows: tuple[int, ...], n: int, info: int) -> int:
     """Weight of the encoding; n when the encoding is the zero word."""
     w = xor_rows(rows, info).bit_count()
     return w if w else n
+
+
+def _scorer(rows: tuple[int, ...], n: int) -> Callable[[int], int]:
+    """``fitness(rows, n, .)`` by table lookup.
+
+    Each run of 8 generator rows gets a 256-entry table holding the XOR of
+    every subset of them, built by doubling, so one info word costs
+    ceil(k/8) lookups instead of one XOR per set bit.
+    """
+    tables = []
+    for start in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[start:start + 8]:
+            table += [t ^ row for t in table]
+        tables.append(table)
+    nbytes = len(tables)
+
+    def score(info: int) -> int:
+        acc = 0
+        for table, byte in zip(tables, info.to_bytes(nbytes, "little")):
+            acc ^= table[byte]
+        return acc.bit_count() or n
+
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +200,13 @@ def crossover_two_point(a: int, b: int, k: int, rng: random.Random) -> tuple[int
     """Swap the segment between two cut positions.  Degenerate for k < 3."""
     if k < 3:
         return a, b
-    lo, hi = sorted(rng.sample(range(1, k), 2))
+    # a uniform ordered pair of distinct cuts in 1..k-1, then sorted
+    lo = rng.randrange(1, k)
+    hi = rng.randrange(1, k - 1)
+    if hi >= lo:
+        hi += 1
+    else:
+        lo, hi = hi, lo
     mid = ((1 << hi) - 1) ^ ((1 << lo) - 1)
     return (a & ~mid) | (b & mid), (b & ~mid) | (a & mid)
 
@@ -189,18 +232,38 @@ def mutate_classic(bits: int, k: int, p_m: float, rng: random.Random) -> int:
     """Flip each of the k genes independently with probability p_m."""
     if p_m <= 0.0:
         return bits
-    for i in range(k):
-        if rng.random() < p_m:
-            bits ^= 1 << i
-    return bits
+    if p_m >= 1.0:
+        return bits ^ ((1 << k) - 1)
+    return _flip_gaps(bits, k, math.log1p(-p_m), rng)
+
+
+def _flip_gaps(bits: int, k: int, log_q: float, rng: random.Random) -> int:
+    """Classic mutation with ``log_q = log(1 - p_m)``, 0 < p_m < 1.
+
+    The gap to the next flipped gene is floor(log(U) / log_q) for U
+    uniform on (0, 1], and P(gap >= j) = (1 - p_m)^j: each gene flips
+    independently with probability p_m, at one draw per flip plus one.
+    """
+    i = 0
+    while True:
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= k - i:
+            return bits
+        i += int(gap)
+        bits ^= 1 << i
+        i += 1
 
 
 def mutate_greedy(rows: tuple[int, ...], n: int, bits: int, k: int) -> int:
     """Flip the first gene whose flip strictly improves fitness, if any."""
-    current = fitness(rows, n, bits)
+    return _greedy_flip(partial(fitness, rows, n), bits, k)
+
+
+def _greedy_flip(score: Callable[[int], int], bits: int, k: int) -> int:
+    current = score(bits)
     for i in range(k):
         flipped = bits ^ (1 << i)
-        if fitness(rows, n, flipped) < current:
+        if score(flipped) < current:
             return flipped
     return bits
 
@@ -270,11 +333,14 @@ def _sort_by_fitness(pop: list[int], fits: list[int]) -> tuple[list[int], list[i
     return [pop[i] for i in order], [fits[i] for i in order]
 
 
-def _mutator(cfg: GaConfig, rows: tuple[int, ...], n: int, k: int):
-    if cfg.mutation_kind == "classic":
-        p_m = cfg.mutation_prob
-        return lambda bits, rng: mutate_classic(bits, k, p_m, rng)
-    return lambda bits, rng: mutate_greedy(rows, n, bits, k)
+def _mutator(cfg: GaConfig, score: Callable[[int], int], k: int):
+    if cfg.mutation_kind == "greedy":
+        return lambda bits, rng: _greedy_flip(score, bits, k)
+    p_m = cfg.mutation_prob
+    if 0.0 < p_m < 1.0:
+        log_q = math.log1p(-p_m)
+        return lambda bits, rng: _flip_gaps(bits, k, log_q, rng)
+    return lambda bits, rng: mutate_classic(bits, k, p_m, rng)
 
 
 def _best_with_witness(
@@ -317,11 +383,12 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     rows, n, k = code.generator.rows, code.n, code.k
     size = cfg.population_size
     cross = _CROSSOVERS[cfg.crossover_kind]
-    mutate = _mutator(cfg, rows, n, k)
+    score = _scorer(rows, n)
+    mutate = _mutator(cfg, score, k)
     select = _make_selector(cfg, n)
 
     pop = _initial_population(k, size, rng)
-    fits = [fitness(rows, n, b) for b in pop]
+    fits = [score(b) for b in pop]
     events: list[dict] = []
     for gen in range(1, cfg.max_generations):
         pop, fits = _sort_by_fitness(pop, fits)
@@ -338,8 +405,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
                 ch1, ch2 = cross(pa, pb, k, rng)
             else:
                 ch1, ch2 = pa, pb
-            f1 = fitness(rows, n, ch1)
-            f2 = fitness(rows, n, ch2)
+            f1 = score(ch1)
+            f2 = score(ch2)
             if f1 < f2:
                 new_pop.append(ch1)
                 new_fits.append(f1)
@@ -373,7 +440,8 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     size = cfg.population_size
     elite = cfg.resolved_elite_count()
     cross = _CROSSOVERS[cfg.crossover_kind]
-    mutate = _mutator(cfg, rows, n, k)
+    score = _scorer(rows, n)
+    mutate = _mutator(cfg, score, k)
     select = _make_selector(cfg, n)
 
     pop = _initial_population(k, size, rng)
@@ -381,7 +449,7 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     best_bits = 0
     events: list[dict] = []
     for gen in range(1, cfg.max_generations + 1):
-        fits = [fitness(rows, n, b) for b in pop]
+        fits = [score(b) for b in pop]
         for b, f in zip(pop, fits):
             if f < best_f and b:
                 best_f, best_bits = f, b
@@ -405,6 +473,6 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         witness = BitWord(code.n, xor_rows(rows, best_bits))
         d = best_f
     else:
-        d, witness = _best_with_witness(code, pop, [fitness(rows, n, b) for b in pop])
+        d, witness = _best_with_witness(code, pop, [score(b) for b in pop])
     return DistanceEstimate.of(code, "ga_b", d, witness, asdict(cfg), cfg.rng_seed,
                                started, events)

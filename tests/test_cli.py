@@ -120,6 +120,22 @@ class TestEstimate:
         assert doc["config"]["population_size"] == 40
         assert doc["config"]["rng_seed"] == doc["rng_seed"] == 7
 
+    def test_ga_config_file_json_rejects_fractions_and_bools(self, c20_file, tmp_path, capsys):
+        # an int field takes an integral number; 4.9, 3.7 and true used to
+        # run as 4, 3 and 1
+        cfgfile = tmp_path / "ga.json"
+        args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
+                "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
+        base = {"population_size": 40, "max_generations": 4}
+        for key, value in (("max_generations", 4.9), ("elite_count", 3.7),
+                           ("rng_seed", True), ("population_size", False)):
+            cfgfile.write_text(json.dumps({**base, key: value}))
+            assert main(args) == EXIT_CONFIG
+            assert f"GaConfig field {key!r} takes an integer" in capsys.readouterr().err
+        cfgfile.write_text(json.dumps({**base, "max_generations": 5.0}))
+        assert main(args) == EXIT_OK
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["max_generations"] == 5
+
     def test_bad_ga_flag_value_exits_2(self, c20_file):
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
                    "--population", "7"])

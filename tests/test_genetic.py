@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
-from mindist.codes import build_bch
+from mindist.codes import build_bch, build_dcc, build_qr
 from mindist.genetic import (
     GaConfig,
+    _greedy_flip,
+    _mutator,
+    _scorer,
     crossover_one_point,
     crossover_two_point,
     crossover_uniform,
@@ -26,9 +31,9 @@ from mindist.oracle import exact_min_distance
 class FakeRng:
     """Scripted RNG: hands out queued answers per method."""
 
-    def __init__(self, randint=(), sample=(), random=(), getrandbits=()):
+    def __init__(self, randint=(), randrange=(), random=(), getrandbits=()):
         self._randint = list(randint)
-        self._sample = list(sample)
+        self._randrange = list(randrange)
         self._random = list(random)
         self._getrandbits = list(getrandbits)
 
@@ -37,8 +42,10 @@ class FakeRng:
         assert a <= v <= b
         return v
 
-    def sample(self, population, k):
-        return self._sample.pop(0)
+    def randrange(self, start, stop):
+        v = self._randrange.pop(0)
+        assert start <= v < stop
+        return v
 
     def random(self):
         return self._random.pop(0)
@@ -67,6 +74,41 @@ class TestFitness:
         assert fitness(c20.generator.rows, c20.n, 1) == 8
 
 
+@pytest.fixture(scope="module")
+def generators_k64():
+    """(rows, n) of a k = 64 BCH, QR and DCC code; the first k rows of
+    each generate a k-dimensional subcode."""
+    dcc = build_dcc(BitWord(64, random.Random(64).getrandbits(64)))
+    return {family: (code.generator.rows, code.n)
+            for family, code in (("bch", build_bch(7, 10)), ("qr", build_qr(127)),
+                                 ("dcc", dcc))}
+
+
+class TestScorer:
+    @pytest.mark.parametrize("family", ["bch", "qr", "dcc"])
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 24, 64])
+    def test_matches_fitness(self, generators_k64, family, k):
+        rows, n = generators_k64[family]
+        rows = rows[:k]
+        score = _scorer(rows, n)
+        rng = random.Random(k)
+        infos = [0, (1 << k) - 1, *(1 << i for i in range(k)),
+                 *(rng.getrandbits(k) for _ in range(300))]
+        assert score(0) == n
+        assert [score(i) for i in infos] == [fitness(rows, n, i) for i in infos]
+
+    def test_greedy_flip_by_table_matches_mutate_greedy(
+        self, repetition3, padded_identity8, c20
+    ):
+        cases = [(repetition3, 1), (padded_identity8, parse("11000000")),
+                 (padded_identity8, parse("11110000")), (padded_identity8, parse("10000000"))]
+        rng = random.Random(20)
+        cases += [(c20, rng.getrandbits(10)) for _ in range(100)]
+        for code, bits in cases:
+            rows, n, k = code.generator.rows, code.n, code.k
+            assert _greedy_flip(_scorer(rows, n), bits, k) == mutate_greedy(rows, n, bits, k)
+
+
 class TestCrossover:
     @pytest.mark.parametrize(
         "cross", [crossover_one_point, crossover_two_point, crossover_uniform]
@@ -82,9 +124,11 @@ class TestCrossover:
         assert (genes(ch1, 4), genes(ch2, 4)) == ("1111", "0000")
 
     def test_two_point_forced_cuts(self):
+        # cuts 2 and 4, drawn in either order: the second draw skips the first
         p1, p2 = parse("111111"), parse("000000")
-        ch1, ch2 = crossover_two_point(p1, p2, 6, FakeRng(sample=[[2, 4]]))
-        assert (genes(ch1, 6), genes(ch2, 6)) == ("110011", "001100")
+        for draws in ([2, 3], [4, 2]):
+            ch1, ch2 = crossover_two_point(p1, p2, 6, FakeRng(randrange=draws))
+            assert (genes(ch1, 6), genes(ch2, 6)) == ("110011", "001100")
 
     def test_uniform_zero_mask_children_equal_parents(self):
         p1, p2 = parse("1010"), parse("0110")
@@ -107,6 +151,21 @@ class TestCrossover:
             assert ch1 >> k == ch2 >> k == 0
             assert (ch1 ^ ch2) == (p1 ^ p2)
 
+    def test_two_point_cut_pairs_uniform(self):
+        # crossing all-ones with all-zeros, the second child is the swapped
+        # segment, genes lo..hi-1, so it shows the cut pair
+        k, draws = 8, 21_000
+        rng = random.Random(5)
+        seen = Counter()
+        for _ in range(draws):
+            _, mid = crossover_two_point((1 << k) - 1, 0, k, rng)
+            seen[(mid & -mid).bit_length() - 1, mid.bit_length()] += 1
+        pairs = list(itertools.combinations(range(1, k), 2))
+        assert set(seen) == set(pairs)
+        expected = draws / len(pairs)
+        chi2 = sum((seen[p] - expected) ** 2 / expected for p in pairs)
+        assert chi2 < 45.31  # 0.999 quantile of chi-square with 20 df
+
     def test_one_point_degenerate_k1(self):
         assert crossover_one_point(1, 0, 1, random.Random(0)) == (1, 0)
 
@@ -128,6 +187,59 @@ class TestMutation:
         for _ in range(20):
             flipped = mutate_classic(0, n, p, rng).bit_count()
             assert abs(flipped - n * p) < 3 * sigma
+
+    @staticmethod
+    def _flip_statistics(k, p_m, calls, seed):
+        """Flip-count histogram and per-position flip counts of ``calls``
+        classic mutations of the zero word."""
+        rng = random.Random(seed)
+        counts = Counter()
+        per_pos = [0] * k
+        for _ in range(calls):
+            w = mutate_classic(0, k, p_m, rng)
+            counts[w.bit_count()] += 1
+            while w:
+                per_pos[(w & -w).bit_length() - 1] += 1
+                w &= w - 1
+        return counts, per_pos
+
+    @staticmethod
+    def _position_chi2(per_pos):
+        expected = sum(per_pos) / len(per_pos)
+        return sum((c - expected) ** 2 / expected for c in per_pos)
+
+    def test_classic_flip_count_binomial_positions_uniform(self):
+        # k = 64, p_m = 0.02 (GA-B on BCH(127,64)): the flip count's mean
+        # and variance lie within 4 standard errors of Binomial(k, p_m)
+        k, p, calls = 64, 0.02, 60_000
+        counts, per_pos = self._flip_statistics(k, p, calls, seed=11)
+        mean = sum(c * m for c, m in counts.items()) / calls
+        var = sum(m * (c - mean) ** 2 for c, m in counts.items()) / (calls - 1)
+        mu, sigma2 = k * p, k * p * (1 - p)
+        mu4 = sigma2 * (1 + 3 * (k - 2) * p * (1 - p))  # binomial 4th central moment
+        assert abs(mean - mu) < 4 * math.sqrt(sigma2 / calls)
+        assert abs(var - sigma2) < 4 * math.sqrt((mu4 - sigma2**2) / calls)
+        assert self._position_chi2(per_pos) < 103.44  # 0.999 quantile, 63 df
+
+    def test_classic_small_pm(self):
+        # k = 24, p_m = 0.001: about 0.024 flips a word, the total within
+        # 4 sigma of k * p_m * calls and spread uniformly over the positions
+        k, p, calls = 24, 0.001, 60_000
+        _, per_pos = self._flip_statistics(k, p, calls, seed=12)
+        total = sum(per_pos)
+        assert abs(total - calls * k * p) < 4 * math.sqrt(calls * k * p * (1 - p))
+        assert self._position_chi2(per_pos) < 49.73  # 0.999 quantile, 23 df
+
+    @pytest.mark.parametrize("p_m", [0.0, 0.001, 0.02, 0.5, 1.0])
+    def test_runner_mutator_draws_like_mutate_classic(self, p_m):
+        # the runners' closure keeps log(1 - p_m) per run; the draws and
+        # the flips must be those of mutate_classic
+        k = 24
+        mutate = _mutator(GaConfig.variant_b(mutation_prob=p_m), None, k)
+        r1, r2 = random.Random(4), random.Random(4)
+        for bits in range(0, 1 << k, 99_991):
+            assert mutate(bits, r1) == mutate_classic(bits, k, p_m, r2)
+        assert r1.random() == r2.random()
 
     def test_greedy_local_minimum_fixed_point(self, repetition3):
         # flipping the lone bit gives the zero word, fitness n = 3: no gain
