@@ -126,8 +126,9 @@ class GaConfig:
     @classmethod
     def from_mapping(cls, variant: str, mapping: dict) -> "GaConfig":
         """The variant's defaults with ``mapping`` applied; string values
-        from a config file are parsed by the field's type, and an int field
-        rejects a bool or a fractional number."""
+        from a config file are parsed by the field's type, a float field
+        rejects a bool, and an int field rejects a bool or a fractional
+        number."""
         base = cls.variant_a() if variant == "A" else cls.variant_b()
         defaults = asdict(base)
         changes = {}
@@ -138,6 +139,8 @@ class GaConfig:
             if key == "elite_count" and value in (None, "none", ""):
                 value = None
             elif isinstance(current, float):
+                if isinstance(value, bool):
+                    raise ValueError(f"GaConfig field {key!r} takes a number, got {value!r}")
                 value = float(value)
             elif key == "elite_count" or isinstance(current, int):
                 if isinstance(value, bool) or (

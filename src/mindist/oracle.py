@@ -1,4 +1,52 @@
-"""Exact minimum distance by exhaustive enumeration of all 2^k codewords.
+"""Exact minimum distance: a Brouwer-Zimmermann search for d, and a sweep
+over all 2^k codewords for the weight enumerator.
+
+Both report the same witness: the minimum-weight codeword whose
+information word u (codeword = u G, G the code's generator rows) comes
+first in the reflected Gray sequence 1, 3, 2, 6, ..., that is, the one of
+least inverse-Gray rank u ^ (u >> 1) ^ (u >> 2) ^ ...
+
+The search (Zimmermann's algorithm, as described by Grassl, "Searching for
+linear codes with large minimum distance", 2006, after Brouwer; see also
+Leon, IEEE T-IT 1988) finds d without visiting every codeword.
+
+Information sets.  Each generator row i is tagged with its k-bit
+combination above bit n (``row | 1 << (n + i)``) and reduced cold with
+``gf2.eliminate`` on the columns no earlier set has taken.  Set j takes
+r_j pivots; its first r_j rows each hold the only 1 of the set's rows at
+their pivot column, and its other k - r_j rows are zero on every pivot
+column of the set.  Repeating until the rank is 0 gives disjoint column
+sets I_1, I_2, ...; the first has r_1 = k.  The tags are the information
+words: XORing some reduced rows gives the codeword below bit n and its u
+above it.
+
+The bound.  A codeword is x G_j for one x per set, where G_j is set j's
+reduced rows, and its weight on I_j is at least wt(x) - (k - r_j).  Once
+every x of weight <= w_j has been scored in set j, a codeword not yet
+scored weighs at least w_j + 1 - (k - r_j) on I_j, and, the I_j being
+disjoint, at least the Zimmermann bound: the sum over sets of
+max(0, w_j + 1 - (k - r_j)).  For w = 1, 2, ... each set with
+k - r_j <= w (one whose term is then positive) is brought up to w_j = w,
+levels it skipped first, and the search stops as soon as the bound is
+strictly above the least weight scored.  Every codeword of weight d is
+then scored, since any one not scored would weigh more than d; a stop at
+equality would still give d, but could miss the Gray-first word of weight
+d.  The witness is the one of least inverse-Gray rank among those scored,
+the sweep's first minimum.  At w = k every set's term is r_j + 1, and the
+terms sum above n minus the zero columns, so the loop always stops.
+
+Scoring.  Let s be the largest size with C(k, t) <= 2^16 for every
+t <= s.  The weight-w combinations of a set's rows are its table of
+w-subsets when w <= s, and otherwise each prefix of w - s rows XORed onto
+the table of s-subsets of the rows below the prefix.  Each set keeps its
+tables of t-subsets for t <= s as packed uint64 lanes in colex order, so
+the subsets of rows 0..m-1 are the first C(m, t) entries, and the table
+for t is built from the one for t - 1 with one XOR per row.  Lanes are
+written into a block of at most 2^16 codewords and scored there with
+``np.bitwise_count``.  The Gray rank is linear over GF(2) in the
+information word, so the codewords of the least weight seen get their
+ranks from one product of their bits on the first set's pivots with the
+ranks of that set's tags.
 
 The sweep follows the reflected Gray sequence over information words, so
 consecutive codewords differ by one generator row.  The k-bit Gray counter
@@ -13,11 +61,11 @@ log2(h).
 
 The high block is walked one Gray step at a time.  Each step XORs one
 generator row into every table entry in place, so the table always holds
-the current block's codewords.  The block is then scored into buffers
-allocated once per call: a uint8 popcount per lane, summed over lanes
-into the narrowest unsigned dtype that holds the sentinel weight n + 1.
-With one lane (n <= 64) the popcount buffer is the weight buffer.
-``argmin`` runs only when a block improves the best weight.
+the current block's codewords.  The block is scored as the search's
+blocks are, in buffers allocated once per call: a uint8 popcount per
+lane, summed over lanes into the narrowest unsigned dtype that holds the
+sentinel weight n + 1.  The weights are then counted into the enumerator.  ``argmin`` runs only when a block
+improves the best weight.
 
 The visit order is exactly the single Gray chain (odd high blocks run
 the low table in reverse), so "first codeword attaining the minimum" is
@@ -28,12 +76,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .codes import LinearCode
 from .errors import BudgetError
-from .gf2 import BitWord, unpack_rows
+from .gf2 import BitWord, eliminate, unpack_rows
 from .results import DistanceEstimate
 
 __all__ = ["ExactResult", "exact_min_distance", "exact_enumerator", "run", "DEFAULT_BUDGET"]
@@ -41,16 +90,20 @@ __all__ = ["ExactResult", "exact_min_distance", "exact_enumerator", "run", "DEFA
 DEFAULT_BUDGET = 32
 
 _LOW_BLOCK_BITS = 16
+_BLOCK = 1 << _LOW_BLOCK_BITS
 
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of an exhaustive sweep.
+    """Outcome of an exact search or sweep.
 
-    ``witness`` is the first codeword of minimum weight in sweep order.
-    ``enumerator`` maps weight -> codeword count (weight 0 included) when
-    collection was requested, else None.  ``enumerated`` counts the
-    codewords visited (always 2^k).
+    ``witness`` is the codeword of minimum weight whose information word
+    comes first in reflected-Gray order.  ``enumerator`` maps weight ->
+    codeword count (weight 0 included) when collection was requested, else
+    None.  ``enumerated`` counts the codewords scored: 2^k for the sweep
+    that collects the enumerator, and for the search the combinations it
+    scored, a codeword found in several information sets counting once per
+    set.
     """
 
     d_exact: int
@@ -66,18 +119,191 @@ def exact_min_distance(
 ) -> ExactResult:
     """Minimum weight over all nonzero information words, with witness.
 
-    Refuses to run when k exceeds ``budget`` (default 32) because the
-    sweep visits 2^k codewords.
+    Refuses to run when k exceeds ``budget`` (default 32).  With
+    ``collect_enumerator`` the Gray sweep visits all 2^k codewords;
+    without it the Brouwer-Zimmermann search scores only as many as the
+    bound needs.
     """
-    k, n = code.k, code.n
+    k = code.k
     if k > budget:
         raise BudgetError(
             f"k = {k} exceeds oracle budget {budget}: the sweep would visit "
             f"2^{k} = {1 << k} codewords"
         )
+    if collect_enumerator:
+        return _sweep(code)
+    return _search(code)
+
+
+def _lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
+    """Rows (their bits below n) as a (len(rows), ceil(n / 64)) uint64 array."""
     lanes = (n + 63) // 64
-    bits = unpack_rows(code.generator.rows, 64 * lanes)
-    rows_u = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    bits = unpack_rows([row & ((1 << n) - 1) for row in rows], 64 * lanes)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _weight_buffers(lanes: int, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block buffers, allocated once per call: a uint8 popcount per lane and
+    the weights, in the narrowest unsigned dtype that holds n + 1.  With one
+    lane (n <= 64) the popcount buffer is the weight buffer."""
+    lane_w = np.empty((lanes, size), dtype=np.uint8)
+    return lane_w, lane_w[0] if lanes == 1 else np.empty(size, dtype=np.min_scalar_type(n + 1))
+
+
+def _weigh(words: np.ndarray, lane_w: np.ndarray, w: np.ndarray) -> None:
+    """Weights of the codewords ``words`` (lanes, m) into ``w``."""
+    np.bitwise_count(words, out=lane_w)
+    if lane_w.shape[0] > 1:
+        np.add.reduce(lane_w, axis=0, dtype=w.dtype, out=w)
+
+
+def _information_sets(code: LinearCode) -> list[tuple[list[int], list[int]]]:
+    """(tagged reduced rows, pivot columns) of each set, on disjoint columns."""
+    n, k = code.n, code.k
+    tagged = [row | 1 << (n + i) for i, row in enumerate(code.generator.rows)]
+    free = list(range(n))
+    sets = []
+    while True:
+        rows = list(tagged)
+        units: list[int | None] = [None] * k
+        r = eliminate(rows, units, free)
+        if r == 0:
+            return sets
+        sets.append((rows, units[:r]))
+        taken = set(units[:r])
+        free = [c for c in free if c not in taken]
+
+
+class _InfoSet:
+    """One information set's rows as lanes, and its subset tables."""
+
+    def __init__(self, rows: list[int], pivots: list[int], n: int):
+        k = len(rows)
+        self.rank = len(pivots)
+        self.lanes = np.ascontiguousarray(_lanes(rows, n).T)  # (lanes, k)
+        self.tables = [np.zeros((self.lanes.shape[0], 1), dtype=np.uint64)]
+        self.top = 1  # the largest s with C(k, t) <= 2^16 for every t <= s
+        while self.top < k and comb(k, self.top + 1) <= _BLOCK:
+            self.top += 1
+        self.done = 0  # every combination of at most this many rows is scored
+
+    def table(self, t: int) -> np.ndarray:
+        """The XORs of all t-subsets of the rows, in colex order."""
+        while len(self.tables) <= t:
+            s = len(self.tables)
+            prev = self.tables[-1]
+            k = self.lanes.shape[1]
+            tab = np.empty((prev.shape[0], comb(k, s)), dtype=np.uint64)
+            for m in range(s - 1, k):
+                # subsets with largest row m: row m onto the (s-1)-subsets below it
+                start, size = comb(m, s), comb(m, s - 1)
+                np.bitwise_xor(prev[:, :size], self.lanes[:, m, None],
+                               out=tab[:, start:start + size])
+            self.tables.append(tab)
+        return self.tables[t]
+
+    def score(self, w: int, below: int, prefix: np.ndarray | None, scorer: _Scorer) -> None:
+        """Queue every w-subset of rows 0..below-1, each XOR ``prefix``."""
+        if w <= self.top:
+            scorer.add(self.table(w)[:, :comb(below, w)], prefix)
+            return
+        for m in range(w - 1, below):
+            row = self.lanes[:, m, None]
+            self.score(w - 1, m, row if prefix is None else prefix ^ row, scorer)
+
+
+class _Scorer:
+    """Scores codewords in blocks of at most 2^16 and keeps the least
+    weight and, among codewords of that weight, the least Gray rank."""
+
+    def __init__(self, n: int, k: int, rows: list[int], pivots: list[int]):
+        self.k = k
+        lanes = (n + 63) // 64
+        self.block = np.empty((lanes, _BLOCK), dtype=np.uint64)
+        self.lane_w, self.w = _weight_buffers(lanes, _BLOCK, n)
+        self.pos = 0
+        self.scored = 0
+        self.best_w = n + 1
+        self.best_rank = 1 << k
+        # a full-rank set's row i is the only one with a 1 at pivot p_i, so a
+        # codeword is the XOR of the rows i where it has p_i; the Gray rank is
+        # linear in the information word, so the codeword's rank is the XOR of
+        # those rows' tag ranks: its bits are (x @ rank_bits) mod 2
+        self.pivots = np.array(pivots)
+        self.rank_bits = unpack_rows([_gray_rank(row >> n) for row in rows], k)
+
+    def add(self, words: np.ndarray, prefix: np.ndarray | None) -> None:
+        """Queue the codewords ``words`` (lanes, m), each XOR ``prefix``."""
+        size = words.shape[1]
+        if self.pos + size > _BLOCK:
+            self.flush()
+        out = self.block[:, self.pos:self.pos + size]
+        if prefix is None:
+            np.copyto(out, words)
+        else:
+            np.bitwise_xor(words, prefix, out=out)
+        self.pos += size
+
+    def flush(self) -> None:
+        size, self.pos = self.pos, 0
+        if not size:
+            return
+        self.scored += size
+        w = self.w[:size]
+        _weigh(self.block[:, :size], self.lane_w[:, :size], w)
+        low = int(w.min())
+        if low > self.best_w:
+            return
+        if low < self.best_w:
+            self.best_w, self.best_rank = low, 1 << self.k
+        at = np.flatnonzero(w == low)
+        words = np.ascontiguousarray(self.block[:, at].T, dtype="<u8")
+        x = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, self.pivots]
+        ranks = (x @ self.rank_bits) & 1  # uint8 sums wrap mod 256, keeping parity
+        first = ranks[np.lexsort(ranks.T)[0]]  # bit k - 1 is the primary key
+        rank = int.from_bytes(np.packbits(first, bitorder="little").tobytes(), "little")
+        self.best_rank = min(self.best_rank, rank)
+
+
+def _gray_rank(u: int) -> int:
+    """Position t of u in the reflected Gray sequence, u = t ^ (t >> 1)."""
+    t = 0
+    while u:
+        t ^= u
+        u >>= 1
+    return t
+
+
+def _search(code: LinearCode) -> ExactResult:
+    n, k = code.n, code.k
+    found = _information_sets(code)
+    sets = [_InfoSet(rows, pivots, n) for rows, pivots in found]
+    scorer = _Scorer(n, k, *found[0])
+    w = 0
+    while True:  # ends by w = k at the latest, see the module docstring
+        w += 1
+        for info in sets:
+            if k - info.rank > w:
+                continue
+            while info.done < w:
+                info.done += 1
+                info.score(info.done, k, None, scorer)
+            scorer.flush()
+            bound = sum(max(0, s.done + 1 - (k - s.rank)) for s in sets)
+            if bound > scorer.best_w:
+                rank = scorer.best_rank  # the information word of rank t is gray(t)
+                return ExactResult(
+                    d_exact=scorer.best_w,
+                    witness=code.encode(BitWord(k, rank ^ (rank >> 1))),
+                    enumerator=None,
+                    enumerated=scorer.scored,
+                )
+
+
+def _sweep(code: LinearCode) -> ExactResult:
+    k, n = code.k, code.n
+    rows_u = _lanes(code.generator.rows, n)
+    lanes = rows_u.shape[1]
 
     low = min(k, _LOW_BLOCK_BITS)
     high = k - low
@@ -90,11 +316,9 @@ def exact_min_distance(
         h = 1 << i
         np.bitwise_xor(table[:, h - 1::-1], rows_u[i, :, None], out=table[:, h:2 * h])
 
-    counts = np.zeros(n + 1, dtype=np.int64) if collect_enumerator else None
+    counts = np.zeros(n + 1, dtype=np.int64)
     sentinel = n + 1
-    # block buffers, allocated once; the weight dtype holds the sentinel
-    lane_w = np.empty((lanes, size), dtype=np.uint8)
-    w = lane_w[0] if lanes == 1 else np.empty(size, dtype=np.min_scalar_type(sentinel))
+    lane_w, w = _weight_buffers(lanes, size, n)
     best_w = sentinel
     best_block = best_pos = 0
 
@@ -103,11 +327,8 @@ def exact_min_distance(
             # high Gray step b-1 -> b flips one row into every table entry
             row = rows_u[low + (b & -b).bit_length() - 1, :, None]
             np.bitwise_xor(table, row, out=table)
-        np.bitwise_count(table, out=lane_w)
-        if lanes > 1:
-            np.add.reduce(lane_w, axis=0, dtype=w.dtype, out=w)
-        if counts is not None:
-            counts += np.bincount(w, minlength=n + 1)
+        _weigh(table, lane_w, w)
+        counts += np.bincount(w, minlength=n + 1)
         if b == 0:
             w[0] = sentinel  # the all-zero information word
         block_min = int(w.min())
@@ -121,15 +342,10 @@ def exact_min_distance(
             best_block, best_pos = b, pos
 
     info_bits = ((best_block ^ (best_block >> 1)) << low) | (best_pos ^ (best_pos >> 1))
-    witness = code.encode(BitWord(k, info_bits))
-
-    enumerator = None
-    if counts is not None:
-        enumerator = {wt: int(c) for wt, c in enumerate(counts) if c}
     return ExactResult(
         d_exact=best_w,
-        witness=witness,
-        enumerator=enumerator,
+        witness=code.encode(BitWord(k, info_bits)),
+        enumerator={wt: int(c) for wt, c in enumerate(counts) if c},
         enumerated=1 << k,
     )
 

@@ -5,30 +5,6 @@ from mindist.cli import EXIT_OK, main
 from mindist.gf2 import BitMatrix
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-extended",
-        action="store_true",
-        default=False,
-        help="run extended (long) sweeps such as the k > 27 table rows",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "extended: long-running sweeps, enabled with --run-extended"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-extended"):
-        return
-    skip = pytest.mark.skip(reason="extended test; use --run-extended")
-    for item in items:
-        if "extended" in item.keywords:
-            item.add_marker(skip)
-
-
 def naive_min_distance(code: LinearCode) -> tuple[int, BitWord]:
     """Independent reference sweep: re-encode every information word from
     scratch, visiting the same reflected Gray order as the oracle."""

@@ -136,6 +136,23 @@ class TestEstimate:
         assert main(args) == EXIT_OK
         assert json.loads((tmp_path / "r.json").read_text())["config"]["max_generations"] == 5
 
+    def test_ga_config_file_json_rejects_bools_for_probabilities(self, c20_file, tmp_path,
+                                                                 capsys):
+        # true and false used to run as crossover 1.0 and mutation 0.0
+        cfgfile = tmp_path / "ga.json"
+        args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
+                "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
+        base = {"population_size": 40, "max_generations": 4}
+        for key, value in (("crossover_prob", True), ("mutation_prob", False)):
+            cfgfile.write_text(json.dumps({**base, key: value}))
+            assert main(args) == EXIT_CONFIG
+            assert f"GaConfig field {key!r} takes a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        cfgfile.write_text(json.dumps({**base, "crossover_prob": 1, "mutation_prob": 0}))
+        assert main(args) == EXIT_OK
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert (config["crossover_prob"], config["mutation_prob"]) == (1.0, 0.0)
+
     def test_bad_ga_flag_value_exits_2(self, c20_file):
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
                    "--population", "7"])

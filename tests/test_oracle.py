@@ -1,19 +1,43 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
+from mindist import oracle
 from mindist.codes import LinearCode, build_dcc
 from mindist.errors import BudgetError
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.oracle import exact_enumerator, exact_min_distance
+from mindist.results import DistanceEstimate
 
 from conftest import naive_min_distance
+from test_golden import without_runtimes
 
 
 def random_systematic(rng: random.Random, k: int, n: int) -> LinearCode:
     rows = tuple((1 << i) | (rng.getrandbits(n - k) << k) for i in range(k))
     return LinearCode(n, k, BitMatrix(n, rows))
+
+
+def random_full_rank(rng: random.Random, k: int, n: int) -> LinearCode:
+    """A random generator with no identity part: the information sets the
+    search reduces to are spread over the columns."""
+    while True:
+        rows = tuple(rng.getrandbits(n) for _ in range(k))
+        if BitMatrix(n, rows).rank() == k:
+            return LinearCode(n, k, BitMatrix(n, rows))
+
+
+def both_paths(code: LinearCode) -> list[tuple[int, BitWord]]:
+    """(d, witness) from the search and from the sweep that collects the
+    enumerator."""
+    return [(res.d_exact, res.witness)
+            for res in (exact_min_distance(code), exact_enumerator(code))]
+
+
+def set_ranks(code: LinearCode) -> list[int]:
+    return [len(pivots) for _, pivots in oracle._information_sets(code)]
 
 
 def naive_enumerator(code: LinearCode) -> dict[int, int]:
@@ -64,7 +88,13 @@ class TestExactMinDistance:
         assert stacked.rank() == c20.k
 
     def test_enumerated_count(self, c20):
-        assert exact_min_distance(c20).enumerated == 1 << 10
+        # the sweep scores all 2^10 words; the search scores C(20,10)'s two
+        # full-rank sets, the first up to weight 3 and the second up to
+        # weight 2, where the bound 4 + 3 passes d = 6
+        assert set_ranks(c20) == [10, 10]
+        assert exact_enumerator(c20).enumerated == 1 << 10
+        search = sum(comb(10, w) for w in (1, 2, 3)) + sum(comb(10, w) for w in (1, 2))
+        assert exact_min_distance(c20).enumerated == search
 
     def test_enumerator_off_by_default(self, c20):
         assert exact_min_distance(c20).enumerator is None
@@ -92,15 +122,10 @@ class TestAgainstNaiveReference:
         extra = rng.randint(1, 10)
         rows = tuple((1 << i) | (rng.getrandbits(extra) << k) for i in range(k))
         code = LinearCode(k + extra, k, BitMatrix(k + extra, rows))
-        want_d, want_witness = naive_min_distance(code)
-        res = exact_min_distance(code)
-        assert res.d_exact == want_d
-        assert res.witness == want_witness
+        assert both_paths(code) == [naive_min_distance(code)] * 2
 
     def test_c20_bit_for_bit(self, c20):
-        want_d, want_witness = naive_min_distance(c20)
-        res = exact_min_distance(c20)
-        assert (res.d_exact, res.witness) == (want_d, want_witness)
+        assert both_paths(c20) == [naive_min_distance(c20)] * 2
 
     def test_gray_low_block_boundary(self):
         # k above the low-block size exercises the high/low split
@@ -108,18 +133,14 @@ class TestAgainstNaiveReference:
         k = 18
         rows = tuple((1 << i) | (rng.getrandbits(6) << k) for i in range(k))
         code = LinearCode(k + 6, k, BitMatrix(k + 6, rows))
-        res = exact_min_distance(code)
-        want_d, want_witness = naive_min_distance(code)
-        assert (res.d_exact, res.witness) == (want_d, want_witness)
+        assert both_paths(code) == [naive_min_distance(code)] * 2
 
     @pytest.mark.parametrize("seed", range(2))
     def test_two_lane_codes_bit_for_bit(self, seed):
         # n > 64 packs each codeword into two uint64 lanes; k = 17 gives a
         # second, odd high block, which runs the low table in reverse
         code = random_systematic(random.Random(seed), 17, 70)
-        want_d, want_witness = naive_min_distance(code)
-        res = exact_min_distance(code)
-        assert (res.d_exact, res.witness) == (want_d, want_witness)
+        assert both_paths(code) == [naive_min_distance(code)] * 2
 
     def test_tie_in_odd_block_takes_first_visited(self):
         # rows 15 and 16 have parities E = D + {x} and D, |D| = 2: row 16 and
@@ -133,10 +154,9 @@ class TestAgainstNaiveReference:
         rows.append((1 << 15) | d_bits | (1 << (k + 2)))
         rows.append((1 << 16) | d_bits)
         code = LinearCode(n, k, BitMatrix(n, tuple(rows)))
-        res = exact_min_distance(code)
-        assert res.d_exact == 3
-        assert res.witness.bits == rows[15] ^ rows[16]
-        assert (res.d_exact, res.witness) == naive_min_distance(code)
+        want = (3, BitWord(n, rows[15] ^ rows[16]))
+        assert naive_min_distance(code) == want
+        assert both_paths(code) == [want] * 2
 
     def test_weights_above_255_do_not_wrap(self):
         # n + 1 = 301 and a weight-290 codeword: both would wrap in uint8
@@ -150,10 +170,88 @@ class TestAgainstNaiveReference:
         code = LinearCode(n, k, BitMatrix(n, rows))
         want_d, want_witness = naive_min_distance(code)
         assert want_d > 45
+        assert both_paths(code) == [(want_d, want_witness)] * 2
         res = exact_enumerator(code)
-        assert (res.d_exact, res.witness) == (want_d, want_witness)
         assert res.enumerator == naive_enumerator(code)
         assert res.enumerator[290] == 1
+
+
+class TestSearchAgainstNaive:
+    """The Brouwer-Zimmermann search reports the sweep's d and witness."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_partial_information_sets_bit_for_bit(self, seed):
+        # n = 2k - 1 leaves the second set one column short of rank k, so its
+        # term w + 1 - (k - r) = w counts from the first weight on
+        rng = random.Random(seed)
+        k = rng.randint(4, 11)
+        while True:
+            code = random_full_rank(rng, k, 2 * k - 1)
+            want = naive_min_distance(code)
+            if set_ranks(code)[1:2] == [k - 1] and want[0] >= 3:
+                break
+        res = exact_min_distance(code)
+        assert (res.d_exact, res.witness) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_non_systematic_bit_for_bit(self, seed):
+        rng = random.Random(1000 + seed)
+        k = rng.randint(2, 11)
+        code = random_full_rank(rng, k, k + rng.randint(1, 2 * k + 4))
+        res = exact_min_distance(code)
+        assert (res.d_exact, res.witness) == naive_min_distance(code)
+
+    @pytest.mark.parametrize("n", [2, 9, 64, 65, 130])
+    def test_dimension_one(self, n):
+        # one row: every set has rank 1, and the witness is the row itself
+        row = random.Random(n).getrandbits(n) | 1
+        code = LinearCode(n, 1, BitMatrix(n, (row,)))
+        res = exact_min_distance(code)
+        assert (res.d_exact, res.witness.bits) == (row.bit_count(), row)
+        assert (res.d_exact, res.witness) == naive_min_distance(code)
+
+    @pytest.mark.parametrize("n, seed", [(70, 0), (100, 1), (130, 2), (200, 3)])
+    def test_multi_lane_bit_for_bit(self, n, seed):
+        # n > 64 spreads each codeword over two or more uint64 lanes
+        code = random_full_rank(random.Random(seed), 9, n)
+        res = exact_min_distance(code)
+        assert (res.d_exact, res.witness) == naive_min_distance(code)
+
+    def test_gray_first_word_found_in_a_later_set(self):
+        # Weight-3 words, info word u as bits of rows 0..4 (bit i = row i):
+        #   01110 (Gray rank 11), 00010 (15), 10011 (17), 00001 (31).
+        # The sets have ranks 5, 3, 2.  The first reaches weight 2 (bound
+        # 3 + 0); the second, of rank 3, then reaches weight 2 too and its
+        # term 2 + 1 - 2 lifts the bound to 4 > 3.  01110 weighs 3 in the
+        # first set, so only the second set scores it.  A stop at bound 3
+        # would return 00010, and plain info-word order would too (u = 8
+        # against u = 14).
+        code = LinearCode(10, 5, BitMatrix.from_strings(
+            ["1000011110", "0100010101", "0010011001", "0001001100", "0000110010"]))
+        assert set_ranks(code) == [5, 3, 2]
+        res = exact_min_distance(code)
+        assert (res.d_exact, res.witness) == (3, BitWord.parse("0111000000"))
+        assert (res.d_exact, res.witness) == naive_min_distance(code)
+        assert res.enumerated == 2 * (comb(5, 1) + comb(5, 2))
+
+    @pytest.mark.parametrize("header", ["1001111110", "00010110111", "101100010110"])
+    def test_run_record_matches_the_sweep_record(self, header):
+        # the seeded record of a d-only run, runtimes removed, is the one the
+        # 2^k sweep gives (here the naive Gray sweep), on the code with its
+        # columns permuted
+        base = build_dcc(BitWord.parse(header))
+        n = base.n
+        perm = random.Random(header).sample(range(n), n)
+        rows = tuple(sum(((row >> j) & 1) << perm[j] for j in range(n))
+                     for row in base.generator.rows)
+        code = LinearCode(n, base.k, BitMatrix(n, rows), family="DCC",
+                          metadata={"column_permutation": perm})
+        d, witness = naive_min_distance(code)
+        want = DistanceEstimate.of(code, "exact", d, witness,
+                                   config={"budget": 32, "enumerator": False},
+                                   rng_seed=None, started=0.0, events=[])
+        got = oracle.run(code)
+        assert without_runtimes(got.to_json()) == without_runtimes(want.to_json())
 
 
 class TestEnumeratorAgainstNaive:
@@ -190,7 +288,6 @@ class TestStructuralInvariants:
         assert sum(res.enumerator.values()) == 1 << hamming7.k
 
 
-@pytest.mark.extended
 class TestExtendedTable9:
     @pytest.mark.parametrize(
         "header, d",
