@@ -1,10 +1,12 @@
-"""Exact minimum distance: a Brouwer-Zimmermann search for d, and a sweep
-over all 2^k codewords for the weight enumerator.
+"""Exact minimum distance by a Brouwer-Zimmermann search, and the weight
+enumerator by a sweep over all 2^k codewords.
 
-Both report the same witness: the minimum-weight codeword whose
-information word u (codeword = u G, G the code's generator rows) comes
-first in the reflected Gray sequence 1, 3, 2, 6, ..., that is, the one of
-least inverse-Gray rank u ^ (u >> 1) ^ (u >> 2) ^ ...
+The witness is the minimum-weight codeword whose information word u
+(codeword = u G, G the code's generator rows) comes first in the
+reflected Gray sequence 1, 3, 2, 6, ..., that is, the one of least
+inverse-Gray rank u ^ (u >> 1) ^ (u >> 2) ^ ...  The search reports it
+whether or not the enumerator is collected; the sweep only counts
+weights.
 
 The search (Zimmermann's algorithm, as described by Grassl, "Searching for
 linear codes with large minimum distance", 2006, after Brouwer; see also
@@ -32,8 +34,9 @@ strictly above the least weight scored.  Every codeword of weight d is
 then scored, since any one not scored would weigh more than d; a stop at
 equality would still give d, but could miss the Gray-first word of weight
 d.  The witness is the one of least inverse-Gray rank among those scored,
-the sweep's first minimum.  At w = k every set's term is r_j + 1, and the
-terms sum above n minus the zero columns, so the loop always stops.
+the first minimum in Gray order.  At w = k every set's term is r_j + 1,
+and the terms sum above n minus the zero columns, so the loop always
+stops.
 
 Scoring.  Let s be the largest size with C(k, t) <= 2^16 for every
 t <= s.  The weight-w combinations of a set's rows are its table of
@@ -61,21 +64,16 @@ log2(h).
 
 The high block is walked one Gray step at a time.  Each step XORs one
 generator row into every table entry in place, so the table always holds
-the current block's codewords.  The block is scored as the search's
+the current block's codewords.  The block is weighed as the search's
 blocks are, in buffers allocated once per call: a uint8 popcount per
-lane, summed over lanes into the narrowest unsigned dtype that holds the
-sentinel weight n + 1.  The weights are then counted into the enumerator.  ``argmin`` runs only when a block
-improves the best weight.
-
-The visit order is exactly the single Gray chain (odd high blocks run
-the low table in reverse), so "first codeword attaining the minimum" is
-well defined and deterministic.
+lane, summed over lanes into the narrowest unsigned dtype that holds n.
+The weights are then counted into the enumerator.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -95,13 +93,13 @@ _BLOCK = 1 << _LOW_BLOCK_BITS
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of an exact search or sweep.
+    """Outcome of an exact search, with the sweep's enumerator if asked.
 
     ``witness`` is the codeword of minimum weight whose information word
     comes first in reflected-Gray order.  ``enumerator`` maps weight ->
     codeword count (weight 0 included) when collection was requested, else
-    None.  ``enumerated`` counts the codewords scored: 2^k for the sweep
-    that collects the enumerator, and for the search the combinations it
+    None.  ``enumerated`` counts the codewords scored: 2^k when the sweep
+    collects the enumerator, and otherwise the combinations the search
     scored, a codeword found in several information sets counting once per
     set.
     """
@@ -119,10 +117,10 @@ def exact_min_distance(
 ) -> ExactResult:
     """Minimum weight over all nonzero information words, with witness.
 
-    Refuses to run when k exceeds ``budget`` (default 32).  With
-    ``collect_enumerator`` the Gray sweep visits all 2^k codewords;
-    without it the Brouwer-Zimmermann search scores only as many as the
-    bound needs.
+    Refuses to run when k exceeds ``budget`` (default 32).  The
+    Brouwer-Zimmermann search finds d and the witness, scoring only as
+    many codewords as the bound needs; with ``collect_enumerator`` the
+    Gray sweep then also counts the weights of all 2^k codewords.
     """
     k = code.k
     if k > budget:
@@ -130,9 +128,10 @@ def exact_min_distance(
             f"k = {k} exceeds oracle budget {budget}: the sweep would visit "
             f"2^{k} = {1 << k} codewords"
         )
+    res = _search(code)
     if collect_enumerator:
-        return _sweep(code)
-    return _search(code)
+        return replace(res, enumerator=_sweep(code), enumerated=1 << k)
+    return res
 
 
 def _lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
@@ -144,10 +143,10 @@ def _lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
 
 def _weight_buffers(lanes: int, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Block buffers, allocated once per call: a uint8 popcount per lane and
-    the weights, in the narrowest unsigned dtype that holds n + 1.  With one
+    the weights, in the narrowest unsigned dtype that holds n.  With one
     lane (n <= 64) the popcount buffer is the weight buffer."""
     lane_w = np.empty((lanes, size), dtype=np.uint8)
-    return lane_w, lane_w[0] if lanes == 1 else np.empty(size, dtype=np.min_scalar_type(n + 1))
+    return lane_w, lane_w[0] if lanes == 1 else np.empty(size, dtype=np.min_scalar_type(n))
 
 
 def _weigh(words: np.ndarray, lane_w: np.ndarray, w: np.ndarray) -> None:
@@ -300,7 +299,8 @@ def _search(code: LinearCode) -> ExactResult:
                 )
 
 
-def _sweep(code: LinearCode) -> ExactResult:
+def _sweep(code: LinearCode) -> dict[int, int]:
+    """Weight -> count over all 2^k codewords, the zero word included."""
     k, n = code.k, code.n
     rows_u = _lanes(code.generator.rows, n)
     lanes = rows_u.shape[1]
@@ -317,11 +317,7 @@ def _sweep(code: LinearCode) -> ExactResult:
         np.bitwise_xor(table[:, h - 1::-1], rows_u[i, :, None], out=table[:, h:2 * h])
 
     counts = np.zeros(n + 1, dtype=np.int64)
-    sentinel = n + 1
     lane_w, w = _weight_buffers(lanes, size, n)
-    best_w = sentinel
-    best_block = best_pos = 0
-
     for b in range(1 << high):
         if b:
             # high Gray step b-1 -> b flips one row into every table entry
@@ -329,29 +325,11 @@ def _sweep(code: LinearCode) -> ExactResult:
             np.bitwise_xor(table, row, out=table)
         _weigh(table, lane_w, w)
         counts += np.bincount(w, minlength=n + 1)
-        if b == 0:
-            w[0] = sentinel  # the all-zero information word
-        block_min = int(w.min())
-        if block_min < best_w:
-            best_w = block_min
-            if b & 1:
-                # odd high blocks are visited in reflected (reverse) order
-                pos = len(w) - 1 - int(np.argmin(w[::-1]))
-            else:
-                pos = int(np.argmin(w))
-            best_block, best_pos = b, pos
-
-    info_bits = ((best_block ^ (best_block >> 1)) << low) | (best_pos ^ (best_pos >> 1))
-    return ExactResult(
-        d_exact=best_w,
-        witness=code.encode(BitWord(k, info_bits)),
-        enumerator={wt: int(c) for wt, c in enumerate(counts) if c},
-        enumerated=1 << k,
-    )
+    return {wt: int(c) for wt, c in enumerate(counts) if c}
 
 
 def exact_enumerator(code: LinearCode, budget: int = DEFAULT_BUDGET) -> ExactResult:
-    """Same sweep with the full weight enumerator populated."""
+    """The exact result with the full weight enumerator populated."""
     return exact_min_distance(code, budget=budget, collect_enumerator=True)
 
 
@@ -361,7 +339,7 @@ def run(
     collect_enumerator: bool = False,
 ) -> DistanceEstimate:
     """The exact method's certified record; ``config`` holds the budget the
-    sweep ran under, and the enumerator, when collected, is its one event."""
+    oracle ran under, and the enumerator, when collected, is its one event."""
     started = time.perf_counter()
     res = exact_min_distance(code, budget=budget, collect_enumerator=collect_enumerator)
     events = []

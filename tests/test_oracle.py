@@ -30,8 +30,7 @@ def random_full_rank(rng: random.Random, k: int, n: int) -> LinearCode:
 
 
 def both_paths(code: LinearCode) -> list[tuple[int, BitWord]]:
-    """(d, witness) from the search and from the sweep that collects the
-    enumerator."""
+    """(d, witness) without and with the enumerator."""
     return [(res.d_exact, res.witness)
             for res in (exact_min_distance(code), exact_enumerator(code))]
 
@@ -128,7 +127,7 @@ class TestAgainstNaiveReference:
         assert both_paths(c20) == [naive_min_distance(c20)] * 2
 
     def test_gray_low_block_boundary(self):
-        # k above the low-block size exercises the high/low split
+        # k above the low-block size exercises the sweep's high/low split
         rng = random.Random(123)
         k = 18
         rows = tuple((1 << i) | (rng.getrandbits(6) << k) for i in range(k))
@@ -144,9 +143,9 @@ class TestAgainstNaiveReference:
 
     def test_tie_in_odd_block_takes_first_visited(self):
         # rows 15 and 16 have parities E = D + {x} and D, |D| = 2: row 16 and
-        # row 15 ^ row 16 both weigh 3, and both lie in high block 1.  That
-        # block visits gray(j) for j = 2^16 - 1 down to 0, so row 15 ^ row 16
-        # (j = 2^16 - 1) comes before row 16 alone (j = 0).
+        # row 15 ^ row 16 both weigh 3.  Their Gray ranks are 2^16 + 2^15
+        # and 2^16, so row 15 ^ row 16 comes first, though its information
+        # word is the larger.
         k, n = 17, 70
         rng = random.Random(5)
         rows = [(1 << i) | (rng.getrandbits(n - k) << k) for i in range(k - 2)]
@@ -177,7 +176,7 @@ class TestAgainstNaiveReference:
 
 
 class TestSearchAgainstNaive:
-    """The Brouwer-Zimmermann search reports the sweep's d and witness."""
+    """The Brouwer-Zimmermann search reports the naive Gray sweep's d and witness."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partial_information_sets_bit_for_bit(self, seed):
