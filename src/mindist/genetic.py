@@ -278,17 +278,31 @@ def _greedy_flip(score: Callable[[int], int], bits: int, k: int) -> int:
 def select_tournament(
     fitnesses: list[int], size: int, rng: random.Random
 ) -> int:
-    """Index of the fittest of ``size`` uniform picks; ties keep the first."""
-    best = rng.randrange(len(fitnesses))
-    for _ in range(size - 1):
-        j = rng.randrange(len(fitnesses))
-        if fitnesses[j] < fitnesses[best]:
+    """Index of the fittest of ``size`` uniform picks; ties keep the first.
+
+    Each pick is the draw ``rng.randrange(len(fitnesses))`` makes, taken
+    the way CPython takes it: ``getrandbits`` of the length's bit count,
+    drawn again while it is not below the length.  Inlined, it consumes the
+    same stream without randrange's argument checks and call layers.
+    """
+    m = len(fitnesses)
+    if not m or size < 1:
+        raise ValueError(f"tournament of {size} over {m} individuals")
+    bits = m.bit_length()
+    draw = rng.getrandbits
+    best = -1
+    for _ in range(size):
+        j = draw(bits)
+        while j >= m:
+            j = draw(bits)
+        if best < 0 or fitnesses[j] < fitnesses[best]:
             best = j
     return best
 
 
 def select_random(fitnesses: list[int], rng: random.Random) -> int:
-    return rng.randrange(len(fitnesses))
+    """A uniform pick: a tournament of one."""
+    return select_tournament(fitnesses, 1, rng)
 
 
 def select_roulette(fitnesses: list[int], n: int, rng: random.Random) -> int:

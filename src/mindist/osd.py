@@ -45,8 +45,9 @@ weight below the order.  The second covers the flip sets of weight equal
 to the order, and runs only when the sum of the ``order`` least reliable
 MRB positions is at most the base cost (that of the re-encoded hard
 decisions) plus the least cost found so far plus twice the tie tolerance
-below.  Any such candidate differs from the hard decisions at its flipped
-MRB positions, so that sum is a floor on its exact cost; when the floor is
+below, and the post-order certificate below does not end the decode.  Any
+such candidate differs from the hard decisions at its flipped MRB
+positions, so that sum is a floor on its exact cost; when the floor is
 higher, no candidate of the top order can come within the tolerance of the
 least cost, and skipping the order leaves the decoded word unchanged.  On
 impulse words (the all-zero word plus a few strong samples) most decodes
@@ -58,25 +59,44 @@ than one is that close, each is re-scored exactly with ``math.fsum``, and
 among equal exact costs the lexicographically smallest codeword wins.  The
 decoded word is thus a function of the received word alone.
 
-Before any of that, a certificate returns the all-zero word when it is
-provably the decoded word, with no sort, reduction or scoring.  MIM decodes
-the all-zero channel word plus a few impulses, so most of its decodes end
-there.  Each decoder holds d_lb = ``bounds.certified_lower(code)``, a lower
-bound on the minimum distance proven from the generator.  Let P be the
-number of samples above 0.  The zero word is certified when P <= order and
-its exact cost, the ``fsum`` of those P samples, is strictly below the
-``fsum`` of the d_lb - P smallest |y_i| among the other samples.  Proof:
-the zero word differs from the hard decisions at the P positive positions
-only, so on the MRB it is at most P <= order flips away, and it is a
-candidate.  A nonzero codeword has weight >= d_lb, and the hard decisions
-have only P ones, so it has a 1 at d_lb - P or more positions where the
-hard decision is 0; each adds its |y_i| to the codeword's cost, so that
-cost is at least the sum of the d_lb - P smallest such |y_i|.  Correct
+Two certificates end a decode early, each with the word full
+reprocessing returns.  Both rest on one test.  Let c be a candidate, D1
+the positions where it differs from the hard decisions, and d_lb =
+``bounds.certified_lower(code)``, a lower bound on the minimum distance
+proven from the generator.  Any other codeword differs from c at d_lb or
+more positions (their XOR is a nonzero codeword), at most |D1| of them in
+D1, so at need = d_lb - |D1| or more positions outside D1.  There c agrees
+with the hard decisions and the other codeword does not, so each such
+position adds its |y_i| to that codeword's cost, which is therefore at
+least the sum of the need smallest |y_i| outside D1.  The test is that
+c's exact cost, the ``fsum`` of |y_i| over D1, is strictly below the
+``fsum`` of that floor; it fails outright when need <= 0.  Correct
 rounding is monotone: the strict test on the two rounded sums implies it
-on the real sums, and every nonzero codeword's rounded exact cost is at
-least the rounded floor, so above the zero word's.  The zero word is then
-the unique candidate of least exact cost, and would also win a tie, being
-the lexicographically smallest word.
+on the real sums, and every other codeword's rounded exact cost is at
+least the rounded floor, so above c's.  c is then the unique codeword of
+least exact cost.  Full reprocessing would return it: its LUT cost lies
+within tol / 2 of its exact cost minus base, and any candidate of lower
+LUT cost has a higher exact cost, so c lies within tol of the least LUT
+cost, in the near set, where exact costs decide.
+
+The zero certificate runs first, with no sort, reduction or scoring: c is
+the all-zero word, and D1 the P positions whose samples are above 0.  It
+applies only when P <= order, since the zero word is then at most P MRB
+flips from the hard decisions and so a candidate.  MIM decodes the
+all-zero channel word plus a few impulses, so most of its decodes end
+there.
+
+The post-order certificate runs after the flip sets of weight below the
+order, and only where the floor test above would score the top order: c
+is the codeword of the scored flip set of least LUT cost (Taipale and
+Pursley, IEEE T-IT 1991; Fossorier and Lin, IEEE T-IT 1995).  When it
+holds, the decode returns c and skips the top order and the tie-break.
+D1 is read in MRB order, with no int codeword built unless c is returned:
+its MRB part is c's flip set, and its parity part is where the re-encoded
+hard decisions disagree with them, XORed with the flipped rows' parity.
+Its size comes first: with a weak bound need is often at most 0 (with
+d_lb = 1, as on QDC codes, whenever c is not the hard decisions), and the
+test then ends before the floor is gathered.
 """
 
 from __future__ import annotations
@@ -204,6 +224,19 @@ def _mrb_reduce(
     return rows, perm, abs_y
 
 
+def _beats_floor(on: np.ndarray, off: np.ndarray, need: int) -> bool:
+    """Whether the ``fsum`` of ``on`` is below the ``fsum`` of the ``need``
+    smallest entries of ``off``, for 0 < need <= len(off).
+
+    Both certificates end in this test: ``on`` holds the |y_i| where a
+    candidate differs from the hard decisions and ``off`` the other |y_i|,
+    and every other codeword differs from the candidate at ``need`` or more
+    of the ``off`` positions.
+    """
+    floor = np.partition(off, need - 1)[:need]
+    return math.fsum(on.tolist()) < math.fsum(floor.tolist())
+
+
 def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
     # stable sort on negated magnitudes: ties go to the lower original index
     return np.argsort(-abs_y, kind="stable")
@@ -231,9 +264,13 @@ class OsdDecoder:
     d_lb - P smallest magnitudes among the others, where d_lb is the
     code's ``bounds.certified_lower``.  Zero is then a candidate (at most P
     MRB flips from the hard decisions), and that second sum is a floor on
-    the cost of every nonzero codeword, whose weight is at least d_lb; the
-    module docstring has the proof, rounding included.  The decoded word is
-    the one full reprocessing returns.
+    the cost of every nonzero codeword, whose weight is at least d_lb.
+    Where the top order would be scored, the same test on the best flip
+    set c of lower weight (its cost against the sum of the d_lb - |D1|
+    smallest magnitudes off D1, the positions where c differs from the
+    hard decisions) returns c without it.  The module docstring has the
+    proofs, rounding included.  The decoded word is the one full
+    reprocessing returns.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -262,11 +299,7 @@ class OsdDecoder:
         pos = arr > 0
         npos = int(np.count_nonzero(pos))
         need = self._d_lb - npos
-        if npos > self.order or need <= 0:
-            return False
-        rest = -arr[~pos]
-        floor = np.partition(rest, need - 1)[:need]
-        return math.fsum(arr[pos].tolist()) < math.fsum(floor.tolist())
+        return npos <= self.order and need > 0 and _beats_floor(arr[pos], -arr[~pos], need)
 
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
         k, n = self.code.k, self.code.n
@@ -307,6 +340,10 @@ class OsdDecoder:
         low, top = self._patterns
         scored = [(low, _score(low, lanes, w_mrb, tables))] if order else []
         least = min((float(c.min()) for _, c in scored), default=math.inf)
+        u0 = pack_rows(h_p[None, :k])[0]
+
+        def word(flips: Sequence[int]) -> int:
+            return xor_rows(rows, u0 ^ sum(1 << i for i in flips if i < k))
 
         # Score the weight-order flip sets only if one of them can come
         # within tol of the least cost.  Such a candidate differs from the
@@ -322,12 +359,28 @@ class OsdDecoder:
         floor = math.fsum(abs_p[k - order : k].tolist())
         base = math.fsum(abs_p[k:][disagree == 1].tolist())
         if floor <= base + least + 2.0 * tol:
+            # Unless the post-order certificate holds: c, the codeword of
+            # least LUT cost so far, differs from the hard decisions on D1,
+            # and every other codeword differs from c at d_lb or more
+            # positions, need or more of them outside D1.  When c's exact
+            # cost is below the sum of the need smallest |y_i| there, c is
+            # the decoded word (module docstring).
+            if scored:
+                flips = [i for i in low[:, int(np.argmin(scored[0][1]))].tolist() if i < k]
+                d1 = np.zeros(n, dtype=np.uint8)  # D1, in MRB order
+                d1[flips] = 1
+                d1[k:] = disagree
+                for i in flips:
+                    d1[k:] ^= P8[i]
+                need = self._d_lb - int(np.count_nonzero(d1))
+                on = d1.view(bool)
+                if need > 0 and _beats_floor(abs_p[on], abs_p[~on], need):
+                    return BitWord(n, word(flips))
             scored.append((top, _score(top, lanes, w_mrb, tables)))
             least = min(least, float(scored[-1][1].min()))
 
-        u0 = pack_rows(h_p[None, :k])[0]
         words = [
-            xor_rows(rows, u0 ^ sum(1 << i for i in flips if i < k))
+            word(flips)
             for pat, costs in scored
             for flips in pat[:, np.flatnonzero(costs <= least + tol)].T.tolist()
         ]

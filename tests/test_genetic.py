@@ -270,11 +270,41 @@ class TestSelection:
         assert select_random([5], rng) == 0
         assert select_roulette([5], 10, rng) == 0
 
+    def test_empty_tournament_rejected(self):
+        rng = random.Random(0)
+        for fits, size in (([], 2), ([5], 0)):
+            with pytest.raises(ValueError, match="tournament"):
+                select_tournament(fits, size, rng)
+
     def test_exhaustive_tournament_returns_global_best(self):
         fits = [9, 4, 7, 2, 8]
         rng = random.Random(1)
         for _ in range(20):
             assert fits[select_tournament(fits, 200, rng)] == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 1024])
+    def test_picks_are_randrange_draws(self, m):
+        # the inlined draws consume the stream exactly as randrange(m)
+        # does, so seeded GA runs stay byte-identical
+        draws = random.Random(m)
+        fits = [draws.randrange(4) for _ in range(m)]
+
+        def tournament(size, rng):
+            best = rng.randrange(m)
+            for _ in range(size - 1):
+                j = rng.randrange(m)
+                if fits[j] < fits[best]:
+                    best = j
+            return best
+
+        ours, ref = random.Random(7), random.Random(7)
+        assert [select_random(fits, ours) for _ in range(10_000)] == [
+            ref.randrange(m) for _ in range(10_000)
+        ]
+        assert [select_tournament(fits, 3, ours) for _ in range(10_000)] == [
+            tournament(3, ref) for _ in range(10_000)
+        ]
+        assert ours.getstate() == ref.getstate()
 
     def test_roulette_frequency_ratio(self):
         # fitness 1 vs fitness n: weights n vs 1 under (n + 1 - f)

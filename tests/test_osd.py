@@ -454,6 +454,108 @@ class TestZeroCertificate:
         assert 0 < reduced < len(words)
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The scoring passes and certificate tests of each decode, in call
+    order: ("score", flip sets in the table) and ("floor", outcome)."""
+    log = []
+    score, beats = osd._score, osd._beats_floor
+
+    def score_spy(pat, *args):
+        log.append(("score", pat.shape[1]))
+        return score(pat, *args)
+
+    def beats_spy(*args):
+        log.append(("floor", beats(*args)))
+        return log[-1][1]
+
+    monkeypatch.setattr(osd, "_score", score_spy)
+    monkeypatch.setattr(osd, "_beats_floor", beats_spy)
+    return log
+
+
+class TestPostOrderCertificate:
+    """Order-2 decodes on BCH(15,7), where ``certified_lower`` proves 5.
+
+    The low table holds the 8 flip sets of weight 0 and 1, the top table
+    the 21 of weight 2.  No word here has P <= 2 samples above 0, so the
+    zero-word certificate ends before its floor.
+    """
+
+    CODE = build_bch(4, 2)
+    C = BitWord.parse("100000010001011")  # a weight-5 codeword, row 0
+
+    def near_c(self, *small: float) -> np.ndarray:
+        """C with its bits 13 and 14 flipped on the hard decisions, all
+        magnitudes 1.0 but for ``small`` at positions 0, 1 and 2.
+
+        The MRB is positions 3..9, all at 1.0, and C is the re-encoded
+        hard decisions, the low winner at cost 2.0 over D1 = {13, 14}.
+        The MRB's two least reliable magnitudes sum to 2.0 as well, so the
+        floor test scores the top order, and need = 5 - 2 = 3: the
+        certificate's floor is the sum of ``small``.
+        """
+        h = self.C.bits ^ (1 << 13) ^ (1 << 14)
+        mag = np.ones(15)
+        mag[: len(small)] = small
+        return np.array([m if (h >> i) & 1 else -m for i, m in enumerate(mag)])
+
+    def test_cost_just_below_floor_skips_top_order(self, steps):
+        y = self.near_c(0.5, 0.75, 0.75 + 2.0**-40)
+        assert OsdDecoder(self.CODE, order=2).decode(y) == self.C
+        assert steps == [("score", 8), ("floor", True)]
+        assert reference_decode(self.CODE, y, 2) == self.C
+
+    # Two words in tenths, from a seeded search for words on which a
+    # mutated certificate decides otherwise.  In the first, the decoded c
+    # differs from the hard decisions at 5 (0.8) and 6 (0.6): its exact
+    # cost, 1.4, equals the floor 0.3 + 0.5 + 0.6, but its LUT cost plus
+    # the base rounds below 1.4.  In the second, c differs at 4 (0.3) and
+    # 13 (0.8), and costs 1.1 against the floor 0.3 + 0.5 + 0.5 off D1; the
+    # three smallest magnitudes of all, 0.3 + 0.3 + 0.5, include position 4
+    # and would read 1.1.
+    TENTHS_EQUAL = [-0.8, 0.6, -0.8, -0.6, 0.7, -0.8, -0.6, 0.6, -0.5, 0.8, -0.6, 0.3, -0.6, 0.6, 0.7]
+    TENTHS_BELOW = [-0.5, 0.6, 0.5, 0.3, -0.3, -0.5, -0.5, -0.8, 0.7, -0.5, -0.7, 0.6, 0.5, 0.8, 0.8]
+
+    def test_floor_is_taken_off_d1(self, steps):
+        y = np.array(self.TENTHS_BELOW)
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert steps == [("score", 8), ("floor", True)]
+        assert out == reference_decode(self.CODE, y, 2)
+        assert [i for i in range(15) if out[i] != (y[i] > 0)] == [4, 13]
+
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "tenths"])
+    def test_cost_equal_to_floor_scores_top_order(self, steps, dyadic):
+        y = self.near_c(0.5, 0.75, 0.75) if dyadic else np.array(self.TENTHS_EQUAL)
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert steps == [("score", 8), ("floor", False), ("score", 21)]
+        assert out == reference_decode(self.CODE, y, 2)
+
+    def test_need_not_positive_scores_top_order(self, steps):
+        # MRB positions 0..4 at -1.0 and 5, 6 at -0.25; +0.25 on parity
+        # positions 7..11 and -0.25 on 12..14.  The zero word wins the low
+        # table at cost 1.25 over D1 = {7..11}, so need = 5 - 5 = 0: the
+        # certificate ends before its floor, although the floor test (0.5
+        # against 1.25) scores the top order
+        y = np.array([-1.0] * 5 + [-0.25] * 2 + [0.25] * 5 + [-0.25] * 3)
+        out = OsdDecoder(self.CODE, order=2).decode(y)
+        assert steps == [("score", 8), ("score", 21)]
+        assert out == reference_decode(self.CODE, y, 2)
+
+    @pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_qr(47)], ids=["bch63", "qr47"])
+    def test_mim_words_match_reference(self, steps, make):
+        code = make()
+        dec = OsdDecoder(code, order=3)
+        low = dec._patterns[0].shape[1]
+        certified = top = 0
+        for y in mim_words(code.n, 40, seed=1):
+            steps.clear()
+            assert dec.decode(y) == reference_decode(code, y, 3)
+            certified += steps[-2:] == [("score", low), ("floor", True)]
+            top += any(kind == "score" and cols != low for kind, cols in steps)
+        assert certified > 0 and top > 0
+
+
 def permuted_dcc() -> LinearCode:
     """C(20,10) with its columns shuffled, so its basis in index order is
     not columns 0..k-1."""
