@@ -1,11 +1,12 @@
 """Minimum-distance workbench for binary linear block codes.
 
 Construct BCH, quadratic-residue, double-circulant, and bordered quadratic
-double-circulant codes; compute exact minimum distances by exhaustive
-Gray-coded enumeration; and estimate distances of larger codes with two
-genetic-algorithm variants or the multiple-impulse method driven by a
-soft-input ordered statistics decoder.  Every estimate carries a witness
-codeword and a bound report.
+double-circulant codes; compute exact minimum distances by a
+Brouwer-Zimmermann information-set search (and weight enumerators by a
+Gray-coded sweep over all 2^k codewords); and estimate distances of larger
+codes with two genetic-algorithm variants or the multiple-impulse method
+driven by a soft-input ordered statistics decoder.  Every estimate carries
+a witness codeword and a bound report.
 """
 
 from .bounds import (
@@ -17,7 +18,6 @@ from .bounds import (
 )
 from .codes import (
     LinearCode,
-    ResidueSet,
     build_bch,
     build_dcc,
     build_qdc,
@@ -29,7 +29,7 @@ from .codes import (
 from .errors import BudgetError, ConsistencyError, DimensionError, RankError
 from .genetic import GaConfig, fitness, run_variant_a, run_variant_b
 from .gf2 import BinPoly, BitMatrix, BitWord, GF2mField, cyclotomic_coset, systematize
-from .mim import ImpulsePattern, MimConfig, apply_pattern, make_pattern
+from .mim import MimConfig, apply_pattern, make_pattern
 from .mim import run as run_mim
 from .oracle import ExactResult, exact_enumerator, exact_min_distance
 from .osd import OsdDecoder, hard_decision, most_reliable_basis
@@ -49,12 +49,10 @@ __all__ = [
     "ExactResult",
     "GF2mField",
     "GaConfig",
-    "ImpulsePattern",
     "LinearCode",
     "MimConfig",
     "OsdDecoder",
     "RankError",
-    "ResidueSet",
     "SCHEMA_VERSION",
     "apply_pattern",
     "build_bch",

@@ -178,17 +178,6 @@ class BoundReport:
     violated: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "singleton_upper": self.singleton_upper,
-            "sqrt_lower": self.sqrt_lower,
-            "sqrt_of_n": self.sqrt_of_n,
-            "krasikov_upper": self.krasikov_upper,
-            "parity_adjusted_d": self.parity_adjusted_d,
-            "violated": list(self.violated),
-            "warnings": list(self.warnings),
-        }
-
 
 def build_report(family: str, n: int, k: int, d: int) -> BoundReport:
     """Evaluate every applicable bound against an estimated distance."""

@@ -9,7 +9,6 @@ the stored generator transfer to the original cyclic code.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
@@ -28,7 +27,6 @@ from .gf2 import (
 
 __all__ = [
     "LinearCode",
-    "ResidueSet",
     "quadratic_residues",
     "build_bch",
     "build_qr",
@@ -74,17 +72,6 @@ class LinearCode:
         return f"{self.family}({self.n},{self.k})"
 
 
-@dataclass(frozen=True)
-class ResidueSet:
-    """Nonzero quadratic residues modulo an odd prime."""
-
-    p: int
-    residues: frozenset[int]
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.p in self.residues
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -100,11 +87,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def quadratic_residues(p: int) -> ResidueSet:
+def quadratic_residues(p: int) -> frozenset[int]:
     """The set {x^2 mod p : 1 <= x <= p-1} for an odd prime p."""
     if not _is_prime(p) or p == 2:
         raise ValueError(f"{p} is not an odd prime")
-    return ResidueSet(p, frozenset((x * x) % p for x in range(1, p)))
+    return frozenset((x * x) % p for x in range(1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,7 @@ def qr_factors(p: int) -> tuple[BinPoly, BinPoly]:
         raise ValueError(
             f"2 is not a quadratic residue mod {p} (need p = +-1 mod 8, got {p % 8})"
         )
-    theta = BinPoly.from_exponents(Q.residues)
+    theta = BinPoly.from_exponents(Q)
     x_p_1 = BinPoly((1 << p) | 1)
     g = poly_gcd(theta, x_p_1)
     x_plus_1 = BinPoly(0b11)
@@ -226,9 +213,9 @@ def _qr_pick_residue_side(p: int, g: BinPoly, other: BinPoly, m: int) -> BinPoly
     beta = f.alpha_pow(f.order // p)
     if f.pow(beta, p) != 1 or beta == 1:
         raise ConsistencyError(f"QR({p}): alpha^((2^{m} - 1)/{p}) does not have order {p}")
-    r0 = next(iter(Q.residues))
+    r0 = next(iter(Q))
     chosen = g if g.evaluate_in(f, f.pow(beta, r0)) == 0 else other
-    for r in Q.residues:
+    for r in Q:
         if chosen.evaluate_in(f, f.pow(beta, r)) != 0:
             raise ConsistencyError(f"QR({p}) root check failed at residue {r}")
     return chosen
@@ -302,7 +289,7 @@ def build_qdc(p: int, corner: int = 0) -> LinearCode:
         raise ValueError(f"corner entry must be 0 or 1, got {corner}")
     Q = quadratic_residues(p)
     b = 0
-    for r in Q.residues:
+    for r in Q:
         b |= 1 << r
     if p % 8 == 3:
         b |= 1
@@ -369,7 +356,3 @@ def _read_matrix(fh: TextIO) -> LinearCode:
             raise ValueError(f"row {i}: symbols outside {{0,1}}")
         rows.append(line)
     return LinearCode(n, k, BitMatrix.from_strings(rows), family="GENERIC")
-
-
-def loads_code(text: str) -> LinearCode:
-    return _read_matrix(io.StringIO(text))

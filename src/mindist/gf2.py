@@ -4,12 +4,12 @@ Words and matrix rows are stored as Python integers where bit i is the
 symbol at index i, index 0 being the first transmitted bit.  Binary
 polynomials use the same packing with bit i as the coefficient of x^i,
 so a word and the polynomial it represents are literally the same int.
-Weight is a single popcount; XOR is a single int op.  The exhaustive
-sweep over 2^k codewords elsewhere in the package leans on this.
-``unpack_rows`` and ``pack_rows`` convert such rows to and from 0/1
-numpy matrices for the vectorized code.  ``eliminate`` is the package's
-one Gauss-Jordan routine: matrix rank, the systematizer and the OSD
-decoder's reduction on the most reliable basis all run it.
+Weight is a single popcount; XOR is a single int op.  The oracle scores
+codewords in uint64 lanes built from these rows.  ``unpack_rows`` and
+``pack_rows`` convert such rows to and from 0/1 numpy matrices for the
+vectorized code.  ``eliminate`` is the package's one Gauss-Jordan
+routine: matrix rank, the systematizer and the OSD decoder's reduction
+on the most reliable basis all run it.
 """
 
 from __future__ import annotations
@@ -69,20 +69,6 @@ class BitWord:
                 raise ValueError(f"invalid symbol {ch!r} at index {i}")
         return cls(len(text), bits)
 
-    @classmethod
-    def zeros(cls, length: int) -> "BitWord":
-        return cls(length, 0)
-
-    @classmethod
-    def ones(cls, length: int) -> "BitWord":
-        return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def unit(cls, length: int, index: int) -> "BitWord":
-        if not 0 <= index < length:
-            raise ValueError(f"index {index} out of range for length {length}")
-        return cls(length, 1 << index)
-
     @property
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -128,30 +114,13 @@ class BitMatrix:
                 raise ValueError(f"row {i} does not fit in {self.cols} columns")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        packed = []
-        cols = None
-        for row in rows:
-            row = list(row)
-            if cols is None:
-                cols = len(row)
-            elif len(row) != cols:
-                raise DimensionError("ragged rows")
-            v = 0
-            for j, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError(f"entry {b!r} is not a bit")
-                v |= b << j
-            packed.append(v)
-        return cls(cols or 0, tuple(packed))
-
-    @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
-        return cls.from_rows([[int(c) for c in s] for s in rows])
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
+        """Rows parsed as ``BitWord.parse`` does; all rows of one length."""
+        words = [BitWord.parse(s) for s in rows]
+        cols = words[0].length if words else 0
+        if any(w.length != cols for w in words):
+            raise DimensionError("ragged rows")
+        return cls(cols, tuple(w.bits for w in words))
 
     @property
     def nrows(self) -> int:
@@ -159,9 +128,6 @@ class BitMatrix:
 
     def row_word(self, i: int) -> BitWord:
         return BitWord(self.cols, self.rows[i])
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def rank(self) -> int:
         """Row rank over GF(2) by elimination on a scratch copy."""
@@ -174,9 +140,6 @@ class BitMatrix:
                 f"word length {w.length} != row count {self.nrows}"
             )
         return BitWord(self.cols, xor_rows(self.rows, w.bits))
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.nrows, tuple(pack_rows(unpack_rows(self.rows, self.cols).T)))
 
 
 def xor_rows(rows: tuple[int, ...], mask: int) -> int:
@@ -427,20 +390,9 @@ class GF2mField:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self._exp[self.order - self._log[a]]
-
     def alpha_pow(self, e: int) -> int:
         """alpha^e (exponent taken mod 2^m - 1)."""
         return self._exp[e % self.order]
-
-    def log(self, a: int) -> int:
-        """Discrete log base alpha of a nonzero element."""
-        if a == 0:
-            raise ValueError("log of zero")
-        return self._log[a]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:

@@ -29,7 +29,7 @@ from .gf2 import BitWord
 from .osd import DEFAULT_ORDER, OsdDecoder
 from .results import DistanceEstimate
 
-__all__ = ["MimConfig", "ImpulsePattern", "make_pattern", "apply_pattern", "run"]
+__all__ = ["MimConfig", "make_pattern", "apply_pattern", "run"]
 
 
 @dataclass(frozen=True)
@@ -67,47 +67,30 @@ class MimConfig:
         return replace(cfg, **overrides)
 
 
-@dataclass(frozen=True)
-class ImpulsePattern:
-    """A total amplitude subdivided over distinct positions of a length-n word."""
-
-    n: int
-    positions: tuple[int, ...]
-    amplitudes: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.amplitudes):
-            raise ValueError("positions and amplitudes differ in length")
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("positions must be distinct")
-
-    @property
-    def total(self) -> float:
-        return sum(self.amplitudes)
-
-
-def make_pattern(n: int, nb_error: int, amplitude: float, rng: random.Random) -> ImpulsePattern:
-    """Distinct uniform positions; amplitude split by a flat simplex partition."""
+def make_pattern(n: int, nb_error: int, amplitude: float,
+                 rng: random.Random) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """``(positions, amplitudes)``: distinct uniform positions of a length-n
+    word; amplitude split over them by a flat simplex partition."""
     if not 1 <= nb_error <= n:
         raise ValueError(f"nb_error {nb_error} outside 1..{n}")
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     positions = tuple(rng.sample(range(n), nb_error))
     if nb_error == 1:
-        return ImpulsePattern(n, positions, (amplitude,))
+        return positions, (amplitude,)
     while True:
         cuts = sorted(rng.random() for _ in range(nb_error - 1))
         gaps = [b - a for a, b in zip([0.0] + cuts, cuts + [1.0])]
         if all(g > 0.0 for g in gaps):
             break
-    return ImpulsePattern(n, positions, tuple(amplitude * g for g in gaps))
+    return positions, tuple(amplitude * g for g in gaps)
 
 
-def apply_pattern(pattern: ImpulsePattern) -> np.ndarray:
+def apply_pattern(n: int, positions: tuple[int, ...], amplitudes: tuple[float, ...]) -> np.ndarray:
     """All-zero channel word plus the impulses: y_i = -1 + amplitude_i, as a
-    new float64 array on every call."""
-    y = np.full(pattern.n, -1.0)
-    for pos, amp in zip(pattern.positions, pattern.amplitudes):
+    new float64 array of length n on every call."""
+    y = np.full(n, -1.0)
+    for pos, amp in zip(positions, amplitudes):
         y[pos] += amp
     return y
 
@@ -141,8 +124,8 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
             amplitude += 1.0
             level_all_zero = True
             for nb_error in range(cfg.error_max, 0, -1):
-                pattern = make_pattern(n, nb_error, amplitude, rng)
-                decoded = decoder.decode(apply_pattern(pattern))
+                positions, amplitudes = make_pattern(n, nb_error, amplitude, rng)
+                decoded = decoder.decode(apply_pattern(n, positions, amplitudes))
                 w = decoded.weight
                 if w:
                     level_all_zero = False

@@ -125,7 +125,7 @@ def exact_min_distance(
     k = code.k
     if k > budget:
         raise BudgetError(
-            f"k = {k} exceeds oracle budget {budget}: the sweep would visit "
+            f"k = {k} exceeds oracle budget {budget}: the code has "
             f"2^{k} = {1 << k} codewords"
         )
     res = _search(code)

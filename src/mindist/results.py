@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -120,7 +120,7 @@ class DistanceEstimate:
             "config": _jsonable(self.config),
             "rng_seed": self.rng_seed,
             "wall_time_seconds": self.wall_time_seconds,
-            "bounds": self.bound_report.to_dict(),
+            "bounds": _jsonable(asdict(self.bound_report)),
             "events": [_jsonable(e) for e in self.events],
         }
 

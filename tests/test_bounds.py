@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mindist import oracle
 from mindist.bounds import (
     BoundReport,
     build_report,
@@ -125,11 +126,14 @@ class TestBuildReport:
         assert r.sqrt_lower**2 >= 233 > (r.sqrt_lower - 1) ** 2
 
     def test_to_dict_shape(self):
-        d = build_report("QR", 41, 21, 9).to_dict()
+        # a record's bounds block holds every report field, tuples as lists
+        d = oracle.run(build_qr(17)).to_dict()["bounds"]
         assert set(d) == {
             "singleton_upper", "sqrt_lower", "sqrt_of_n",
             "krasikov_upper", "parity_adjusted_d", "violated", "warnings",
         }
+        assert d["sqrt_lower"] == 5 and d["singleton_upper"] == 9
+        assert isinstance(d["violated"], list) and isinstance(d["warnings"], list)
 
 
 # every BCH and QR code the tests build, with the bound certified_lower

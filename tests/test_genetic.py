@@ -324,7 +324,7 @@ class TestRunVariantA:
             cfg = GaConfig.variant_a(population_size=10, max_generations=2, rng_seed=seed)
             est = run_variant_a(repetition7, cfg)
             assert est.d == 7
-            assert est.witness == BitWord.ones(7)
+            assert est.witness == BitWord.parse("1111111")
 
     def test_bch_15_11(self):
         code = build_bch(4, 1)

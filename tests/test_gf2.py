@@ -27,14 +27,14 @@ words = st.integers(min_value=1, max_value=64).flatmap(
 
 class TestBitWord:
     def test_weight_zero_word(self):
-        assert BitWord.zeros(7).weight == 0
+        assert BitWord(7).weight == 0
 
     def test_weight_hand_counted(self):
         assert BitWord.parse("1001111110").weight == 7
 
     @pytest.mark.parametrize("n", [1, 5, 33, 64, 100])
     def test_weight_all_ones(self, n):
-        assert BitWord.ones(n).weight == n
+        assert BitWord.parse("1" * n).weight == n
 
     def test_parse_round_trip(self):
         s = "100101110"
@@ -50,7 +50,7 @@ class TestBitWord:
 
     def test_xor_length_mismatch(self):
         with pytest.raises(DimensionError):
-            BitWord.zeros(4) ^ BitWord.zeros(5)
+            BitWord(4) ^ BitWord(5)
 
     @given(words, st.integers(0, (1 << 64) - 1))
     def test_xor_triangle_inequality(self, nw, other_bits):
@@ -63,16 +63,16 @@ class TestBitWord:
 
 class TestEncode:
     def test_zero_info_gives_zero_codeword(self, c20):
-        assert c20.encode(BitWord.zeros(10)) == BitWord.zeros(20)
+        assert c20.encode(BitWord(10)) == BitWord(20)
 
     def test_identity_matrix_is_passthrough(self):
-        g = BitMatrix.identity(6)
+        g = BitMatrix(6, tuple(1 << i for i in range(6)))
         w = BitWord.parse("010110")
         assert g.mul_word(w) == w
 
     def test_c20_unit_vector_row(self, c20):
         # systematic row 0: info prefix e_0 then circulant row 0 = the header
-        cw = c20.encode(BitWord.unit(10, 0))
+        cw = c20.encode(BitWord(10, 1))
         assert cw.to01() == "1000000000" + "1001111110"
 
     @given(st.integers(0, 1023), st.integers(0, 1023))
@@ -83,7 +83,7 @@ class TestEncode:
 
     def test_length_mismatch(self, c20):
         with pytest.raises(DimensionError):
-            c20.encode(BitWord.zeros(9))
+            c20.encode(BitWord(9))
 
 
 class TestSystematize:
@@ -114,24 +114,19 @@ class TestSystematize:
         rng = np.random.default_rng(seed)
         while True:
             arr = rng.integers(0, 2, size=(5, 10))
-            m = BitMatrix.from_rows(arr.tolist())
+            m = BitMatrix(10, tuple(pack_rows(arr.astype(np.uint8))))
             if m.rank() == 5:
                 break
         out, perm = systematize(m)
         assert sorted(perm) == list(range(10))
+        bits = unpack_rows(out.rows, 10)
         # left block is I_5
-        for i in range(5):
-            for j in range(5):
-                assert out.entry(i, j) == (1 if i == j else 0)
+        assert (bits[:, :5] == np.eye(5, dtype=np.uint8)).all()
         # row space is preserved: adding any permuted-back row leaves rank at 5
         inv = [0] * 10
         for pos, orig in enumerate(perm):
             inv[orig] = pos
-        for i in range(5):
-            back = 0
-            for orig in range(10):
-                if out.entry(i, inv[orig]):
-                    back |= 1 << orig
+        for back in pack_rows(bits[:, inv]):
             stacked = BitMatrix(10, m.rows + (back,))
             assert stacked.rank() == 5
 
@@ -144,18 +139,12 @@ class TestSystematize:
 
 
 class TestBitMatrix:
-    def test_transpose_round_trip(self):
-        m = BitMatrix.from_strings(["1010", "0111"])
-        t = m.transpose()
-        assert (t.nrows, t.cols) == (4, 2)
-        assert t.transpose() == m
-
     def test_rank_of_identity(self):
-        assert BitMatrix.identity(6).rank() == 6
+        assert BitMatrix(6, tuple(1 << i for i in range(6))).rank() == 6
 
-    def test_transpose_hand_checked(self):
-        m = BitMatrix.from_strings(["110", "011"])
-        assert m.transpose() == BitMatrix.from_strings(["10", "11", "01"])
+    def test_from_strings_rejects_ragged_rows(self):
+        with pytest.raises(DimensionError, match="ragged"):
+            BitMatrix.from_strings(["101", "10"])
 
 
 class TestPackedRows:
@@ -235,11 +224,11 @@ class TestField:
 
     @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
     def test_log_antilog_round_trip(self, m):
+        # alpha_pow is a bijection from 0..2^m - 2 onto the nonzero
+        # elements, so every nonzero element has exactly one log
         f = GF2mField(m)
-        step = max(1, f.order // 4096)
-        for e in range(0, f.order, step):
-            x = f.alpha_pow(e)
-            assert f.alpha_pow(f.log(x)) == x
+        log = {f.alpha_pow(e): e for e in range(f.order)}
+        assert sorted(log) == list(range(1, f.order + 1))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_field_axioms_exhaustive(self, m):
@@ -264,7 +253,7 @@ class TestField:
         # unique inverses
         for a in range(1, q):
             assert sorted(table[a, 1:]) == list(range(1, q))
-            assert table[a, f.inv(a)] == 1
+            assert np.count_nonzero(table[a] == 1) == 1
 
     @pytest.mark.parametrize("m", [0, 1, 17, 32])
     def test_out_of_range_degree(self, m):

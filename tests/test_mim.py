@@ -6,7 +6,7 @@ import pytest
 
 from mindist.codes import LinearCode
 from mindist.gf2 import BitMatrix, BitWord
-from mindist.mim import ImpulsePattern, MimConfig, apply_pattern, make_pattern, run
+from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
 from mindist.osd import hard_decision
 
@@ -14,22 +14,25 @@ from mindist.osd import hard_decision
 class TestMakePattern:
     def test_single_position_gets_full_amplitude(self):
         rng = random.Random(0)
-        p = make_pattern(10, 1, 4.5, rng)
-        assert p.amplitudes == (4.5,)
-        assert len(p.positions) == 1
+        positions, amplitudes = make_pattern(10, 1, 4.5, rng)
+        assert amplitudes == (4.5,)
+        assert len(positions) == 1
 
     def test_saturation_all_positions(self):
         rng = random.Random(1)
-        p = make_pattern(3, 3, 3.0, rng)
-        assert sorted(p.positions) == [0, 1, 2]
-        assert abs(sum(p.amplitudes) - 3.0) < 1e-9
+        positions, amplitudes = make_pattern(3, 3, 3.0, rng)
+        assert sorted(positions) == [0, 1, 2]
+        assert abs(sum(amplitudes) - 3.0) < 1e-9
 
     def test_amplitudes_positive_and_sum(self):
         rng = random.Random(2)
         for _ in range(200):
-            p = make_pattern(24, rng.randint(1, 24), rng.uniform(0.5, 9), rng)
-            assert all(a > 0 for a in p.amplitudes)
-            assert abs(sum(p.amplitudes) - p.total) < 1e-9
+            nb_error, A = rng.randint(1, 24), rng.uniform(0.5, 9)
+            positions, amplitudes = make_pattern(24, nb_error, A, rng)
+            assert len(positions) == len(amplitudes) == nb_error
+            assert len(set(positions)) == nb_error
+            assert all(a > 0 for a in amplitudes)
+            assert abs(sum(amplitudes) - A) < 1e-9
 
     def test_flat_partition_symmetry(self):
         # each of the 4 slots averages A/4 over many draws
@@ -37,8 +40,8 @@ class TestMakePattern:
         A, draws = 8.0, 10_000
         sums = [0.0] * 4
         for _ in range(draws):
-            p = make_pattern(16, 4, A, rng)
-            for i, a in enumerate(p.amplitudes):
+            _, amplitudes = make_pattern(16, 4, A, rng)
+            for i, a in enumerate(amplitudes):
                 sums[i] += a
         # slot amplitude is A * Beta(1, 3): mean A/4, var A^2 * 3/80
         sigma_mean = math.sqrt(A * A * 3 / 80 / draws)
@@ -54,33 +57,27 @@ class TestMakePattern:
 
 class TestApplyPattern:
     def test_single_impulse_arithmetic(self):
-        p = ImpulsePattern(5, (2,), (2.0,))
-        y = apply_pattern(p)
+        y = apply_pattern(5, (2,), (2.0,))
         assert y.dtype == np.float64 and y.shape == (5,)
         assert y[2] == pytest.approx(1.0)
         assert all(v == -1.0 for i, v in enumerate(y) if i != 2)
 
     def test_fresh_array_per_call(self):
         # callers may keep the words they decoded, so no buffer is reused
-        p = ImpulsePattern(5, (2,), (2.0,))
-        y = apply_pattern(p)
+        y = apply_pattern(5, (2,), (2.0,))
         y[0] = 7.0
-        assert apply_pattern(p)[0] == -1.0
+        assert apply_pattern(5, (2,), (2.0,))[0] == -1.0
 
     def test_hard_decision_flips_only_above_unit_amplitude(self):
         rng = random.Random(4)
         for _ in range(100):
-            p = make_pattern(20, rng.randint(1, 8), rng.uniform(0.5, 6), rng)
-            flipped = hard_decision(apply_pattern(p))
+            positions, amplitudes = make_pattern(20, rng.randint(1, 8), rng.uniform(0.5, 6), rng)
+            flipped = hard_decision(apply_pattern(20, positions, amplitudes))
             expect = 0
-            for pos, amp in zip(p.positions, p.amplitudes):
+            for pos, amp in zip(positions, amplitudes):
                 if amp > 1.0:
                     expect |= 1 << pos
             assert flipped.bits == expect
-
-    def test_distinct_positions_enforced(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ImpulsePattern(4, (1, 1), (0.5, 0.5))
 
 
 class TestRun:
@@ -91,7 +88,7 @@ class TestRun:
         cfg = MimConfig.for_code(repetition7, d1=7, nb_test=5, rng_seed=0)
         est = run(repetition7, cfg)
         assert est.d == 7
-        assert est.witness == BitWord.ones(7)
+        assert est.witness == BitWord.parse("1111111")
 
     def test_golay_finds_8(self, golay24):
         cfg = MimConfig.for_code(golay24, nb_test=20, rng_seed=1)

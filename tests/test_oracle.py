@@ -62,7 +62,7 @@ class TestExactMinDistance:
         res = exact_enumerator(code)
         assert res.d_exact == 5
         assert res.enumerator == {0: 1, 5: 1}
-        assert res.witness == BitWord.ones(5)
+        assert res.witness == BitWord.parse("11111")
 
     def test_repetition3_enumerator(self, repetition3):
         assert exact_enumerator(repetition3).enumerator == {0: 1, 3: 1}

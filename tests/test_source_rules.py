@@ -1,6 +1,7 @@
 """Static rules over the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mindist
@@ -26,3 +27,13 @@ def test_no_assert_in_package():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_export_lists_resolve():
+    # a name left in __all__ after its definition is gone breaks
+    # ``from mindist import *`` and misleads readers of the public surface
+    modules = [mindist] + [importlib.import_module(f"mindist.{p.stem}")
+                           for p in SOURCES if p.stem != "__init__"]
+    missing = [f"{m.__name__}.{name}" for m in modules
+               for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert missing == []
