@@ -258,7 +258,12 @@ def _flip_gaps(bits: int, k: int, log_q: float, rng: random.Random) -> int:
 
 
 def mutate_greedy(rows: tuple[int, ...], n: int, bits: int, k: int) -> int:
-    """Flip the first gene whose flip strictly improves fitness, if any."""
+    """Flip the first gene whose flip strictly improves fitness, if any.
+
+    A reference, kept public on purpose: no runner calls it (the GAs call
+    ``_greedy_flip`` with their table scorer), but ``tests/test_genetic.py``
+    checks ``_greedy_flip`` against it.
+    """
     return _greedy_flip(partial(fitness, rows, n), bits, k)
 
 

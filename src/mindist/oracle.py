@@ -67,7 +67,15 @@ generator row into every table entry in place, so the table always holds
 the current block's codewords.  The block is weighed as the search's
 blocks are, in buffers allocated once per call: a uint8 popcount per
 lane, summed over lanes into the narrowest unsigned dtype that holds n.
-The weights are then counted into the enumerator.
+The weights are then counted into the enumerator.  When they are uint8
+(n <= 255) they are counted two at a time: the 2^L weights, viewed as
+2^(L-1) uint16 keys a + 256 b, go through one bincount into 256 (n + 1)
+bins, half the entries of counting the weights one by one.  At the end
+the bins, read as an (n + 1) x 256 table of (b, a), fold back into the
+enumerator as the sum of the column sums (counts of a) and the row sums
+(counts of b); the fold counts both bytes alike, so the byte order of the
+view does not matter.  For n >= 256 the weights are uint16 and are
+counted one by one.
 """
 
 from __future__ import annotations
@@ -316,15 +324,22 @@ def _sweep(code: LinearCode) -> dict[int, int]:
         h = 1 << i
         np.bitwise_xor(table[:, h - 1::-1], rows_u[i, :, None], out=table[:, h:2 * h])
 
-    counts = np.zeros(n + 1, dtype=np.int64)
     lane_w, w = _weight_buffers(lanes, size, n)
+    paired = w.dtype == np.uint8  # n <= 255: two weights per uint16 key
+    keys = w.view(np.uint16) if paired else w
+    bins = 256 * (n + 1) if paired else n + 1
+    counts = np.zeros(bins, dtype=np.int64)
     for b in range(1 << high):
         if b:
             # high Gray step b-1 -> b flips one row into every table entry
             row = rows_u[low + (b & -b).bit_length() - 1, :, None]
             np.bitwise_xor(table, row, out=table)
         _weigh(table, lane_w, w)
-        counts += np.bincount(w, minlength=n + 1)
+        counts += np.bincount(keys, minlength=bins)
+    if paired:
+        # key = one weight + 256 * the other, in either byte order
+        h = counts.reshape(n + 1, 256)
+        counts = h.sum(axis=0)[:n + 1] + h.sum(axis=1)
     return {wt: int(c) for wt, c in enumerate(counts) if c}
 
 

@@ -409,6 +409,11 @@ def most_reliable_basis(
     The first k entries of perm are the MRB; positions skipped as
     dependent land among the trailing columns, which keep decreasing
     reliability order.
+
+    A reference, kept public on purpose: no runner calls it (the decoder
+    calls ``_mrb_reduce`` itself), but ``reference_decode`` in
+    ``tests/test_osd.py`` builds its brute-force OSD from it, and the
+    decoder is checked against that.
     """
     arr = _received(code.n, y)
     rows, perm, _ = _mrb_reduce(code.generator.rows, [None] * code.k, arr)

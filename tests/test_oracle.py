@@ -174,6 +174,18 @@ class TestAgainstNaiveReference:
         assert res.enumerator == naive_enumerator(code)
         assert res.enumerator[290] == 1
 
+    def test_all_ones_word_in_the_last_paired_bin(self):
+        # n = 255, the largest n whose weights are uint8 and are counted two
+        # per uint16 key: weight 255 is the last bin of the fold
+        k, n = 3, 255
+        rng = random.Random(13)
+        low = tuple((1 << i) | (rng.getrandbits(n - k) << k) for i in range(2))
+        rows = (*low, ((1 << n) - 1) ^ low[0] ^ low[1])
+        code = LinearCode(n, k, BitMatrix(n, rows))
+        res = exact_enumerator(code)
+        assert res.enumerator[255] == 1
+        assert res.enumerator == naive_enumerator(code)
+
 
 class TestSearchAgainstNaive:
     """The Brouwer-Zimmermann search reports the naive Gray sweep's d and witness."""
@@ -254,9 +266,10 @@ class TestSearchAgainstNaive:
 
 
 class TestEnumeratorAgainstNaive:
-    @pytest.mark.parametrize("n", [40, 70])
+    @pytest.mark.parametrize("n", [40, 70, 255])
     def test_k18_enumerator(self, n):
-        # k = 18: four high blocks, two of them reversed; one and two lanes
+        # k = 18: four high blocks, two of them reversed; one, two and four
+        # lanes, 255 being the largest n whose weights are counted in pairs
         code = random_systematic(random.Random(n), 18, n)
         res = exact_enumerator(code)
         want = naive_enumerator(code)
