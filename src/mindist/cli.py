@@ -107,9 +107,7 @@ def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
     p_est.add_argument("--crossover-prob", type=float)
     p_est.add_argument("--mutation-prob", type=float)
     p_est.add_argument("--crossover", dest="crossover_kind", choices=genetic.CROSSOVER_KINDS)
-    p_est.add_argument("--selection", dest="selection_kind", choices=genetic.SELECTION_KINDS)
     p_est.add_argument("--tournament-size", type=int)
-    p_est.add_argument("--mutation", dest="mutation_kind", choices=genetic.MUTATION_KINDS)
     p_est.add_argument("--d0", type=int)
     p_est.add_argument("--d1", type=int)
     p_est.add_argument("--nb-test", type=int)

@@ -14,8 +14,9 @@ next population:
              seen is tracked across generations.
 
 Operator defaults per variant follow the published parameter sets
-(crossover 93%/80%, mutation 1%/2%, one-point+random vs two-point+
-tournament-of-2, 75 generations).
+(crossover 93%/80%, mutation 1%/2%, 75 generations; one-point crossover
+with a uniform pick, a tournament of one, vs two-point crossover with a
+tournament of two).
 
 Classic mutation draws the geometric gap to the next flipped gene
 (Devroye's skip method for Bernoulli sequences, *Non-Uniform Random
@@ -30,7 +31,6 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Callable
 
 from .codes import LinearCode
@@ -42,19 +42,13 @@ __all__ = [
     "fitness",
     "crossover_one_point",
     "crossover_two_point",
-    "crossover_uniform",
     "mutate_classic",
-    "mutate_greedy",
     "select_tournament",
-    "select_random",
-    "select_roulette",
     "run_variant_a",
     "run_variant_b",
 ]
 
-CROSSOVER_KINDS = ("one_point", "two_point", "uniform")
-SELECTION_KINDS = ("tournament", "random", "roulette")
-MUTATION_KINDS = ("classic", "greedy")
+CROSSOVER_KINDS = ("one_point", "two_point")
 
 
 @dataclass
@@ -63,9 +57,11 @@ class GaConfig:
 
     The runner called, ``run_variant_a`` or ``run_variant_b``, is the
     variant, and ``variant_a``/``variant_b`` give each its published
-    defaults.  ``elite_count`` is variant B's: None means 5% of the
-    population and 0 copies no elites.  Variant A's best-half copy is part
-    of its definition, so ``run_variant_a`` rejects an ``elite_count``.
+    defaults.  Both select parents by tournaments of ``tournament_size``;
+    variant A's 1 is a uniform pick.  ``elite_count`` is variant B's: None
+    means 5% of the population and 0 copies no elites.  Variant A's
+    best-half copy is part of its definition, so ``run_variant_a`` rejects
+    an ``elite_count``.
     """
 
     population_size: int = 1000
@@ -74,9 +70,7 @@ class GaConfig:
     crossover_prob: float = 0.8
     mutation_prob: float = 0.02
     crossover_kind: str = "two_point"
-    selection_kind: str = "tournament"
     tournament_size: int = 2
-    mutation_kind: str = "classic"
     rng_seed: int = 0
 
     @classmethod
@@ -85,7 +79,7 @@ class GaConfig:
             crossover_prob=0.93,
             mutation_prob=0.01,
             crossover_kind="one_point",
-            selection_kind="random",
+            tournament_size=1,
         )
         return replace(cfg, **overrides)
 
@@ -106,10 +100,6 @@ class GaConfig:
             raise ValueError(f"mutation_prob {self.mutation_prob} outside [0, 1]")
         if self.crossover_kind not in CROSSOVER_KINDS:
             raise ValueError(f"unknown crossover kind {self.crossover_kind!r}")
-        if self.selection_kind not in SELECTION_KINDS:
-            raise ValueError(f"unknown selection kind {self.selection_kind!r}")
-        if self.mutation_kind not in MUTATION_KINDS:
-            raise ValueError(f"unknown mutation kind {self.mutation_kind!r}")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
         if self.elite_count is not None and not 0 <= self.elite_count <= self.population_size:
@@ -126,9 +116,10 @@ class GaConfig:
     @classmethod
     def from_mapping(cls, variant: str, mapping: dict) -> "GaConfig":
         """The variant's defaults with ``mapping`` applied; string values
-        from a config file are parsed by the field's type, a float field
-        rejects a bool, and an int field rejects a bool or a fractional
-        number."""
+        from a config file are parsed by the field's type, a value that is
+        not a str, int or float is rejected (``elite_count`` also takes
+        None), a float field rejects a bool, and an int field rejects a
+        bool or a fractional number."""
         base = cls.variant_a() if variant == "A" else cls.variant_b()
         defaults = asdict(base)
         changes = {}
@@ -138,6 +129,9 @@ class GaConfig:
             current = defaults[key]
             if key == "elite_count" and value in (None, "none", ""):
                 value = None
+            elif not isinstance(value, (str, int, float)):
+                raise ValueError(f"GaConfig field {key!r} takes a str, int or float, "
+                                 f"got {value!r}")
             elif isinstance(current, float):
                 if isinstance(value, bool):
                     raise ValueError(f"GaConfig field {key!r} takes a number, got {value!r}")
@@ -214,16 +208,9 @@ def crossover_two_point(a: int, b: int, k: int, rng: random.Random) -> tuple[int
     return (a & ~mid) | (b & mid), (b & ~mid) | (a & mid)
 
 
-def crossover_uniform(a: int, b: int, k: int, rng: random.Random) -> tuple[int, int]:
-    """Swap each gene independently with probability 1/2 (one shared mask)."""
-    mask = rng.getrandbits(k) if k else 0
-    return (a & ~mask) | (b & mask), (b & ~mask) | (a & mask)
-
-
 _CROSSOVERS = {
     "one_point": crossover_one_point,
     "two_point": crossover_two_point,
-    "uniform": crossover_uniform,
 }
 
 
@@ -257,25 +244,6 @@ def _flip_gaps(bits: int, k: int, log_q: float, rng: random.Random) -> int:
         i += 1
 
 
-def mutate_greedy(rows: tuple[int, ...], n: int, bits: int, k: int) -> int:
-    """Flip the first gene whose flip strictly improves fitness, if any.
-
-    A reference, kept public on purpose: no runner calls it (the GAs call
-    ``_greedy_flip`` with their table scorer), but ``tests/test_genetic.py``
-    checks ``_greedy_flip`` against it.
-    """
-    return _greedy_flip(partial(fitness, rows, n), bits, k)
-
-
-def _greedy_flip(score: Callable[[int], int], bits: int, k: int) -> int:
-    current = score(bits)
-    for i in range(k):
-        flipped = bits ^ (1 << i)
-        if score(flipped) < current:
-            return flipped
-    return bits
-
-
 # ---------------------------------------------------------------------------
 # selection (populations are parallel lists of genes and cached fitness)
 
@@ -305,33 +273,6 @@ def select_tournament(
     return best
 
 
-def select_random(fitnesses: list[int], rng: random.Random) -> int:
-    """A uniform pick: a tournament of one."""
-    return select_tournament(fitnesses, 1, rng)
-
-
-def select_roulette(fitnesses: list[int], n: int, rng: random.Random) -> int:
-    """Pick index i with probability proportional to (n + 1 - fitness_i)."""
-    weights = [n + 1 - f for f in fitnesses]
-    total = sum(weights)
-    shot = rng.random() * total
-    acc = 0
-    for i, w in enumerate(weights):
-        acc += w
-        if shot < acc:
-            return i
-    return len(fitnesses) - 1
-
-
-def _make_selector(cfg: GaConfig, n: int) -> Callable[[list[int], random.Random], int]:
-    if cfg.selection_kind == "tournament":
-        size = cfg.tournament_size
-        return lambda fits, rng: select_tournament(fits, size, rng)
-    if cfg.selection_kind == "random":
-        return lambda fits, rng: select_random(fits, rng)
-    return lambda fits, rng: select_roulette(fits, n, rng)
-
-
 # ---------------------------------------------------------------------------
 # population plumbing
 
@@ -355,9 +296,7 @@ def _sort_by_fitness(pop: list[int], fits: list[int]) -> tuple[list[int], list[i
     return [pop[i] for i in order], [fits[i] for i in order]
 
 
-def _mutator(cfg: GaConfig, score: Callable[[int], int], k: int):
-    if cfg.mutation_kind == "greedy":
-        return lambda bits, rng: _greedy_flip(score, bits, k)
+def _mutator(cfg: GaConfig, k: int):
     p_m = cfg.mutation_prob
     if 0.0 < p_m < 1.0:
         log_q = math.log1p(-p_m)
@@ -392,10 +331,11 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     """Best-half elitism, mutate-then-cross, keep the lighter child.
 
     Each generation copies the best half, then fills the other half one
-    child per pairing: two parents picked by the configured selection
-    (uniformly at random over the whole sorted population by default),
-    bitwise mutation, crossover with probability p_c, and the lighter of
-    the two children survives.  Returns the best of the final population.
+    child per pairing: two parents picked by tournaments of
+    ``tournament_size`` (one by default: a uniform pick over the whole
+    sorted population), bitwise mutation, crossover with probability p_c,
+    and the lighter of the two children survives.  Returns the best of the
+    final population.
     """
     cfg.validate()
     if cfg.elite_count is not None:
@@ -406,8 +346,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     size = cfg.population_size
     cross = _CROSSOVERS[cfg.crossover_kind]
     score = _scorer(rows, n)
-    mutate = _mutator(cfg, score, k)
-    select = _make_selector(cfg, n)
+    mutate = _mutator(cfg, k)
+    tsize = cfg.tournament_size
 
     pop = _initial_population(k, size, rng)
     fits = [score(b) for b in pop]
@@ -419,8 +359,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         new_pop = pop[:elite]
         new_fits = fits[:elite]
         while len(new_pop) < size:
-            pa = pop[select(fits, rng)]
-            pb = pop[select(fits, rng)]
+            pa = pop[select_tournament(fits, tsize, rng)]
+            pb = pop[select_tournament(fits, tsize, rng)]
             pa = mutate(pa, rng)
             pb = mutate(pb, rng)
             if rng.random() < cfg.crossover_prob:
@@ -463,8 +403,8 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     elite = cfg.resolved_elite_count()
     cross = _CROSSOVERS[cfg.crossover_kind]
     score = _scorer(rows, n)
-    mutate = _mutator(cfg, score, k)
-    select = _make_selector(cfg, n)
+    mutate = _mutator(cfg, k)
+    tsize = cfg.tournament_size
 
     pop = _initial_population(k, size, rng)
     best_f = n + 1
@@ -481,8 +421,8 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         pop, fits = _sort_by_fitness(pop, fits)
         new_pop = pop[:elite]
         while len(new_pop) < size:
-            i1 = select(fits, rng)
-            i2 = select(fits, rng)
+            i1 = select_tournament(fits, tsize, rng)
+            i2 = select_tournament(fits, tsize, rng)
             if rng.random() < cfg.crossover_prob:
                 ch1, ch2 = cross(pop[i1], pop[i2], k, rng)
                 new_pop.append(mutate(ch1, rng))

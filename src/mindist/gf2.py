@@ -8,8 +8,8 @@ Weight is a single popcount; XOR is a single int op.  The oracle scores
 codewords in uint64 lanes built from these rows.  ``unpack_rows`` and
 ``pack_rows`` convert such rows to and from 0/1 numpy matrices for the
 vectorized code.  ``eliminate`` is the package's one Gauss-Jordan
-routine: matrix rank, the systematizer and the OSD decoder's reduction
-on the most reliable basis all run it.
+routine: matrix rank, the systematizer, the OSD decoder's reduction on
+the most reliable basis and the oracle's information sets all run it.
 """
 
 from __future__ import annotations

@@ -51,13 +51,6 @@ def repetition7() -> LinearCode:
     return LinearCode(7, 1, BitMatrix.from_strings(["1111111"]))
 
 
-@pytest.fixture(scope="session")
-def padded_identity8() -> LinearCode:
-    """[I_8 | 0]: fitness equals gene weight, distance 1."""
-    rows = tuple(1 << i for i in range(8))
-    return LinearCode(9, 8, BitMatrix(9, rows))
-
-
 @pytest.fixture()
 def c20_file(tmp_path):
     """C(20,10) written to a matrix file by the CLI."""

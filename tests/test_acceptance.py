@@ -17,10 +17,7 @@ from mindist.genetic import (
     GaConfig,
     crossover_one_point,
     crossover_two_point,
-    crossover_uniform,
-    fitness,
     mutate_classic,
-    mutate_greedy,
     run_variant_a,
     run_variant_b,
 )
@@ -208,7 +205,7 @@ def test_criterion_6_bound_value_reproduction():
 def test_criterion_7_operator_property_suite():
     rng = random.Random(7)
     # crossover conservation, 10^4 random parent pairs per kind
-    for cross in (crossover_one_point, crossover_two_point, crossover_uniform):
+    for cross in (crossover_one_point, crossover_two_point):
         for _ in range(10_000):
             k = rng.randint(2, 40)
             p1 = rng.getrandbits(k)
@@ -224,20 +221,8 @@ def test_criterion_7_operator_property_suite():
         assert mutate_classic(w, k, 0.0, rng) == w
         assert mutate_classic(w, k, 1.0, rng) == w ^ ((1 << k) - 1)
 
-    # greedy mutation fixed point: unchanged exactly when no single flip helps
-    code = build_qdc(11)
-    rows, n = code.generator.rows, code.n
-    for _ in range(300):
-        w = rng.getrandbits(12)
-        out = mutate_greedy(rows, n, w, 12)
-        base = fitness(rows, n, w)
-        improvements = [i for i in range(12) if fitness(rows, n, w ^ (1 << i)) < base]
-        if improvements:
-            assert out == w ^ (1 << improvements[0])
-        else:
-            assert out == w
-
     # OSD noiseless fixed point and scaling invariance on QDC(24,12)
+    code = build_qdc(11)
     dec = OsdDecoder(code, order=3)
     for _ in range(1000):
         cw = code.encode(BitWord(12, rng.getrandbits(12)))
@@ -245,7 +230,7 @@ def test_criterion_7_operator_property_suite():
         assert dec.decode(y) == cw
         scaled = y * rng.uniform(0.1, 50.0)
         assert dec.decode(scaled) == cw
-    report(7, "3x10^4 crossover pairs, mutation identities, greedy fixed point, 10^3 OSD fixed points: zero violations")
+    report(7, "2x10^4 crossover pairs, mutation identities, 10^3 OSD fixed points: zero violations")
 
 
 def test_criterion_8_bch127_desk_scale_substitute():

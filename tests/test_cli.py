@@ -88,7 +88,7 @@ class TestEstimate:
 
     def test_ga_config_file_key_value(self, c20_file, tmp_path):
         cfgfile = tmp_path / "ga.cfg"
-        base = "population_size = 40\nmax_generations = 6\ncrossover_kind = uniform\n"
+        base = "population_size = 40\nmax_generations = 6\ncrossover_kind = one_point\n"
         args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
                 "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
         for text, count in (("0", 0), ("3", 3), ("none", None)):
@@ -96,7 +96,7 @@ class TestEstimate:
             assert main(args) == EXIT_OK
             doc = json.loads((tmp_path / "r.json").read_text())
             assert doc["config"]["population_size"] == 40
-            assert doc["config"]["crossover_kind"] == "uniform"
+            assert doc["config"]["crossover_kind"] == "one_point"
             assert doc["config"]["elite_count"] == count
 
     def test_ga_config_file_variant_exits_2(self, c20_file, tmp_path, capsys):
@@ -153,6 +153,36 @@ class TestEstimate:
         config = json.loads((tmp_path / "r.json").read_text())["config"]
         assert (config["crossover_prob"], config["mutation_prob"]) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("mutation_prob", None), ("population_size", {"a": 1}), ("elite_count", [3]),
+    ])
+    def test_ga_config_file_json_rejects_non_scalars(self, c20_file, tmp_path, capsys,
+                                                     key, value):
+        cfgfile = tmp_path / "ga.json"
+        cfgfile.write_text(json.dumps({"population_size": 40, "max_generations": 4,
+                                       key: value}))
+        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
+                   "--config", str(cfgfile)])
+        assert rc == EXIT_CONFIG
+        assert f"GaConfig field {key!r} takes a str, int or float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--selection", "roulette"], ["--mutation", "greedy"], ["--crossover", "uniform"],
+    ])
+    def test_removed_ga_operators_exit_2(self, c20_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--code", str(c20_file), "--method", "ga-a", *flags])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["selection_kind", "mutation_kind"])
+    def test_removed_ga_config_fields_exit_2(self, c20_file, tmp_path, capsys, key):
+        cfgfile = tmp_path / "ga.cfg"
+        cfgfile.write_text(f"population_size = 40\n{key} = tournament\n")
+        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a",
+                   "--config", str(cfgfile)])
+        assert rc == EXIT_CONFIG
+        assert f"unknown GaConfig field {key!r}" in capsys.readouterr().err
+
     def test_bad_ga_flag_value_exits_2(self, c20_file):
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
                    "--population", "7"])
@@ -162,18 +192,16 @@ class TestEstimate:
         ("exact", ["--budget", "12", "--enumerator"], {"budget": 12, "enumerator": True}),
         ("ga-a",
          ["--seed", "5", "--population", "40", "--generations", "4", "--crossover-prob", "0.5",
-          "--mutation-prob", "0.05", "--crossover", "uniform", "--selection", "tournament",
-          "--tournament-size", "3", "--mutation", "greedy"],
+          "--mutation-prob", "0.05", "--crossover", "two_point", "--tournament-size", "3"],
          {"rng_seed": 5, "population_size": 40, "max_generations": 4, "crossover_prob": 0.5,
-          "mutation_prob": 0.05, "crossover_kind": "uniform", "selection_kind": "tournament",
-          "tournament_size": 3, "mutation_kind": "greedy"}),
+          "mutation_prob": 0.05, "crossover_kind": "two_point", "tournament_size": 3}),
         ("ga-b",
          ["--seed", "5", "--population", "40", "--generations", "4", "--elite-count", "3",
-          "--crossover-prob", "0.5", "--mutation-prob", "0.05", "--crossover", "uniform",
-          "--selection", "roulette", "--tournament-size", "3", "--mutation", "greedy"],
+          "--crossover-prob", "0.5", "--mutation-prob", "0.05", "--crossover", "one_point",
+          "--tournament-size", "3"],
          {"rng_seed": 5, "population_size": 40, "max_generations": 4, "elite_count": 3,
-          "crossover_prob": 0.5, "mutation_prob": 0.05, "crossover_kind": "uniform",
-          "selection_kind": "roulette", "tournament_size": 3, "mutation_kind": "greedy"}),
+          "crossover_prob": 0.5, "mutation_prob": 0.05, "crossover_kind": "one_point",
+          "tournament_size": 3}),
         ("mim",
          ["--seed", "5", "--d0", "2", "--d1", "7", "--nb-test", "2", "--error-max", "4",
           "--osd-order", "2"],

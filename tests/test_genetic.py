@@ -6,22 +6,18 @@ from dataclasses import asdict
 
 import pytest
 
+from mindist import genetic
 from mindist.codes import build_bch, build_dcc, build_qr
 from mindist.genetic import (
     GaConfig,
-    _greedy_flip,
     _mutator,
     _scorer,
     crossover_one_point,
     crossover_two_point,
-    crossover_uniform,
     fitness,
     mutate_classic,
-    mutate_greedy,
     run_variant_a,
     run_variant_b,
-    select_random,
-    select_roulette,
     select_tournament,
 )
 from mindist.gf2 import BitWord
@@ -31,11 +27,10 @@ from mindist.oracle import exact_min_distance
 class FakeRng:
     """Scripted RNG: hands out queued answers per method."""
 
-    def __init__(self, randint=(), randrange=(), random=(), getrandbits=()):
+    def __init__(self, randint=(), randrange=(), random=()):
         self._randint = list(randint)
         self._randrange = list(randrange)
         self._random = list(random)
-        self._getrandbits = list(getrandbits)
 
     def randint(self, a, b):
         v = self._randint.pop(0)
@@ -49,9 +44,6 @@ class FakeRng:
 
     def random(self):
         return self._random.pop(0)
-
-    def getrandbits(self, k):
-        return self._getrandbits.pop(0)
 
 
 def parse(text: str) -> int:
@@ -97,21 +89,10 @@ class TestScorer:
         assert score(0) == n
         assert [score(i) for i in infos] == [fitness(rows, n, i) for i in infos]
 
-    def test_greedy_flip_by_table_matches_mutate_greedy(
-        self, repetition3, padded_identity8, c20
-    ):
-        cases = [(repetition3, 1), (padded_identity8, parse("11000000")),
-                 (padded_identity8, parse("11110000")), (padded_identity8, parse("10000000"))]
-        rng = random.Random(20)
-        cases += [(c20, rng.getrandbits(10)) for _ in range(100)]
-        for code, bits in cases:
-            rows, n, k = code.generator.rows, code.n, code.k
-            assert _greedy_flip(_scorer(rows, n), bits, k) == mutate_greedy(rows, n, bits, k)
-
 
 class TestCrossover:
     @pytest.mark.parametrize(
-        "cross", [crossover_one_point, crossover_two_point, crossover_uniform]
+        "cross", [crossover_one_point, crossover_two_point]
     )
     def test_identical_parents(self, cross):
         rng = random.Random(0)
@@ -130,16 +111,8 @@ class TestCrossover:
             ch1, ch2 = crossover_two_point(p1, p2, 6, FakeRng(randrange=draws))
             assert (genes(ch1, 6), genes(ch2, 6)) == ("110011", "001100")
 
-    def test_uniform_zero_mask_children_equal_parents(self):
-        p1, p2 = parse("1010"), parse("0110")
-        assert crossover_uniform(p1, p2, 4, FakeRng(getrandbits=[0])) == (p1, p2)
-
-    def test_uniform_full_mask_swaps(self):
-        p1, p2 = parse("1010"), parse("0110")
-        assert crossover_uniform(p1, p2, 4, FakeRng(getrandbits=[0b1111])) == (p2, p1)
-
     @pytest.mark.parametrize(
-        "cross", [crossover_one_point, crossover_two_point, crossover_uniform]
+        "cross", [crossover_one_point, crossover_two_point]
     )
     def test_conservation(self, cross):
         rng = random.Random(42)
@@ -235,40 +208,18 @@ class TestMutation:
         # the runners' closure keeps log(1 - p_m) per run; the draws and
         # the flips must be those of mutate_classic
         k = 24
-        mutate = _mutator(GaConfig.variant_b(mutation_prob=p_m), None, k)
+        mutate = _mutator(GaConfig.variant_b(mutation_prob=p_m), k)
         r1, r2 = random.Random(4), random.Random(4)
         for bits in range(0, 1 << k, 99_991):
             assert mutate(bits, r1) == mutate_classic(bits, k, p_m, r2)
         assert r1.random() == r2.random()
-
-    def test_greedy_local_minimum_fixed_point(self, repetition3):
-        # flipping the lone bit gives the zero word, fitness n = 3: no gain
-        assert mutate_greedy(repetition3.generator.rows, 3, 1, 1) == 1
-
-    def test_greedy_improving_flip(self, padded_identity8):
-        code = padded_identity8
-        out = mutate_greedy(code.generator.rows, code.n, parse("11000000"), 8)
-        assert genes(out, 8) == "01000000"
-
-    def test_greedy_single_flip_only(self, padded_identity8):
-        code = padded_identity8
-        out = mutate_greedy(code.generator.rows, code.n, parse("11110000"), 8)
-        assert out.bit_count() == 3  # one flip per call, not a full descent
-
-    def test_greedy_no_improvement_anywhere(self, padded_identity8):
-        code = padded_identity8
-        w = parse("10000000")
-        # flipping the set bit gives the zero word (fitness n); flipping any
-        # clear bit increases weight: strict local minimum
-        assert mutate_greedy(code.generator.rows, code.n, w, 8) == w
 
 
 class TestSelection:
     def test_population_of_one(self):
         rng = random.Random(0)
         assert select_tournament([5], 3, rng) == 0
-        assert select_random([5], rng) == 0
-        assert select_roulette([5], 10, rng) == 0
+        assert select_tournament([5], 1, rng) == 0
 
     def test_empty_tournament_rejected(self):
         rng = random.Random(0)
@@ -298,7 +249,8 @@ class TestSelection:
             return best
 
         ours, ref = random.Random(7), random.Random(7)
-        assert [select_random(fits, ours) for _ in range(10_000)] == [
+        # a tournament of one, variant A's pick, is the randrange draw itself
+        assert [select_tournament(fits, 1, ours) for _ in range(10_000)] == [
             ref.randrange(m) for _ in range(10_000)
         ]
         assert [select_tournament(fits, 3, ours) for _ in range(10_000)] == [
@@ -306,16 +258,24 @@ class TestSelection:
         ]
         assert ours.getstate() == ref.getstate()
 
-    def test_roulette_frequency_ratio(self):
-        # fitness 1 vs fitness n: weights n vs 1 under (n + 1 - f)
-        n = 16
-        fits = [1, n]
-        rng = random.Random(3)
-        draws = 20_000
-        hits = sum(1 for _ in range(draws) if select_roulette(fits, n, rng) == 0)
-        expected = draws * n / (n + 1)
-        sigma = math.sqrt(draws * (n / (n + 1)) * (1 / (n + 1)))
-        assert abs(hits - expected) < 4 * sigma
+    def test_runners_select_by_tournament_size(self, c20, monkeypatch):
+        # variant A's default pick is a tournament of one; a configured size
+        # reaches every selection of either runner
+        sizes = []
+
+        def recorder(fits, size, rng):
+            sizes.append(size)
+            return select_tournament(fits, size, rng)
+
+        monkeypatch.setattr(genetic, "select_tournament", recorder)
+        small = {"population_size": 20, "max_generations": 3, "rng_seed": 1}
+        run_variant_a(c20, GaConfig.variant_a(**small))
+        assert sizes and set(sizes) == {1}
+        for runner, maker in ((run_variant_a, GaConfig.variant_a),
+                              (run_variant_b, GaConfig.variant_b)):
+            sizes.clear()
+            runner(c20, maker(tournament_size=3, **small))
+            assert sizes and set(sizes) == {3}
 
 
 class TestRunVariantA:
@@ -354,13 +314,6 @@ class TestRunVariantB:
         code = build_qr(47)
         cfg = GaConfig.variant_b(population_size=1000, max_generations=75, rng_seed=0)
         assert run_variant_b(code, cfg).d == 11
-
-    def test_padded_identity_reaches_1_with_greedy(self, padded_identity8):
-        cfg = GaConfig.variant_b(
-            population_size=50, max_generations=2, mutation_kind="greedy", rng_seed=0
-        )
-        est = run_variant_b(padded_identity8, cfg)
-        assert est.d == 1
 
     def test_elitism_monotone_best(self, c20):
         cfg = GaConfig.variant_b(population_size=80, max_generations=25, rng_seed=2)
@@ -407,12 +360,12 @@ class TestEstimateContract:
     def test_from_mapping_parses_strings(self):
         cfg = GaConfig.from_mapping(
             "A", {"population_size": "500", "crossover_prob": "0.9",
-                  "tournament_size": "3", "crossover_kind": "uniform"}
+                  "tournament_size": "3", "crossover_kind": "two_point"}
         )
         assert cfg.population_size == 500
         assert cfg.tournament_size == 3
         assert cfg.crossover_prob == 0.9
-        assert cfg.crossover_kind == "uniform"
+        assert cfg.crossover_kind == "two_point"
 
     def test_validation_rejects_odd_population(self):
         with pytest.raises(ValueError):
