@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -59,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--dcc", metavar="BITS", help="double circulant from a binary header")
     which.add_argument("--qdc", type=int, metavar="P",
                        help="bordered quadratic double circulant, prime P = +-3 mod 8")
-    which.add_argument("--load", metavar="PATH", help="copy an existing matrix file")
     p_con.add_argument("--corner", type=int, choices=(0, 1), default=0,
                        help="QDC border corner entry (default 0)")
     p_con.add_argument("--out", required=True, help="output matrix path")
@@ -99,8 +97,6 @@ def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
     p_est.add_argument("--budget", type=int, help="oracle k budget override")
     p_est.add_argument("--enumerator", dest="collect_enumerator", action="store_true",
                        help="collect the weight enumerator (exact method)")
-    p_est.add_argument("--config", metavar="PATH",
-                       help="GA config file (JSON or key = value lines)")
     p_est.add_argument("--population", dest="population_size", type=int)
     p_est.add_argument("--generations", dest="max_generations", type=int)
     p_est.add_argument("--elite-count", type=int)
@@ -127,10 +123,8 @@ def _cmd_construct(args) -> int:
         code = codes_mod.build_qr(args.qr)
     elif args.dcc is not None:
         code = codes_mod.build_dcc(BitWord.parse(args.dcc))
-    elif args.qdc is not None:
-        code = codes_mod.build_qdc(args.qdc, corner=args.corner)
     else:
-        code = codes_mod.load_code(args.load)
+        code = codes_mod.build_qdc(args.qdc, corner=args.corner)
     codes_mod.save_code(code, args.out)
     print(f"{code.label()} -> {args.out}")
     return EXIT_OK
@@ -140,24 +134,7 @@ def _cmd_construct(args) -> int:
 # estimate
 
 
-def _read_config_file(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
-    mapping = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
-    return mapping
-
-
-_GA_READS = {f.name for f in fields(genetic.GaConfig)} | {"config"}
+_GA_READS = {f.name for f in fields(genetic.GaConfig)}
 _READS = {
     "exact": {"budget", "collect_enumerator"},
     "ga-a": _GA_READS,
@@ -187,11 +164,9 @@ def _estimate(code: codes_mod.LinearCode, parser: argparse.ArgumentParser,
         return oracle.run(code, **given)
     if args.method == "mim":
         return mim.run(code, mim.MimConfig.for_code(code, **given))
-    mapping = _read_config_file(given.pop("config")) if "config" in given else {}
-    mapping.update(given)
     if args.method == "ga-a":
-        return genetic.run_variant_a(code, genetic.GaConfig.from_mapping("A", mapping))
-    return genetic.run_variant_b(code, genetic.GaConfig.from_mapping("B", mapping))
+        return genetic.run_variant_a(code, genetic.GaConfig.variant_a(**given))
+    return genetic.run_variant_b(code, genetic.GaConfig.variant_b(**given))
 
 
 def _cmd_estimate(parser: argparse.ArgumentParser, args) -> int:
@@ -288,6 +263,8 @@ def _run_table_row(line: str) -> tuple[dict, bool]:
 
 
 def _cmd_table(args) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
     lines = []
     for raw in Path(args.spec).read_text(encoding="utf-8").splitlines():
         stripped = raw.strip()

@@ -113,38 +113,6 @@ class GaConfig:
             return self.elite_count
         return max(1, self.population_size * 5 // 100)
 
-    @classmethod
-    def from_mapping(cls, variant: str, mapping: dict) -> "GaConfig":
-        """The variant's defaults with ``mapping`` applied; string values
-        from a config file are parsed by the field's type, a value that is
-        not a str, int or float is rejected (``elite_count`` also takes
-        None), a float field rejects a bool, and an int field rejects a
-        bool or a fractional number."""
-        base = cls.variant_a() if variant == "A" else cls.variant_b()
-        defaults = asdict(base)
-        changes = {}
-        for key, value in mapping.items():
-            if key not in defaults:
-                raise ValueError(f"unknown GaConfig field {key!r}")
-            current = defaults[key]
-            if key == "elite_count" and value in (None, "none", ""):
-                value = None
-            elif not isinstance(value, (str, int, float)):
-                raise ValueError(f"GaConfig field {key!r} takes a str, int or float, "
-                                 f"got {value!r}")
-            elif isinstance(current, float):
-                if isinstance(value, bool):
-                    raise ValueError(f"GaConfig field {key!r} takes a number, got {value!r}")
-                value = float(value)
-            elif key == "elite_count" or isinstance(current, int):
-                if isinstance(value, bool) or (
-                    isinstance(value, float) and not value.is_integer()
-                ):
-                    raise ValueError(f"GaConfig field {key!r} takes an integer, got {value!r}")
-                value = int(value)
-            changes[key] = value
-        return replace(base, **changes)
-
 
 # ---------------------------------------------------------------------------
 # fitness (genes are k-bit ints; ``rows`` are the generator's packed rows)

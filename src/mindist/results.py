@@ -185,11 +185,20 @@ def _check(value: Any, schema: dict, where: str) -> None:
 
 
 def validate_result(doc: dict) -> None:
-    """Raise ValueError unless ``doc`` conforms to the result schema."""
+    """Raise ValueError unless ``doc`` conforms to the result schema and
+    its witness certifies ``d`` as ``DistanceEstimate.of`` requires."""
     _check(doc, json.loads(_SCHEMA_PATH.read_text(encoding="utf-8")), "result")
     witness = doc["witness"]
-    if witness is not None:
-        if len(witness) != doc["code"]["n"]:
-            raise ValueError("result.witness: length != n")
-        if witness.count("1") != doc["witness_weight"]:
-            raise ValueError("result.witness_weight does not match witness")
+    if (witness is None) != (doc["witness_weight"] is None):
+        raise ValueError("result.witness and result.witness_weight: only one is null")
+    if witness is None:
+        if doc["method"] != "mim":
+            raise ValueError(f"result.witness: null for method {doc['method']!r}; "
+                             "only mim may lack a witness")
+        return
+    if len(witness) != doc["code"]["n"]:
+        raise ValueError("result.witness: length != n")
+    if witness.count("1") != doc["witness_weight"]:
+        raise ValueError("result.witness_weight does not match witness")
+    if doc["witness_weight"] != doc["d"]:
+        raise ValueError("result.witness_weight != d")

@@ -35,10 +35,12 @@ class TestConstruct:
         assert rc == EXIT_CONFIG
         assert "prime" in capsys.readouterr().err
 
-    def test_load_round_trip(self, tmp_path, c20_file):
-        out = tmp_path / "copy.gm"
-        assert main(["construct", "--load", str(c20_file), "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == c20_file.read_text()
+    def test_load_exits_2(self, tmp_path, c20_file):
+        # a code file is read where it is used; construct only builds
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--load", str(c20_file), "--out", str(tmp_path / "copy.gm")])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "copy.gm").exists()
 
 
 class TestEstimate:
@@ -86,102 +88,14 @@ class TestEstimate:
         assert rc == EXIT_OK
         assert "ga_a" in capsys.readouterr().out
 
-    def test_ga_config_file_key_value(self, c20_file, tmp_path):
-        cfgfile = tmp_path / "ga.cfg"
-        base = "population_size = 40\nmax_generations = 6\ncrossover_kind = one_point\n"
-        args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
-                "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
-        for text, count in (("0", 0), ("3", 3), ("none", None)):
-            cfgfile.write_text(base + f"elite_count = {text}\n")
-            assert main(args) == EXIT_OK
-            doc = json.loads((tmp_path / "r.json").read_text())
-            assert doc["config"]["population_size"] == 40
-            assert doc["config"]["crossover_kind"] == "one_point"
-            assert doc["config"]["elite_count"] == count
-
-    def test_ga_config_file_variant_exits_2(self, c20_file, tmp_path, capsys):
-        # the method picks the variant; a config file cannot contradict it
-        cfgfile = tmp_path / "ga.cfg"
-        cfgfile.write_text("population_size = 40\nmax_generations = 4\nvariant = B\n")
-        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a",
-                   "--config", str(cfgfile)])
-        assert rc == EXIT_CONFIG
-        assert "unknown GaConfig field 'variant'" in capsys.readouterr().err
-
-    def test_ga_config_file_json(self, c20_file, tmp_path):
-        cfgfile = tmp_path / "ga.json"
-        cfgfile.write_text(json.dumps({"population_size": 40, "max_generations": 6,
-                                       "rng_seed": 7}))
-        out = tmp_path / "r.json"
-        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
-                   "--config", str(cfgfile), "--json", str(out)])
-        assert rc == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert doc["config"]["population_size"] == 40
-        assert doc["config"]["rng_seed"] == doc["rng_seed"] == 7
-
-    def test_ga_config_file_json_rejects_fractions_and_bools(self, c20_file, tmp_path, capsys):
-        # an int field takes an integral number; 4.9, 3.7 and true used to
-        # run as 4, 3 and 1
-        cfgfile = tmp_path / "ga.json"
-        args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
-                "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
-        base = {"population_size": 40, "max_generations": 4}
-        for key, value in (("max_generations", 4.9), ("elite_count", 3.7),
-                           ("rng_seed", True), ("population_size", False)):
-            cfgfile.write_text(json.dumps({**base, key: value}))
-            assert main(args) == EXIT_CONFIG
-            assert f"GaConfig field {key!r} takes an integer" in capsys.readouterr().err
-        cfgfile.write_text(json.dumps({**base, "max_generations": 5.0}))
-        assert main(args) == EXIT_OK
-        assert json.loads((tmp_path / "r.json").read_text())["config"]["max_generations"] == 5
-
-    def test_ga_config_file_json_rejects_bools_for_probabilities(self, c20_file, tmp_path,
-                                                                 capsys):
-        # true and false used to run as crossover 1.0 and mutation 0.0
-        cfgfile = tmp_path / "ga.json"
-        args = ["estimate", "--code", str(c20_file), "--method", "ga-b",
-                "--config", str(cfgfile), "--json", str(tmp_path / "r.json")]
-        base = {"population_size": 40, "max_generations": 4}
-        for key, value in (("crossover_prob", True), ("mutation_prob", False)):
-            cfgfile.write_text(json.dumps({**base, key: value}))
-            assert main(args) == EXIT_CONFIG
-            assert f"GaConfig field {key!r} takes a number, got {value!r}" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
-        cfgfile.write_text(json.dumps({**base, "crossover_prob": 1, "mutation_prob": 0}))
-        assert main(args) == EXIT_OK
-        config = json.loads((tmp_path / "r.json").read_text())["config"]
-        assert (config["crossover_prob"], config["mutation_prob"]) == (1.0, 0.0)
-
-    @pytest.mark.parametrize("key, value", [
-        ("mutation_prob", None), ("population_size", {"a": 1}), ("elite_count", [3]),
-    ])
-    def test_ga_config_file_json_rejects_non_scalars(self, c20_file, tmp_path, capsys,
-                                                     key, value):
-        cfgfile = tmp_path / "ga.json"
-        cfgfile.write_text(json.dumps({"population_size": 40, "max_generations": 4,
-                                       key: value}))
-        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
-                   "--config", str(cfgfile)])
-        assert rc == EXIT_CONFIG
-        assert f"GaConfig field {key!r} takes a str, int or float" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flags", [
         ["--selection", "roulette"], ["--mutation", "greedy"], ["--crossover", "uniform"],
+        ["--config", "ga.cfg"],
     ])
     def test_removed_ga_operators_exit_2(self, c20_file, flags):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--code", str(c20_file), "--method", "ga-a", *flags])
         assert exc.value.code == EXIT_CONFIG
-
-    @pytest.mark.parametrize("key", ["selection_kind", "mutation_kind"])
-    def test_removed_ga_config_fields_exit_2(self, c20_file, tmp_path, capsys, key):
-        cfgfile = tmp_path / "ga.cfg"
-        cfgfile.write_text(f"population_size = 40\n{key} = tournament\n")
-        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a",
-                   "--config", str(cfgfile)])
-        assert rc == EXIT_CONFIG
-        assert f"unknown GaConfig field {key!r}" in capsys.readouterr().err
 
     def test_bad_ga_flag_value_exits_2(self, c20_file):
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
@@ -224,7 +138,6 @@ class TestEstimate:
         ("exact", ["--seed", "1"]),
         ("ga-b", ["--budget", "12"]),
         ("ga-a", ["--nb-test", "3"]),
-        ("mim", ["--config", "ga.cfg"]),
     ])
     def test_flag_the_method_does_not_read_exits_2(self, c20_file, capsys, method, flags):
         rc = main(["estimate", "--code", str(c20_file), "--method", method, *flags])
@@ -314,6 +227,7 @@ class TestTable:
             f"{c20_file} ga-b population=many\n"
             f"{c20_file} exact seed\n"
             f"{c20_file} mim population=40\n"
+            f"{c20_file} ga-b config=ga.cfg\n"
             f"{c20_file} exact\n"
         )
         out = tmp_path / "runs.csv"
@@ -323,7 +237,8 @@ class TestTable:
         assert "population" in rows[1]["error"]
         assert "key=value" in rows[2]["error"]
         assert rows[3]["error"] == "--population is not read by --method mim"
-        assert rows[4]["d"] == "6" and rows[4]["error"] == ""
+        assert "unrecognized arguments: --config ga.cfg" in rows[4]["error"]
+        assert rows[5]["d"] == "6" and rows[5]["error"] == ""
 
     def test_abbreviated_and_json_keys_are_row_errors(self, c20_file, tmp_path):
         spec = tmp_path / "runs.spec"
@@ -388,6 +303,16 @@ class TestTable:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert "witness" in rows[0]["error"]
         assert rows[1]["d"] == "6" and rows[1]["error"] == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_1_exits_2(self, c20_file, tmp_path, capsys, workers):
+        spec = tmp_path / "runs.spec"
+        spec.write_text(f"{c20_file} exact\n")
+        out = tmp_path / "runs.csv"
+        rc = main(["table", "--spec", str(spec), "--out", str(out), "--parallel", workers])
+        assert rc == EXIT_CONFIG
+        assert f"--parallel must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_matches_sequential(self, c20_file, tmp_path):
         spec = tmp_path / "runs.spec"

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
@@ -351,21 +350,6 @@ class TestEstimateContract:
 
             stacked = BitMatrix(c20.n, c20.generator.rows + (est.witness.bits,))
             assert stacked.rank() == c20.k
-
-    def test_config_snapshot_round_trips(self):
-        cfg = GaConfig.variant_b(population_size=44, crossover_prob=0.5)
-        back = GaConfig.from_mapping("B", asdict(cfg))
-        assert back == cfg
-
-    def test_from_mapping_parses_strings(self):
-        cfg = GaConfig.from_mapping(
-            "A", {"population_size": "500", "crossover_prob": "0.9",
-                  "tournament_size": "3", "crossover_kind": "two_point"}
-        )
-        assert cfg.population_size == 500
-        assert cfg.tournament_size == 3
-        assert cfg.crossover_prob == 0.9
-        assert cfg.crossover_kind == "two_point"
 
     def test_validation_rejects_odd_population(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from mindist.gf2 import BitMatrix, BitWord
 from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
 from mindist.osd import hard_decision
+from mindist.results import validate_result
 
 
 class TestMakePattern:
@@ -143,6 +144,7 @@ class TestRun:
         assert est.witness is None
         assert est.d == 31  # untouched Singleton initialization
         assert any(e["kind"] == "no_witness" for e in est.events)
+        validate_result(est.to_dict())  # the one record that may lack a witness
 
     def test_determinism(self, golay24):
         cfg = MimConfig.for_code(golay24, nb_test=5, rng_seed=7)

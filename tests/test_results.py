@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mindist
+from mindist import oracle
 from mindist.codes import build_qr
 from mindist.errors import ConsistencyError
 from mindist.gf2 import BitWord
@@ -63,6 +64,17 @@ class TestValidateResult:
         doc["witness_weight"] = doc["witness_weight"] + 1
         with pytest.raises(ValueError, match="witness_weight"):
             validate_result(doc)
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"d": 3}, "!= d"),
+        ({"witness": None}, "only one is null"),
+        ({"witness": None, "witness_weight": None}, "null for method 'exact'"),
+    ], ids=["d_below_witness_weight", "witness_without_weight", "exact_without_witness"])
+    def test_witness_must_certify_d(self, c20, edit, match):
+        doc = oracle.run(c20).to_dict()
+        validate_result(doc)
+        with pytest.raises(ValueError, match=match):
+            validate_result({**doc, **edit})
 
     def test_bad_witness_symbols_rejected(self, sample_ga_doc):
         doc = json.loads(json.dumps(sample_ga_doc))
