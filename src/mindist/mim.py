@@ -6,7 +6,9 @@ pushing those samples toward the bit-1 side, and hands the perturbed word
 to the OSD decoder.  Once the noise is strong enough the decoder escapes
 to nearby nonzero codewords, and the lightest codeword ever decoded is
 the distance estimate (a sound upper bound: the witness is a real
-codeword).
+codeword).  Most probes stay at the zero word, and the decoder's
+zero-word certificate proves it from the impulse list alone (``_certified``):
+those probes build no word and run no decode.
 
 The amplitude schedule per trial starts at d0 - 0.5 and climbs in steps
 of 1.0 while every decode at the level still returns the all-zero word,
@@ -17,6 +19,7 @@ where escapes already happen.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
@@ -70,20 +73,61 @@ class MimConfig:
 def make_pattern(n: int, nb_error: int, amplitude: float,
                  rng: random.Random) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """``(positions, amplitudes)``: distinct uniform positions of a length-n
-    word; amplitude split over them by a flat simplex partition."""
+    word; amplitude split over them by a flat simplex partition.
+
+    The positions are those ``rng.sample(range(n), nb_error)`` draws, taken
+    the way CPython (3.10 to 3.13) takes them: ``getrandbits`` of the bit
+    count of the range, drawn again while it is not below it, from a pool
+    that moves the last unchosen position into each vacancy when n is at
+    most ``sample``'s set size, and otherwise against the set of positions
+    already chosen.  Inlined, it consumes the same stream without
+    ``sample``'s checks and call layers.  The amplitudes are the gaps
+    between nb_error - 1 sorted ``random()`` cuts of [0, 1], times the
+    amplitude; the cuts are drawn again while a gap is 0.
+    """
     if not 1 <= nb_error <= n:
         raise ValueError(f"nb_error {nb_error} outside 1..{n}")
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    positions = tuple(rng.sample(range(n), nb_error))
+    draw = rng.getrandbits
+    setsize = 21
+    if nb_error > 5:
+        setsize += 4 ** math.ceil(math.log(nb_error * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        positions = []
+        for m in range(n, n - nb_error, -1):
+            bits = m.bit_length()
+            j = draw(bits)
+            while j >= m:
+                j = draw(bits)
+            positions.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        chosen: set[int] = set()
+        positions = []
+        for _ in range(nb_error):
+            j = draw(bits)
+            while j >= n or j in chosen:
+                j = draw(bits)
+            chosen.add(j)
+            positions.append(j)
     if nb_error == 1:
-        return positions, (amplitude,)
+        return tuple(positions), (amplitude,)
+    uniform = rng.random
     while True:
-        cuts = sorted(rng.random() for _ in range(nb_error - 1))
-        gaps = [b - a for a, b in zip([0.0] + cuts, cuts + [1.0])]
-        if all(g > 0.0 for g in gaps):
-            break
-    return positions, tuple(amplitude * g for g in gaps)
+        cuts = sorted([uniform() for _ in range(nb_error - 1)])
+        cuts.append(1.0)
+        amplitudes, prev = [], 0.0
+        for cut in cuts:
+            gap = cut - prev
+            if gap <= 0.0:
+                break
+            amplitudes.append(amplitude * gap)
+            prev = cut
+        else:
+            return tuple(positions), tuple(amplitudes)
 
 
 def apply_pattern(n: int, positions: tuple[int, ...], amplitudes: tuple[float, ...]) -> np.ndarray:
@@ -93,6 +137,18 @@ def apply_pattern(n: int, positions: tuple[int, ...], amplitudes: tuple[float, .
     for pos, amp in zip(positions, amplitudes):
         y[pos] += amp
     return y
+
+
+def _certified(decoder: OsdDecoder, n: int, amplitudes: tuple[float, ...]) -> bool:
+    """Whether ``decoder`` certifies that the probe word of these impulses
+    (at distinct positions) decodes to the zero word, read off the impulse
+    list: ``apply_pattern`` puts -1.0 + a at each impulse and -1.0
+    elsewhere, so the samples above 0 are -1.0 + a for a > 1, and the
+    other magnitudes are |-1.0 + a| for the weak impulses and 1.0 at the
+    n - len(amplitudes) untouched positions."""
+    on = [-1.0 + a for a in amplitudes if a > 1.0]
+    off = [abs(-1.0 + a) for a in amplitudes if a <= 1.0]
+    return decoder.zero_certified(on, off, n - len(amplitudes))
 
 
 def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
@@ -125,6 +181,8 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
             level_all_zero = True
             for nb_error in range(cfg.error_max, 0, -1):
                 positions, amplitudes = make_pattern(n, nb_error, amplitude, rng)
+                if _certified(decoder, n, amplitudes):
+                    continue  # the zero word, with no word built or decoded
                 decoded = decoder.decode(apply_pattern(n, positions, amplitudes))
                 w = decoded.weight
                 if w:

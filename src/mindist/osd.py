@@ -61,14 +61,19 @@ decoded word is thus a function of the received word alone.
 
 Two certificates end a decode early, each with the word full
 reprocessing returns.  Both rest on one test.  Let c be a candidate, D1
-the positions where it differs from the hard decisions, and d_lb =
-``bounds.certified_lower(code)``, a lower bound on the minimum distance
-proven from the generator.  Any other codeword differs from c at d_lb or
-more positions (their XOR is a nonzero codeword), at most |D1| of them in
-D1, so at need = d_lb - |D1| or more positions outside D1.  There c agrees
-with the hard decisions and the other codeword does not, so each such
-position adds its |y_i| to that codeword's cost, which is therefore at
-least the sum of the need smallest |y_i| outside D1.  The test is that
+the positions where it differs from the hard decisions, and d_lb a lower
+bound on the minimum distance, proven once per decoder: the larger of
+``bounds.certified_lower(code)`` (the BCH or square-root bound, from the
+generator) and ``oracle.lower_bound`` (the Zimmermann bound of a search
+capped at ``oracle.LOWER_BOUND_WORDS`` combinations, skipped when no
+capped search on an (n, k) code could beat the first; it gives
+QDC(24,12) its d = 8, where the first gives 1).  Any other codeword
+differs from c at d_lb or more positions (their XOR is a nonzero
+codeword), at most |D1| of them in D1, so at need = d_lb - |D1| or more
+positions outside D1.  There c agrees with the hard decisions and the
+other codeword does not, so each such position adds its |y_i| to that
+codeword's cost, which is therefore at least the sum of the need smallest
+|y_i| outside D1.  The test is that
 c's exact cost, the ``fsum`` of |y_i| over D1, is strictly below the
 ``fsum`` of that floor; it fails outright when need <= 0.  Correct
 rounding is monotone: the strict test on the two rounded sums implies it
@@ -82,9 +87,11 @@ cost, in the near set, where exact costs decide.
 The zero certificate runs first, with no sort, reduction or scoring: c is
 the all-zero word, and D1 the P positions whose samples are above 0.  It
 applies only when P <= order, since the zero word is then at most P MRB
-flips from the hard decisions and so a candidate.  MIM decodes the
-all-zero channel word plus a few impulses, so most of its decodes end
-there.
+flips from the hard decisions and so a candidate.  ``zero_certified``
+takes the samples above 0 and the other magnitudes, so it needs no word:
+MIM asks it of each probe's impulse list (the all-zero channel word plus
+a few impulses, ``mim._certified``), and decodes only the probes it does
+not certify.
 
 The post-order certificate runs after the flip sets of weight below the
 order, and only where the floor test above would score the top order: c
@@ -95,8 +102,7 @@ D1 is read in MRB order, with no int codeword built unless c is returned:
 its MRB part is c's flip set, and its parity part is where the re-encoded
 hard decisions disagree with them, XORed with the flipped rows' parity.
 Its size comes first: with a weak bound need is often at most 0 (with
-d_lb = 1, as on QDC codes, whenever c is not the hard decisions), and the
-test then ends before the floor is gathered.
+|D1| >= d_lb), and the test then ends before the floor is gathered.
 """
 
 from __future__ import annotations
@@ -111,6 +117,7 @@ from .bounds import certified_lower
 from .codes import LinearCode
 from .errors import ConsistencyError
 from .gf2 import BitMatrix, BitWord, eliminate, pack_rows, unpack_rows, xor_rows
+from .oracle import lower_bound
 
 __all__ = [
     "hard_decision",
@@ -224,7 +231,7 @@ def _mrb_reduce(
     return rows, perm, abs_y
 
 
-def _beats_floor(on: np.ndarray, off: np.ndarray, need: int) -> bool:
+def _beats_floor(on: Sequence[float], off: Sequence[float], need: int) -> bool:
     """Whether the ``fsum`` of ``on`` is below the ``fsum`` of the ``need``
     smallest entries of ``off``, for 0 < need <= len(off).
 
@@ -234,7 +241,7 @@ def _beats_floor(on: np.ndarray, off: np.ndarray, need: int) -> bool:
     of the ``off`` positions.
     """
     floor = np.partition(off, need - 1)[:need]
-    return math.fsum(on.tolist()) < math.fsum(floor.tolist())
+    return math.fsum(on) < math.fsum(floor.tolist())
 
 
 def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
@@ -261,10 +268,11 @@ class OsdDecoder:
 
     A word with P <= order samples above 0 decodes to the all-zero word
     with no reduction when the sum of those samples is below the sum of the
-    d_lb - P smallest magnitudes among the others, where d_lb is the
-    code's ``bounds.certified_lower``.  Zero is then a candidate (at most P
-    MRB flips from the hard decisions), and that second sum is a floor on
-    the cost of every nonzero codeword, whose weight is at least d_lb.
+    d_lb - P smallest magnitudes among the others, where d_lb is the larger
+    of ``bounds.certified_lower`` and ``oracle.lower_bound``.  Zero is then
+    a candidate (at most P MRB flips from the hard decisions), and that
+    second sum is a floor on the cost of every nonzero codeword, whose
+    weight is at least d_lb.
     Where the top order would be scored, the same test on the best flip
     set c of lower weight (its cost against the sum of the d_lb - |D1|
     smallest magnitudes off D1, the positions where c differs from the
@@ -285,26 +293,33 @@ class OsdDecoder:
         if r < code.k:
             raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {code.k}")
         self._basis = (tuple(rows), tuple(units))
-        self._d_lb = certified_lower(code)
+        self._d_lb = lower_bound(code, certified_lower(code))
 
-    def _zero_certified(self, arr: np.ndarray) -> bool:
-        """Whether the all-zero word is provably the decoded word of ``arr``.
+    def zero_certified(self, on: Sequence[float], off: Sequence[float], ones: int = 0) -> bool:
+        """Whether the all-zero word is provably the decoded word of a
+        received word whose samples above 0 are ``on``, and whose other
+        samples have the magnitudes ``off`` and, at ``ones`` more positions,
+        exactly 1.0.
 
-        With P samples above 0, it is when P <= order and the zero word's
-        cost, the sum of those P samples, is below the sum of the d_lb - P
-        smallest |y_i| among the other samples (see the module docstring).
-        When P >= d_lb that sum is empty and the test fails: the zero
-        word's cost is then above 0.
+        With P = len(on), it is when P <= order and the zero word's cost,
+        the sum of ``on``, is below the sum of the d_lb - P smallest of the
+        other magnitudes (see the module docstring).  When P >= d_lb that
+        sum is empty and the test fails: the zero word's cost is then above
+        0.  ``decode`` asks it of every word; MIM asks it of a probe's
+        impulse list, with the untouched positions as ``ones``.
         """
-        pos = arr > 0
-        npos = int(np.count_nonzero(pos))
-        need = self._d_lb - npos
-        return npos <= self.order and need > 0 and _beats_floor(arr[pos], -arr[~pos], need)
+        need = self._d_lb - len(on)
+        if len(on) > self.order or need <= 0:
+            return False
+        if ones:
+            off = list(off) + [1.0] * min(ones, need)
+        return _beats_floor(on, off, need)
 
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
         k, n = self.code.k, self.code.n
         arr = _received(n, y)
-        if self._zero_certified(arr):
+        pos = arr > 0
+        if self.zero_certified(arr[pos], -arr[~pos]):
             return BitWord(n, 0)
         rows, perm, abs_y = _mrb_reduce(*self._basis, arr)
         P8 = unpack_rows(rows, n)[:, perm[k:]]
@@ -389,11 +404,8 @@ class OsdDecoder:
         # exact costs: sum |y_i| over the positions where a word differs
         # from the hard decision, correctly rounded
         h_bits = hard_decision(arr).bits
-        abs_list = abs_y.tolist()
-        exact = []
-        for w in words:
-            diff = w ^ h_bits
-            exact.append(math.fsum(a for i, a in enumerate(abs_list) if (diff >> i) & 1))
+        diffs = unpack_rows([w ^ h_bits for w in words], n).view(bool)
+        exact = [math.fsum(abs_y[diff].tolist()) for diff in diffs]
         best = min(exact)
         tied = [BitWord(n, w) for w, c in zip(words, exact) if c == best]
         return min(tied, key=BitWord.to01)

@@ -1,14 +1,16 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mindist.codes import LinearCode
+from mindist import mim, osd
+from mindist.codes import LinearCode, build_bch, build_qdc, build_qr
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
-from mindist.osd import hard_decision
+from mindist.osd import OsdDecoder, hard_decision
 from mindist.results import validate_result
 
 
@@ -54,6 +56,131 @@ class TestMakePattern:
             make_pattern(5, 6, 1.0, random.Random(0))
         with pytest.raises(ValueError):
             make_pattern(5, 0, 1.0, random.Random(0))
+
+
+def sample_pattern(n, nb_error, amplitude, rng):
+    """``make_pattern`` as written on ``random.sample`` and sorted cuts."""
+    positions = tuple(rng.sample(range(n), nb_error))
+    if nb_error == 1:
+        return positions, (amplitude,)
+    while True:
+        cuts = sorted(rng.random() for _ in range(nb_error - 1))
+        gaps = [b - a for a, b in zip([0.0] + cuts, cuts + [1.0])]
+        if all(g > 0.0 for g in gaps):
+            break
+    return positions, tuple(amplitude * g for g in gaps)
+
+
+class Scripted(random.Random):
+    """``random()`` returns ``script`` first; ``getrandbits`` is the base
+    one, named here so that ``sample`` keeps drawing through it."""
+
+    getrandbits = random.Random.getrandbits
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+
+class TestSameStreamDraws:
+    """``make_pattern`` consumes the stream ``random.sample`` and sorted
+    ``random()`` cuts consume, and returns the same pattern: ``sample``'s
+    set branch (n = 24 with nb_error <= 5, n = 127 with nb_error >= 6)
+    and its pool branch (n = 73 with nb_error >= 6) on each side of the
+    set sizes 21 and 85."""
+
+    @pytest.mark.parametrize("n", [3, 21, 22, 24, 73, 85, 86, 127])
+    def test_draws_match_random_sample(self, n):
+        for nb_error in sorted({*range(1, min(n, 20) + 1), n}):
+            for seed in range(3):
+                mine, ref = random.Random(seed), random.Random(seed)
+                for amplitude in (0.75, 3.5, 11.5):
+                    got = make_pattern(n, nb_error, amplitude, mine)
+                    assert got == sample_pattern(n, nb_error, amplitude, ref)
+                assert mine.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("script", [[0.25, 0.25, 0.5], [0.0, 0.5, 0.75], [0.5, 0.5, 0.5]])
+    def test_zero_gap_redraws_every_cut(self, script):
+        mine, ref = Scripted(5, script), Scripted(5, script)
+        got = make_pattern(24, 4, 6.5, mine)
+        assert got == sample_pattern(24, 4, 6.5, ref)
+        assert all(a > 0 for a in got[1])
+        assert mine.getstate() == ref.getstate()
+
+
+class TestImpulseCertificate:
+    """``mim._certified`` reads the decoder's zero-word test off the
+    impulse list; it must give the outcome of the test ``decode`` runs on
+    ``apply_pattern``'s word.  BCH(15,7) has d_lb = 5."""
+
+    CODE = build_bch(4, 2)
+
+    @staticmethod
+    def dense(decoder, y, monkeypatch) -> bool:
+        """Whether ``decode`` ends at the zero certificate: it reduces no word."""
+        reduced = []
+        reduce = osd._mrb_reduce
+        monkeypatch.setattr(osd, "_mrb_reduce", lambda *a: reduced.append(1) or reduce(*a))
+        out = decoder.decode(y)
+        monkeypatch.setattr(osd, "_mrb_reduce", reduce)
+        assert reduced or out.weight == 0  # certified words decode to zero
+        return not reduced
+
+    @pytest.mark.parametrize(
+        "order, amplitudes, want",
+        [
+            (2, (3.0, 1.0, 1.0), False),  # two 0.0 samples: floor 0 + 0 + 1 + 1 = 2.0, the cost
+            (2, (2.5, 1.0, 1.0), True),  # the same floor against 1.5
+            (2, (2.0, 2.0), True),  # |y| = 1 ties the untouched positions: 2.0 < 3.0
+            (3, (2.0, 2.0, 2.0), False),  # 3.0 against a floor of 2.0
+            (2, (1.5, 1.5, 1.5), False),  # P = order + 1
+            (5, (1.25,) * 5, False),  # P = d_lb, need = 0
+            (4, (1.0625,) * 4 + (0.5,), True),  # need = 1: 0.25 against 0.5
+            (4, (1.25,) * 4 + (0.5,), False),  # need = 1: 1.0 against 0.5
+            (2, (1.5, 0.5), True),  # fewer weak impulses than need
+            (2, (0.5, 0.5), True),  # P = 0: the zero word costs 0
+            (2, (1.25,) + (0.25,) * 12, True),  # n - e = 2 < need: 0.25 against 3 * 0.75 + 1
+            (2, (4.25,) + (0.25,) * 12, False),  # 3.25 against the same floor
+            (2, (1.25,) + (0.25,) * 14, True),  # e = n: no untouched position
+        ],
+    )
+    def test_matches_the_dense_test(self, order, amplitudes, want, monkeypatch):
+        decoder = OsdDecoder(self.CODE, order=order)
+        positions = tuple(range(len(amplitudes)))
+        got = mim._certified(decoder, 15, amplitudes)
+        assert got == want
+        assert self.dense(decoder, apply_pattern(15, positions, amplitudes), monkeypatch) == want
+
+    @pytest.mark.parametrize("make", [lambda: build_qdc(11), lambda: build_qr(41), lambda: build_bch(6, 7)],
+                             ids=["qdc24", "qr41", "bch63"])
+    def test_every_seeded_probe_keeps_its_outcome(self, make, monkeypatch):
+        code = make()
+        reference = OsdDecoder(code, order=3)
+        last = []
+        draw, certified = mim.make_pattern, mim._certified
+        outcomes = Counter()
+
+        def draw_spy(*args):
+            last[:] = draw(*args)
+            return tuple(last)
+
+        def certified_spy(decoder, n, amplitudes):
+            got = certified(decoder, n, amplitudes)
+            y = apply_pattern(n, *last)
+            assert self.dense(reference, y, monkeypatch) == got
+            if got:
+                assert reference.decode(y) == BitWord(n)
+            outcomes[got] += 1
+            return got
+
+        monkeypatch.setattr(mim, "make_pattern", draw_spy)
+        monkeypatch.setattr(mim, "_certified", certified_spy)
+        for seed in range(2):
+            mim.run(code, MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=seed))
+        assert outcomes[True] and outcomes[False]
 
 
 class TestApplyPattern:

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from mindist import oracle
-from mindist.codes import LinearCode, build_dcc
+from mindist.codes import LinearCode, build_dcc, build_qdc, build_qr
 from mindist.errors import BudgetError
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.oracle import exact_enumerator, exact_min_distance
@@ -312,3 +312,63 @@ class TestExtendedTable9:
         code = build_dcc(BitWord.parse(header))
         res = exact_min_distance(code, budget=code.k)
         assert res.d_exact == d
+
+
+def built_codes() -> dict[str, tuple[LinearCode, int]]:
+    """The codes the test modules build, with their distances: the oracle's
+    where it runs, the literature's above its budget."""
+    from test_acceptance import TABLE9_ROWS, _soundness_pool
+    from test_bounds import BUILT, PUBLISHED
+    from test_osd import DEPENDENT_LEAD, permuted_dcc
+
+    codes = {label: make() for label, (make, _) in BUILT.items()}
+    codes.update({f"QDC(p={p})": build_qdc(p) for p in (11, 13, 19)})
+    for header in [row[2] for row in TABLE9_ROWS] + [
+        "00011011111000110010010010010", "1100001010100011100000011010110",
+    ]:
+        codes[f"DCC({header})"] = build_dcc(BitWord.parse(header))
+    codes.update({f"pool[{i}]": code for i, code in enumerate(_soundness_pool())})
+    codes["repetition7"] = LinearCode(7, 1, BitMatrix.from_strings(["1111111"]))
+    codes["permuted C(20,10)"] = permuted_dcc()
+    codes["dependent lead"] = DEPENDENT_LEAD
+    return {
+        label: (code, PUBLISHED.get(label) or exact_min_distance(code, budget=code.k).d_exact)
+        for label, code in codes.items()
+    }
+
+
+class TestLowerBound:
+    """``lower_bound``: min(least weight scored, Zimmermann bound) of a
+    search capped at ``LOWER_BOUND_WORDS`` combinations."""
+
+    def test_at_most_d_on_built_codes(self):
+        short = []
+        for label, (code, d) in built_codes().items():
+            got = oracle.lower_bound(code, 1)
+            assert 1 <= got <= min(d, oracle._capped_reach(code.n, code.k)), label
+            if got < d:
+                short.append(label)
+        # the cap stops these searches before they end
+        assert {"BCH(127,64)", "QR(73)", "QR(47)"} <= set(short)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_at_most_d_on_random_codes(self, seed):
+        # k from 17 up lets the cap stop the search
+        rng = random.Random(seed)
+        for _ in range(4):
+            k = rng.randint(10, 26)
+            code = random_full_rank(rng, k, rng.randint(k + 4, 3 * k))
+            d = exact_min_distance(code).d_exact
+            assert oracle.lower_bound(code, 1) <= min(d, oracle._capped_reach(code.n, code.k))
+            assert oracle.lower_bound(code, d) == d
+
+    @pytest.mark.parametrize("cap", [0, 1, 10, 100, 1000, 5000])
+    def test_any_cap_is_sound(self, cap, c20):
+        bound, least, _, scored = oracle._search(c20, cap)
+        assert scored <= cap
+        assert min(bound, least) <= 6
+
+    def test_proves_the_distance_where_the_cap_allows(self, golay24, c20):
+        assert oracle.lower_bound(golay24, 1) == 8
+        assert oracle.lower_bound(c20, 1) == 6
+        assert oracle.lower_bound(build_qr(41), 7) == 9

@@ -5,8 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mindist import osd
-from mindist.codes import LinearCode, build_bch, build_dcc, build_qr
+from mindist import oracle, osd
+from mindist.bounds import certified_lower
+from mindist.cli import EXIT_OK, main
+from mindist.codes import LinearCode, build_bch, build_dcc, build_qr, load_code
 from mindist.errors import ConsistencyError
 from mindist.gf2 import BitMatrix, BitWord, eliminate, xor_rows
 from mindist.mim import apply_pattern, make_pattern
@@ -431,12 +433,12 @@ class TestZeroCertificate:
         assert out.weight > 0
 
     def test_zero_sample_is_no_floor(self, reductions, golay24):
-        # QDC(24,12) gets d_lb = 1: with no positive sample zero costs 0,
-        # certified while every other magnitude is above 0
+        # QDC(24,12) gets d_lb = 8: with no positive sample zero costs 0,
+        # certified while the 8 smallest magnitudes sum above 0
         dec = OsdDecoder(golay24, order=3)
         y = np.full(24, -1.0)
         assert dec.decode(y) == BitWord(24) and reductions == []
-        y[7] = 0.0
+        y[7:15] = 0.0
         out = dec.decode(y)
         assert len(reductions) == 1
         assert out == reference_decode(golay24, y, 3)
@@ -451,6 +453,30 @@ class TestZeroCertificate:
         # reference_decode reduces once per word through most_reliable_basis
         reduced = len(reductions) - len(words)
         assert 0 < reduced < len(words)
+
+
+class TestProvenBound:
+    """d_lb is the larger of ``certified_lower`` and the capped search's
+    Zimmermann bound."""
+
+    def test_qdc24_gets_its_distance(self, golay24):
+        assert OsdDecoder(golay24)._d_lb == 8
+
+    def test_loaded_bch63_gets_a_search_bound(self, tmp_path):
+        # the file keeps only the rows: the loaded code is GENERIC, and the
+        # BCH bound's 15 becomes 1
+        path = tmp_path / "b63.gm"
+        assert main(["construct", "--bch", "6", "7", "--out", str(path)]) == EXIT_OK
+        code = load_code(path)
+        assert code.family == "GENERIC" and certified_lower(code) == 1
+        assert 1 < OsdDecoder(code)._d_lb <= 15
+
+    def test_known_bound_skips_the_search(self, monkeypatch):
+        # no capped search could beat the BCH bound of BCH(127,64) or the
+        # square-root bound of QR(47,24), so none runs
+        monkeypatch.setattr(oracle, "_search", None)
+        assert OsdDecoder(build_bch(7, 10), order=1)._d_lb == 21
+        assert OsdDecoder(build_qr(47), order=1)._d_lb == 9
 
 
 @pytest.fixture
