@@ -88,6 +88,17 @@ class GaConfig:
         return cls(**overrides)
 
     def validate(self) -> None:
+        ints = ["population_size", "max_generations", "tournament_size", "rng_seed"]
+        if self.elite_count is not None:
+            ints.append("elite_count")
+        for name in ints:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("crossover_prob", "mutation_prob"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError(
                 f"population size must be even and >= 2, got {self.population_size}"

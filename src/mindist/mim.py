@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class MimConfig:
     rng_seed: int = 0
 
     def validate(self, n: int) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         if not 1 <= self.d0 <= self.d1 <= n:
             raise ValueError(
                 f"need 1 <= d0 <= d1 <= n, got d0={self.d0}, d1={self.d1}, n={n}"

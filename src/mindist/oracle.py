@@ -1,26 +1,21 @@
 """Exact minimum distance by a Brouwer-Zimmermann search, and the weight
 enumerator by a sweep over all 2^k codewords.
 
-The witness is the minimum-weight codeword whose information word u
-(codeword = u G, G the code's generator rows) comes first in the
-reflected Gray sequence 1, 3, 2, 6, ..., that is, the one of least
-inverse-Gray rank u ^ (u >> 1) ^ (u >> 2) ^ ...  The search reports it
-whether or not the enumerator is collected; the sweep only counts
-weights.
+The witness is the first codeword of least weight that the search scores,
+in its scoring order.  The search reports it whether or not the
+enumerator is collected; the sweep only counts weights.
 
 The search (Zimmermann's algorithm, as described by Grassl, "Searching for
 linear codes with large minimum distance", 2006, after Brouwer; see also
 Leon, IEEE T-IT 1988) finds d without visiting every codeword.
 
-Information sets.  Each generator row i is tagged with its k-bit
-combination above bit n (``row | 1 << (n + i)``) and reduced cold with
+Information sets.  The generator rows are reduced cold with
 ``gf2.eliminate`` on the columns no earlier set has taken.  Set j takes
 r_j pivots; its first r_j rows each hold the only 1 of the set's rows at
 their pivot column, and its other k - r_j rows are zero on every pivot
 column of the set.  Repeating until the rank is 0 gives disjoint column
-sets I_1, I_2, ...; the first has r_1 = k.  The tags are the information
-words: XORing some reduced rows gives the codeword below bit n and its u
-above it.
+sets I_1, I_2, ...; the first has r_1 = k.  Each set's rows are a basis of
+the code, so XORing any nonempty subset of them gives a nonzero codeword.
 
 The bound.  A codeword is x G_j for one x per set, where G_j is set j's
 reduced rows, and its weight on I_j is at least wt(x) - (k - r_j).  Once
@@ -29,14 +24,10 @@ scored weighs at least w_j + 1 - (k - r_j) on I_j, and, the I_j being
 disjoint, at least the Zimmermann bound: the sum over sets of
 max(0, w_j + 1 - (k - r_j)).  For w = 1, 2, ... each set with
 k - r_j <= w (one whose term is then positive) is brought up to w_j = w,
-levels it skipped first, and the search stops as soon as the bound is
-strictly above the least weight scored.  Every codeword of weight d is
-then scored, since any one not scored would weigh more than d; a stop at
-equality would still give d, but could miss the Gray-first word of weight
-d.  The witness is the one of least inverse-Gray rank among those scored,
-the first minimum in Gray order.  At w = k every set's term is r_j + 1,
-and the terms sum above n minus the zero columns, so the loop always
-stops.
+levels it skipped first, and the search stops as soon as the bound
+reaches the least weight scored: every codeword not scored weighs at
+least that much, so it is d.  At w = k every set's term is r_j + 1, and
+the terms sum above n minus the zero columns, so the loop always stops.
 
 The bound holds at every step, so a search cut short still proves
 d >= min(least weight scored, bound).  ``lower_bound`` runs the same loop
@@ -52,10 +43,8 @@ tables of t-subsets for t <= s as packed uint64 lanes in colex order, so
 the subsets of rows 0..m-1 are the first C(m, t) entries, and the table
 for t is built from the one for t - 1 with one XOR per row.  Lanes are
 written into a block of at most 2^16 codewords and scored there with
-``np.bitwise_count``.  The Gray rank is linear over GF(2) in the
-information word, so the codewords of the least weight seen get their
-ranks from one product of their bits on the first set's pivots with the
-ranks of that set's tags.
+``np.bitwise_count``.  A block whose least weight is below that of every
+earlier block gives the witness: its first codeword of that weight.
 
 The sweep follows the reflected Gray sequence over information words, so
 consecutive codewords differ by one generator row.  The k-bit Gray counter
@@ -94,7 +83,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import BudgetError
-from .gf2 import BitWord, eliminate, unpack_rows
+from .gf2 import BitWord, eliminate
 from .results import DistanceEstimate
 
 __all__ = [
@@ -123,8 +112,8 @@ _BLOCK = 1 << _LOW_BLOCK_BITS
 class ExactResult:
     """Outcome of an exact search, with the sweep's enumerator if asked.
 
-    ``witness`` is the codeword of minimum weight whose information word
-    comes first in reflected-Gray order.  ``enumerator`` maps weight ->
+    ``witness`` is the first codeword of minimum weight the search scores
+    (module docstring).  ``enumerator`` maps weight ->
     codeword count (weight 0 included) when collection was requested, else
     None.  ``enumerated`` counts the codewords scored: 2^k when the sweep
     collects the enumerator, and otherwise the combinations the search
@@ -156,23 +145,19 @@ def exact_min_distance(
             f"k = {k} exceeds oracle budget {budget}: the code has "
             f"2^{k} = {1 << k} codewords"
         )
-    _, d, rank, scored = _search(code)
-    res = ExactResult(
-        d_exact=d,
-        witness=code.encode(BitWord(k, rank ^ (rank >> 1))),  # rank t's word is gray(t)
-        enumerator=None,
-        enumerated=scored,
-    )
+    _, d, witness, scored = _search(code)
+    res = ExactResult(d_exact=d, witness=BitWord(code.n, witness), enumerator=None,
+                      enumerated=scored)
     if collect_enumerator:
         return replace(res, enumerator=_sweep(code), enumerated=1 << k)
     return res
 
 
 def _lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
-    """Rows (their bits below n) as a (len(rows), ceil(n / 64)) uint64 array."""
-    lanes = (n + 63) // 64
-    bits = unpack_rows([row & ((1 << n) - 1) for row in rows], 64 * lanes)
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    """Rows, each below bit n, as a (len(rows), ceil(n / 64)) uint64 array."""
+    size = 8 * ((n + 63) // 64)
+    data = b"".join(row.to_bytes(size, "little") for row in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), size // 8)
 
 
 def _weight_buffers(lanes: int, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +176,12 @@ def _weigh(words: np.ndarray, lane_w: np.ndarray, w: np.ndarray) -> None:
 
 
 def _information_sets(code: LinearCode) -> list[tuple[list[int], list[int]]]:
-    """(tagged reduced rows, pivot columns) of each set, on disjoint columns."""
+    """(reduced rows, pivot columns) of each set, on disjoint columns."""
     n, k = code.n, code.k
-    tagged = [row | 1 << (n + i) for i, row in enumerate(code.generator.rows)]
     free = list(range(n))
     sets = []
     while True:
-        rows = list(tagged)
+        rows = list(code.generator.rows)
         units: list[int | None] = [None] * k
         r = eliminate(rows, units, free)
         if r == 0:
@@ -247,23 +231,16 @@ class _InfoSet:
 
 class _Scorer:
     """Scores codewords in blocks of at most 2^16 and keeps the least
-    weight and, among codewords of that weight, the least Gray rank."""
+    weight and the first codeword of that weight scored."""
 
-    def __init__(self, n: int, k: int, rows: list[int], pivots: list[int]):
-        self.k = k
+    def __init__(self, n: int):
         lanes = (n + 63) // 64
         self.block = np.empty((lanes, _BLOCK), dtype=np.uint64)
         self.lane_w, self.w = _weight_buffers(lanes, _BLOCK, n)
         self.pos = 0
         self.scored = 0
         self.best_w = n + 1
-        self.best_rank = 1 << k
-        # a full-rank set's row i is the only one with a 1 at pivot p_i, so a
-        # codeword is the XOR of the rows i where it has p_i; the Gray rank is
-        # linear in the information word, so the codeword's rank is the XOR of
-        # those rows' tag ranks: its bits are (x @ rank_bits) mod 2
-        self.pivots = np.array(pivots)
-        self.rank_bits = unpack_rows([_gray_rank(row >> n) for row in rows], k)
+        self.best = 0
 
     def add(self, words: np.ndarray, prefix: np.ndarray | None) -> None:
         """Queue the codewords ``words`` (lanes, m), each XOR ``prefix``."""
@@ -284,44 +261,26 @@ class _Scorer:
         self.scored += size
         w = self.w[:size]
         _weigh(self.block[:, :size], self.lane_w[:, :size], w)
-        low = int(w.min())
-        if low > self.best_w:
-            return
-        if low < self.best_w:
-            self.best_w, self.best_rank = low, 1 << self.k
-        at = np.flatnonzero(w == low)
-        words = np.ascontiguousarray(self.block[:, at].T, dtype="<u8")
-        x = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, self.pivots]
-        ranks = (x @ self.rank_bits) & 1  # uint8 sums wrap mod 256, keeping parity
-        first = ranks[np.lexsort(ranks.T)[0]]  # bit k - 1 is the primary key
-        rank = int.from_bytes(np.packbits(first, bitorder="little").tobytes(), "little")
-        self.best_rank = min(self.best_rank, rank)
-
-
-def _gray_rank(u: int) -> int:
-    """Position t of u in the reflected Gray sequence, u = t ^ (t >> 1)."""
-    t = 0
-    while u:
-        t ^= u
-        u >>= 1
-    return t
+        at = int(w.argmin())
+        if w[at] < self.best_w:
+            self.best_w = int(w[at])
+            self.best = int.from_bytes(self.block[:, at].astype("<u8").tobytes(), "little")
 
 
 def _search(code: LinearCode, max_words: float = inf) -> tuple[int, int, int, int]:
-    """Run the search until the bound is above the least weight scored, or
+    """Run the search until the bound reaches the least weight scored, or
     until the next level of a set would take the count of combinations
     scored above ``max_words``.
 
-    Returns (bound, least weight scored, least Gray rank among the
-    codewords of that weight, combinations scored).  Every nonzero codeword
-    weighs at least min(bound, least weight), and when the search ran to
-    its end the least weight is d and the rank its witness's.  The scorer's
-    block buffers are freed on return, before an enumerator sweep.
+    Returns (bound, least weight scored, the first codeword of that weight
+    scored, combinations scored).  Every nonzero codeword weighs at least
+    min(bound, least weight), and when the search ran to its end the least
+    weight is d and the codeword a witness.  The scorer's block buffers are
+    freed on return, before an enumerator sweep.
     """
     n, k = code.n, code.k
-    found = _information_sets(code)
-    sets = [_InfoSet(rows, pivots, n) for rows, pivots in found]
-    scorer = _Scorer(n, k, *found[0])
+    sets = [_InfoSet(rows, pivots, n) for rows, pivots in _information_sets(code)]
+    scorer = _Scorer(n)
     w = 0
     while True:  # ends by w = k at the latest, see the module docstring
         w += 1
@@ -331,13 +290,13 @@ def _search(code: LinearCode, max_words: float = inf) -> tuple[int, int, int, in
             while info.done < w:
                 if scorer.scored + scorer.pos + comb(k, info.done + 1) > max_words:
                     scorer.flush()
-                    return _bound(sets, k), scorer.best_w, scorer.best_rank, scorer.scored
+                    return _bound(sets, k), scorer.best_w, scorer.best, scorer.scored
                 info.done += 1
                 info.score(info.done, k, None, scorer)
             scorer.flush()
             bound = _bound(sets, k)
-            if bound > scorer.best_w:
-                return bound, scorer.best_w, scorer.best_rank, scorer.scored
+            if bound >= scorer.best_w:
+                return bound, scorer.best_w, scorer.best, scorer.scored
 
 
 def _bound(sets: list[_InfoSet], k: int) -> int:

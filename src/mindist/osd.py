@@ -231,7 +231,7 @@ def _mrb_reduce(
     return rows, perm, abs_y
 
 
-def _beats_floor(on: Sequence[float], off: Sequence[float], need: int) -> bool:
+def _beats_floor(on: list[float], off: list[float], need: int) -> bool:
     """Whether the ``fsum`` of ``on`` is below the ``fsum`` of the ``need``
     smallest entries of ``off``, for 0 < need <= len(off).
 
@@ -240,8 +240,7 @@ def _beats_floor(on: Sequence[float], off: Sequence[float], need: int) -> bool:
     and every other codeword differs from the candidate at ``need`` or more
     of the ``off`` positions.
     """
-    floor = np.partition(off, need - 1)[:need]
-    return math.fsum(on) < math.fsum(floor.tolist())
+    return math.fsum(on) < math.fsum(sorted(off)[:need])
 
 
 def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
@@ -295,7 +294,7 @@ class OsdDecoder:
         self._basis = (tuple(rows), tuple(units))
         self._d_lb = lower_bound(code, certified_lower(code))
 
-    def zero_certified(self, on: Sequence[float], off: Sequence[float], ones: int = 0) -> bool:
+    def zero_certified(self, on: list[float], off: list[float], ones: int = 0) -> bool:
         """Whether the all-zero word is provably the decoded word of a
         received word whose samples above 0 are ``on``, and whose other
         samples have the magnitudes ``off`` and, at ``ones`` more positions,
@@ -312,14 +311,14 @@ class OsdDecoder:
         if len(on) > self.order or need <= 0:
             return False
         if ones:
-            off = list(off) + [1.0] * min(ones, need)
+            off = off + [1.0] * min(ones, need)
         return _beats_floor(on, off, need)
 
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
         k, n = self.code.k, self.code.n
         arr = _received(n, y)
         pos = arr > 0
-        if self.zero_certified(arr[pos], -arr[~pos]):
+        if self.zero_certified(arr[pos].tolist(), (-arr[~pos]).tolist()):
             return BitWord(n, 0)
         rows, perm, abs_y = _mrb_reduce(*self._basis, arr)
         P8 = unpack_rows(rows, n)[:, perm[k:]]
@@ -389,7 +388,7 @@ class OsdDecoder:
                     d1[k:] ^= P8[i]
                 need = self._d_lb - int(np.count_nonzero(d1))
                 on = d1.view(bool)
-                if need > 0 and _beats_floor(abs_p[on], abs_p[~on], need):
+                if need > 0 and _beats_floor(abs_p[on].tolist(), abs_p[~on].tolist(), need):
                     return BitWord(n, word(flips))
             scored.append((top, _score(top, lanes, w_mrb, tables)))
             least = min(least, float(scored[-1][1].min()))

@@ -365,3 +365,14 @@ class TestEstimateContract:
     def test_validation_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             GaConfig.variant_b(mutation_prob=1.5).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("tournament_size", 2.5), ("population_size", 40.0), ("max_generations", True),
+        ("elite_count", 2.0), ("rng_seed", "3"), ("mutation_prob", True),
+        ("crossover_prob", "0.5"),
+    ])
+    def test_validation_rejects_wrong_types(self, field, value):
+        # a fraction would otherwise reach range() as a TypeError, and a
+        # bool would pass as 0 or 1
+        with pytest.raises(ValueError, match=field):
+            GaConfig.variant_b(**{field: value}).validate()

@@ -290,3 +290,14 @@ class TestRun:
             run(golay24, MimConfig(d0=1, d1=25))
         with pytest.raises(ValueError):
             run(golay24, MimConfig(d0=1, d1=5, nb_test=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("error_max", 2.5), ("nb_test", True), ("d1", 5.0), ("osd_order", 2.5),
+        ("rng_seed", "1"),
+    ])
+    def test_config_validation_rejects_wrong_types(self, field, value):
+        # a fraction would otherwise reach range() as a TypeError, and a
+        # bool would pass as 0 or 1
+        cfg = MimConfig(**{"d0": 1, "d1": 5, "nb_test": 2, "error_max": 4, field: value})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate(24)

@@ -8,7 +8,7 @@ from mindist import oracle
 from mindist.codes import LinearCode, build_dcc, build_qdc, build_qr
 from mindist.errors import BudgetError
 from mindist.gf2 import BitMatrix, BitWord
-from mindist.oracle import exact_enumerator, exact_min_distance
+from mindist.oracle import ExactResult, exact_enumerator, exact_min_distance
 from mindist.results import DistanceEstimate
 
 from conftest import naive_min_distance
@@ -29,10 +29,17 @@ def random_full_rank(rng: random.Random, k: int, n: int) -> LinearCode:
             return LinearCode(n, k, BitMatrix(n, rows))
 
 
-def both_paths(code: LinearCode) -> list[tuple[int, BitWord]]:
-    """(d, witness) without and with the enumerator."""
-    return [(res.d_exact, res.witness)
-            for res in (exact_min_distance(code), exact_enumerator(code))]
+def assert_exact(code: LinearCode) -> ExactResult:
+    """The d-only result, checked: d is the naive sweep's, the witness is a
+    codeword of weight d, and the enumerator call and a repeated d-only call
+    give the same d and witness."""
+    res = exact_min_distance(code)
+    assert res.d_exact == naive_min_distance(code)
+    assert res.witness.weight == res.d_exact
+    assert BitMatrix(code.n, code.generator.rows + (res.witness.bits,)).rank() == code.k
+    for again in (exact_enumerator(code), exact_min_distance(code)):
+        assert (again.d_exact, again.witness) == (res.d_exact, res.witness)
+    return res
 
 
 def set_ranks(code: LinearCode) -> list[int]:
@@ -88,12 +95,10 @@ class TestExactMinDistance:
 
     def test_enumerated_count(self, c20):
         # the sweep scores all 2^10 words; the search scores C(20,10)'s two
-        # full-rank sets, the first up to weight 3 and the second up to
-        # weight 2, where the bound 4 + 3 passes d = 6
+        # full-rank sets up to weight 2, where the bound 3 + 3 reaches d = 6
         assert set_ranks(c20) == [10, 10]
         assert exact_enumerator(c20).enumerated == 1 << 10
-        search = sum(comb(10, w) for w in (1, 2, 3)) + sum(comb(10, w) for w in (1, 2))
-        assert exact_min_distance(c20).enumerated == search
+        assert exact_min_distance(c20).enumerated == 2 * (comb(10, 1) + comb(10, 2))
 
     def test_enumerator_off_by_default(self, c20):
         assert exact_min_distance(c20).enumerator is None
@@ -121,10 +126,10 @@ class TestAgainstNaiveReference:
         extra = rng.randint(1, 10)
         rows = tuple((1 << i) | (rng.getrandbits(extra) << k) for i in range(k))
         code = LinearCode(k + extra, k, BitMatrix(k + extra, rows))
-        assert both_paths(code) == [naive_min_distance(code)] * 2
+        assert_exact(code)
 
     def test_c20_bit_for_bit(self, c20):
-        assert both_paths(c20) == [naive_min_distance(c20)] * 2
+        assert assert_exact(c20).d_exact == 6
 
     def test_gray_low_block_boundary(self):
         # k above the low-block size exercises the sweep's high/low split
@@ -132,30 +137,16 @@ class TestAgainstNaiveReference:
         k = 18
         rows = tuple((1 << i) | (rng.getrandbits(6) << k) for i in range(k))
         code = LinearCode(k + 6, k, BitMatrix(k + 6, rows))
-        assert both_paths(code) == [naive_min_distance(code)] * 2
+        assert_exact(code)
+        assert exact_enumerator(code).enumerator == naive_enumerator(code)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_two_lane_codes_bit_for_bit(self, seed):
         # n > 64 packs each codeword into two uint64 lanes; k = 17 gives a
         # second, odd high block, which runs the low table in reverse
         code = random_systematic(random.Random(seed), 17, 70)
-        assert both_paths(code) == [naive_min_distance(code)] * 2
-
-    def test_tie_in_odd_block_takes_first_visited(self):
-        # rows 15 and 16 have parities E = D + {x} and D, |D| = 2: row 16 and
-        # row 15 ^ row 16 both weigh 3.  Their Gray ranks are 2^16 + 2^15
-        # and 2^16, so row 15 ^ row 16 comes first, though its information
-        # word is the larger.
-        k, n = 17, 70
-        rng = random.Random(5)
-        rows = [(1 << i) | (rng.getrandbits(n - k) << k) for i in range(k - 2)]
-        d_bits = (1 << k) | (1 << (k + 1))
-        rows.append((1 << 15) | d_bits | (1 << (k + 2)))
-        rows.append((1 << 16) | d_bits)
-        code = LinearCode(n, k, BitMatrix(n, tuple(rows)))
-        want = (3, BitWord(n, rows[15] ^ rows[16]))
-        assert naive_min_distance(code) == want
-        assert both_paths(code) == [want] * 2
+        assert_exact(code)
+        assert exact_enumerator(code).enumerator == naive_enumerator(code)
 
     def test_weights_above_255_do_not_wrap(self):
         # n + 1 = 301 and a weight-290 codeword: both would wrap in uint8
@@ -167,9 +158,7 @@ class TestAgainstNaiveReference:
                 2 | (rng.getrandbits(n - k) << k),
                 4 | (rng.getrandbits(n - k) << k))
         code = LinearCode(n, k, BitMatrix(n, rows))
-        want_d, want_witness = naive_min_distance(code)
-        assert want_d > 45
-        assert both_paths(code) == [(want_d, want_witness)] * 2
+        assert assert_exact(code).d_exact > 45
         res = exact_enumerator(code)
         assert res.enumerator == naive_enumerator(code)
         assert res.enumerator[290] == 1
@@ -188,7 +177,8 @@ class TestAgainstNaiveReference:
 
 
 class TestSearchAgainstNaive:
-    """The Brouwer-Zimmermann search reports the naive Gray sweep's d and witness."""
+    """The Brouwer-Zimmermann search reports the naive sweep's d and a
+    witness of that weight."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partial_information_sets_bit_for_bit(self, seed):
@@ -198,58 +188,48 @@ class TestSearchAgainstNaive:
         k = rng.randint(4, 11)
         while True:
             code = random_full_rank(rng, k, 2 * k - 1)
-            want = naive_min_distance(code)
-            if set_ranks(code)[1:2] == [k - 1] and want[0] >= 3:
+            if set_ranks(code)[1:2] == [k - 1] and naive_min_distance(code) >= 3:
                 break
-        res = exact_min_distance(code)
-        assert (res.d_exact, res.witness) == want
+        assert_exact(code)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_non_systematic_bit_for_bit(self, seed):
         rng = random.Random(1000 + seed)
         k = rng.randint(2, 11)
         code = random_full_rank(rng, k, k + rng.randint(1, 2 * k + 4))
-        res = exact_min_distance(code)
-        assert (res.d_exact, res.witness) == naive_min_distance(code)
+        assert_exact(code)
 
     @pytest.mark.parametrize("n", [2, 9, 64, 65, 130])
     def test_dimension_one(self, n):
         # one row: every set has rank 1, and the witness is the row itself
         row = random.Random(n).getrandbits(n) | 1
         code = LinearCode(n, 1, BitMatrix(n, (row,)))
-        res = exact_min_distance(code)
+        res = assert_exact(code)
         assert (res.d_exact, res.witness.bits) == (row.bit_count(), row)
-        assert (res.d_exact, res.witness) == naive_min_distance(code)
 
     @pytest.mark.parametrize("n, seed", [(70, 0), (100, 1), (130, 2), (200, 3)])
     def test_multi_lane_bit_for_bit(self, n, seed):
         # n > 64 spreads each codeword over two or more uint64 lanes
         code = random_full_rank(random.Random(seed), 9, n)
-        res = exact_min_distance(code)
-        assert (res.d_exact, res.witness) == naive_min_distance(code)
+        assert_exact(code)
 
-    def test_gray_first_word_found_in_a_later_set(self):
-        # Weight-3 words, info word u as bits of rows 0..4 (bit i = row i):
-        #   01110 (Gray rank 11), 00010 (15), 10011 (17), 00001 (31).
-        # The sets have ranks 5, 3, 2.  The first reaches weight 2 (bound
-        # 3 + 0); the second, of rank 3, then reaches weight 2 too and its
-        # term 2 + 1 - 2 lifts the bound to 4 > 3.  01110 weighs 3 in the
-        # first set, so only the second set scores it.  A stop at bound 3
-        # would return 00010, and plain info-word order would too (u = 8
-        # against u = 14).
+    def test_stop_when_the_bound_reaches_the_least_weight(self):
+        # The sets have ranks 5, 3, 2.  Weight 1 of the first set scores row
+        # 3, of weight 3 = d, and brings the bound to 2; weight 2 brings it
+        # to 3 + 0, and the search stops there, at equality, before the
+        # second set's term turns positive.
         code = LinearCode(10, 5, BitMatrix.from_strings(
             ["1000011110", "0100010101", "0010011001", "0001001100", "0000110010"]))
         assert set_ranks(code) == [5, 3, 2]
-        res = exact_min_distance(code)
-        assert (res.d_exact, res.witness) == (3, BitWord.parse("0111000000"))
-        assert (res.d_exact, res.witness) == naive_min_distance(code)
-        assert res.enumerated == 2 * (comb(5, 1) + comb(5, 2))
+        assert oracle._search(code)[:2] == (3, 3)
+        res = assert_exact(code)
+        assert res.enumerated == comb(5, 1) + comb(5, 2)
 
     @pytest.mark.parametrize("header", ["1001111110", "00010110111", "101100010110"])
     def test_run_record_matches_the_sweep_record(self, header):
-        # the seeded record of a d-only run, runtimes removed, is the one the
-        # 2^k sweep gives (here the naive Gray sweep), on the code with its
-        # columns permuted
+        # the seeded record of a d-only run, runtimes removed, is the one
+        # built from its checked d and witness, on the code with its columns
+        # permuted
         base = build_dcc(BitWord.parse(header))
         n = base.n
         perm = random.Random(header).sample(range(n), n)
@@ -257,8 +237,8 @@ class TestSearchAgainstNaive:
                      for row in base.generator.rows)
         code = LinearCode(n, base.k, BitMatrix(n, rows), family="DCC",
                           metadata={"column_permutation": perm})
-        d, witness = naive_min_distance(code)
-        want = DistanceEstimate.of(code, "exact", d, witness,
+        res = assert_exact(code)
+        want = DistanceEstimate.of(code, "exact", res.d_exact, res.witness,
                                    config={"budget": 32, "enumerator": False},
                                    rng_seed=None, started=0.0, events=[])
         got = oracle.run(code)
