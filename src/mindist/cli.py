@@ -271,7 +271,7 @@ def _cmd_table(args) -> int:
         if stripped and not stripped.startswith("#"):
             lines.append(stripped)
     if args.parallel > 1 and len(lines) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.parallel, len(lines))) as pool:
             results = list(pool.map(_run_table_row, lines))
     else:
         results = [_run_table_row(line) for line in lines]

@@ -330,7 +330,8 @@ def _write_matrix(code: LinearCode, fh: TextIO) -> None:
 
 
 def load_code(src: str | Path | TextIO) -> LinearCode:
-    """Read a generator matrix file; verifies shape and full rank."""
+    """Read a generator matrix file; verifies shape and full rank.  Lines
+    after the k rows must be blank."""
     if hasattr(src, "read"):
         return _read_matrix(src)
     with open(src, "r", encoding="ascii") as fh:
@@ -355,4 +356,7 @@ def _read_matrix(fh: TextIO) -> LinearCode:
         if set(line) - {"0", "1"}:
             raise ValueError(f"row {i}: symbols outside {{0,1}}")
         rows.append(line)
+    for i, line in enumerate(fh, start=k + 2):
+        if line.strip():
+            raise ValueError(f"line {i}: unexpected text after the {k} rows: {line.strip()!r}")
     return LinearCode(n, k, BitMatrix.from_strings(rows), family="GENERIC")

@@ -32,8 +32,8 @@ the terms sum above n minus the zero columns, so the loop always stops.
 The bound holds at every step, so a search cut short still proves
 d >= min(least weight scored, bound).  ``lower_bound`` runs the same loop
 under a cap on the combinations it scores, for the OSD decoder's
-certificates, and skips it where the cap cannot beat the bound it is
-given.
+certificates, once per generator: the result is memoized on the
+generator matrix.
 
 Scoring.  Let s be the largest size with C(k, t) <= 2^16 for every
 t <= s.  The weight-w combinations of a set's rows are its table of
@@ -77,13 +77,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, inf
 
 import numpy as np
 
+from .bounds import certified_lower
 from .codes import LinearCode
 from .errors import BudgetError
-from .gf2 import BitWord, eliminate
+from .gf2 import BitMatrix, BitWord, eliminate
 from .results import DistanceEstimate
 
 __all__ = [
@@ -101,7 +103,8 @@ DEFAULT_BUDGET = 32
 # the combinations ``lower_bound``'s search may score: it proves the true d
 # of QDC(24,12) and QR(41,21) (8 and 9, where certified_lower gives 1 and
 # 7) in 0.7 and 1.3 ms; 2^18 would add QR(47,24) at 11 (against 9) for 5.9
-# ms a decoder, and leaves QR(73,37) and the BCH codes where 2^16 does
+# ms once per generator, and leaves QR(73,37) and the BCH codes where 2^16
+# does
 LOWER_BOUND_WORDS = 1 << 16
 
 _LOW_BLOCK_BITS = 16
@@ -145,7 +148,7 @@ def exact_min_distance(
             f"k = {k} exceeds oracle budget {budget}: the code has "
             f"2^{k} = {1 << k} codewords"
         )
-    _, d, witness, scored = _search(code)
+    _, d, witness, scored = _search(code.generator)
     res = ExactResult(d_exact=d, witness=BitWord(code.n, witness), enumerator=None,
                       enumerated=scored)
     if collect_enumerator:
@@ -175,13 +178,13 @@ def _weigh(words: np.ndarray, lane_w: np.ndarray, w: np.ndarray) -> None:
         np.add.reduce(lane_w, axis=0, dtype=w.dtype, out=w)
 
 
-def _information_sets(code: LinearCode) -> list[tuple[list[int], list[int]]]:
+def _information_sets(generator: BitMatrix) -> list[tuple[list[int], list[int]]]:
     """(reduced rows, pivot columns) of each set, on disjoint columns."""
-    n, k = code.n, code.k
-    free = list(range(n))
+    k = generator.nrows
+    free = list(range(generator.cols))
     sets = []
     while True:
-        rows = list(code.generator.rows)
+        rows = list(generator.rows)
         units: list[int | None] = [None] * k
         r = eliminate(rows, units, free)
         if r == 0:
@@ -267,7 +270,7 @@ class _Scorer:
             self.best = int.from_bytes(self.block[:, at].astype("<u8").tobytes(), "little")
 
 
-def _search(code: LinearCode, max_words: float = inf) -> tuple[int, int, int, int]:
+def _search(generator: BitMatrix, max_words: float = inf) -> tuple[int, int, int, int]:
     """Run the search until the bound reaches the least weight scored, or
     until the next level of a set would take the count of combinations
     scored above ``max_words``.
@@ -278,8 +281,8 @@ def _search(code: LinearCode, max_words: float = inf) -> tuple[int, int, int, in
     weight is d and the codeword a witness.  The scorer's block buffers are
     freed on return, before an enumerator sweep.
     """
-    n, k = code.n, code.k
-    sets = [_InfoSet(rows, pivots, n) for rows, pivots in _information_sets(code)]
+    n, k = generator.cols, generator.nrows
+    sets = [_InfoSet(rows, pivots, n) for rows, pivots in _information_sets(generator)]
     scorer = _Scorer(n)
     w = 0
     while True:  # ends by w = k at the latest, see the module docstring
@@ -304,48 +307,22 @@ def _bound(sets: list[_InfoSet], k: int) -> int:
     return sum(max(0, s.done + 1 - (k - s.rank)) for s in sets)
 
 
-def lower_bound(code: LinearCode, known: int) -> int:
-    """max(``known``, a lower bound on d proven by a capped search).
-
-    The search scores at most ``LOWER_BOUND_WORDS`` combinations and
-    returns min(least weight scored, Zimmermann bound), which holds
-    whether or not it finished (module docstring).  It is skipped when
-    ``_capped_reach`` shows that no capped search on an (n, k) code can
-    prove more than ``known``.
+def lower_bound(code: LinearCode) -> int:
+    """A lower bound on d: the larger of ``bounds.certified_lower(code)``
+    and the bound of a search that scores at most ``LOWER_BOUND_WORDS``
+    combinations, min(least weight scored, Zimmermann bound), which holds
+    whether or not it finished (module docstring).  The search runs once
+    per generator matrix; later calls on an equal generator reuse it.
     """
-    if _capped_reach(code.n, code.k) <= known:
-        return known
-    bound, least, _, _ = _search(code, LOWER_BOUND_WORDS)
-    return max(known, min(bound, least))
+    return max(certified_lower(code), _capped_bound(code.generator))
 
 
-def _capped_reach(n: int, k: int) -> int:
-    """An upper limit on the bound ``lower_bound``'s search proves on any
-    (n, k) code.
-
-    Sets whose term is positive add sum(w_j) + m (1 - k) + sum(r_j), m of
-    them, with sum(r_j) <= min(n, m k); m above ceil(n / k) only subtracts.
-    Level t of a set scores C(k, t) combinations whatever its rank, and
-    below k / 2 each level costs more than the last, so sum(w_j) is at most
-    the number of levels the cap buys cheapest first: m of level 1, then m
-    of level 2, and so on.  When the cap buys all 2^k - 1 combinations of
-    one set (k <= 16) it bounds nothing, and d <= n - k + 1 is the limit.
-    """
-    if (1 << k) - 1 <= LOWER_BOUND_WORDS:
-        return n - k + 1
-    reach = 0
-    for m in range(1, -(-n // k) + 1):
-        levels, work, t = 0, 0, 1
-        while True:
-            cost = comb(k, t)
-            take = min(m, (LOWER_BOUND_WORDS - work) // cost)
-            levels += take
-            work += take * cost
-            if take < m:
-                break
-            t += 1
-        reach = max(reach, levels + m * (1 - k) + min(n, m * k))
-    return min(n - k + 1, reach)
+@lru_cache
+def _capped_bound(generator: BitMatrix) -> int:
+    """min(bound, least weight scored) of the capped search, memoized for
+    the last 128 generators (``lru_cache``'s default size)."""
+    bound, least, _, _ = _search(generator, LOWER_BOUND_WORDS)
+    return min(bound, least)
 
 
 def _sweep(code: LinearCode) -> dict[int, int]:

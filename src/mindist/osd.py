@@ -59,15 +59,14 @@ than one is that close, each is re-scored exactly with ``math.fsum``, and
 among equal exact costs the lexicographically smallest codeword wins.  The
 decoded word is thus a function of the received word alone.
 
-Two certificates end a decode early, each with the word full
-reprocessing returns.  Both rest on one test.  Let c be a candidate, D1
-the positions where it differs from the hard decisions, and d_lb a lower
-bound on the minimum distance, proven once per decoder: the larger of
-``bounds.certified_lower(code)`` (the BCH or square-root bound, from the
-generator) and ``oracle.lower_bound`` (the Zimmermann bound of a search
-capped at ``oracle.LOWER_BOUND_WORDS`` combinations, skipped when no
-capped search on an (n, k) code could beat the first; it gives
-QDC(24,12) its d = 8, where the first gives 1).  Any other codeword
+Two certificates prove that a candidate is the word full reprocessing
+returns.  Both rest on one test.  Let c be a candidate, D1 the positions
+where it differs from the hard decisions, and d_lb a lower bound on the
+minimum distance, ``oracle.lower_bound(code)``: the larger of
+``bounds.certified_lower`` (the BCH or square-root bound, from the
+generator) and the Zimmermann bound of a search capped at
+``oracle.LOWER_BOUND_WORDS`` combinations, run once per generator (it
+gives QDC(24,12) its d = 8, where the first gives 1).  Any other codeword
 differs from c at d_lb or more positions (their XOR is a nonzero
 codeword), at most |D1| of them in D1, so at need = d_lb - |D1| or more
 positions outside D1.  There c agrees with the hard decisions and the
@@ -84,14 +83,15 @@ within tol / 2 of its exact cost minus base, and any candidate of lower
 LUT cost has a higher exact cost, so c lies within tol of the least LUT
 cost, in the near set, where exact costs decide.
 
-The zero certificate runs first, with no sort, reduction or scoring: c is
-the all-zero word, and D1 the P positions whose samples are above 0.  It
+The zero certificate is MIM's test, run before a word is built: c is the
+all-zero word, and D1 the P positions whose samples are above 0.  It
 applies only when P <= order, since the zero word is then at most P MRB
 flips from the hard decisions and so a candidate.  ``zero_certified``
 takes the samples above 0 and the other magnitudes, so it needs no word:
 MIM asks it of each probe's impulse list (the all-zero channel word plus
 a few impulses, ``mim._certified``), and decodes only the probes it does
-not certify.
+not certify.  ``decode`` does not run it: every word it is given is
+reduced and scored.
 
 The post-order certificate runs after the flip sets of weight below the
 order, and only where the floor test above would score the top order: c
@@ -113,7 +113,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import certified_lower
 from .codes import LinearCode
 from .errors import ConsistencyError
 from .gf2 import BitMatrix, BitWord, eliminate, pack_rows, unpack_rows, xor_rows
@@ -261,23 +260,18 @@ class OsdDecoder:
     the result.  The winner is the candidate of least exact cost
     (``math.fsum`` of |y_i| where it differs from the hard decision); ties
     on that cost break toward the lexicographically smaller codeword, so the
-    result is a function of y alone.  Each word is reduced from the
+    result is a function of y alone.  Every word is reduced from the
     generator's basis on the columns in index order, which the decoder
     reduces once and keeps.
 
-    A word with P <= order samples above 0 decodes to the all-zero word
-    with no reduction when the sum of those samples is below the sum of the
-    d_lb - P smallest magnitudes among the others, where d_lb is the larger
-    of ``bounds.certified_lower`` and ``oracle.lower_bound``.  Zero is then
-    a candidate (at most P MRB flips from the hard decisions), and that
-    second sum is a floor on the cost of every nonzero codeword, whose
-    weight is at least d_lb.
-    Where the top order would be scored, the same test on the best flip
-    set c of lower weight (its cost against the sum of the d_lb - |D1|
-    smallest magnitudes off D1, the positions where c differs from the
-    hard decisions) returns c without it.  The module docstring has the
-    proofs, rounding included.  The decoded word is the one full
-    reprocessing returns.
+    d_lb is ``oracle.lower_bound(code)``.  Where the top order would be
+    scored, the best flip set c of lower weight returns without it when
+    its cost is below the sum of the d_lb - |D1| smallest magnitudes off
+    D1, the positions where c differs from the hard decisions: that sum is
+    a floor on the cost of every other codeword.  ``zero_certified`` is
+    the same test on the all-zero word, for MIM's impulse lists.  The
+    module docstring has the proofs, rounding included.  The decoded word
+    is the one full reprocessing returns.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -292,7 +286,7 @@ class OsdDecoder:
         if r < code.k:
             raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {code.k}")
         self._basis = (tuple(rows), tuple(units))
-        self._d_lb = lower_bound(code, certified_lower(code))
+        self._d_lb = lower_bound(code)
 
     def zero_certified(self, on: list[float], off: list[float], ones: int = 0) -> bool:
         """Whether the all-zero word is provably the decoded word of a
@@ -304,8 +298,8 @@ class OsdDecoder:
         the sum of ``on``, is below the sum of the d_lb - P smallest of the
         other magnitudes (see the module docstring).  When P >= d_lb that
         sum is empty and the test fails: the zero word's cost is then above
-        0.  ``decode`` asks it of every word; MIM asks it of a probe's
-        impulse list, with the untouched positions as ``ones``.
+        0.  MIM asks it of a probe's impulse list, with the untouched
+        positions as ``ones``.
         """
         need = self._d_lb - len(on)
         if len(on) > self.order or need <= 0:
@@ -317,9 +311,6 @@ class OsdDecoder:
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
         k, n = self.code.k, self.code.n
         arr = _received(n, y)
-        pos = arr > 0
-        if self.zero_certified(arr[pos].tolist(), (-arr[~pos]).tolist()):
-            return BitWord(n, 0)
         rows, perm, abs_y = _mrb_reduce(*self._basis, arr)
         P8 = unpack_rows(rows, n)[:, perm[k:]]
         abs_p = abs_y[perm]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mindist import oracle
+from mindist import cli, oracle
 from mindist.cli import (
     EXIT_BUDGET, EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _parse_row, _RowParser, main,
 )
@@ -101,6 +101,12 @@ class TestEstimate:
         rc = main(["estimate", "--code", str(c20_file), "--method", "ga-b",
                    "--population", "7"])
         assert rc == EXIT_CONFIG
+
+    def test_row_after_k_rows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "extra.gm"
+        path.write_text("4 2\n1100\n0011\n1111\n")
+        assert main(["estimate", "--code", str(path), "--method", "exact"]) == EXIT_CONFIG
+        assert "line 4: unexpected text after the 2 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, flags, config", [
         ("exact", ["--budget", "12", "--enumerator"], {"budget": 12, "enumerator": True}),
@@ -329,6 +335,32 @@ class TestTable:
             for row in csv.DictReader(p.open())
         ]
         assert strip_rt(seq) == strip_rt(par)
+
+    def test_parallel_starts_no_more_workers_than_rows(self, c20_file, tmp_path, monkeypatch):
+        # under fork a pool starts all max_workers processes at its first
+        # submit, so the cap must be in the argument; the fake starts none
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        spec = tmp_path / "runs.spec"
+        spec.write_text(f"{c20_file} exact\n{c20_file} mim seed=1 nb_test=2\n")
+        out = tmp_path / "runs.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(out), "--parallel", "64"]) == EXIT_OK
+        assert started == [2]
+        assert [row["d"] for row in csv.DictReader(out.open())] == ["6", "6"]
 
 
 class TestDecode:

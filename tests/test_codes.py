@@ -249,6 +249,13 @@ class TestMatrixIO:
         with pytest.raises(RankError):
             loads("4 2\n1010\n1010\n")
 
+    def test_row_after_k_rows_is_an_error(self):
+        with pytest.raises(ValueError, match="line 4: unexpected text after the 2 rows: '1111'"):
+            loads("4 2\n1100\n0011\n1111\n")
+
+    def test_blank_lines_after_k_rows_are_accepted(self):
+        assert loads("4 2\n1100\n0011\n\n  \n").generator == loads("4 2\n1100\n0011\n").generator
+
     def test_bad_header(self):
         with pytest.raises(ValueError, match="header"):
             loads("3\n111\n")

@@ -5,13 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mindist import mim, osd
+from mindist import mim
 from mindist.codes import LinearCode, build_bch, build_qdc, build_qr
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
 from mindist.osd import OsdDecoder, hard_decision
 from mindist.results import validate_result
+
+from test_osd import zero_certified
 
 
 class TestMakePattern:
@@ -113,21 +115,18 @@ class TestSameStreamDraws:
 
 class TestImpulseCertificate:
     """``mim._certified`` reads the decoder's zero-word test off the
-    impulse list; it must give the outcome of the test ``decode`` runs on
+    impulse list; it must give the outcome of the same test on
     ``apply_pattern``'s word.  BCH(15,7) has d_lb = 5."""
 
     CODE = build_bch(4, 2)
 
     @staticmethod
-    def dense(decoder, y, monkeypatch) -> bool:
-        """Whether ``decode`` ends at the zero certificate: it reduces no word."""
-        reduced = []
-        reduce = osd._mrb_reduce
-        monkeypatch.setattr(osd, "_mrb_reduce", lambda *a: reduced.append(1) or reduce(*a))
-        out = decoder.decode(y)
-        monkeypatch.setattr(osd, "_mrb_reduce", reduce)
-        assert reduced or out.weight == 0  # certified words decode to zero
-        return not reduced
+    def dense(decoder, y) -> bool:
+        """The zero certificate on ``apply_pattern``'s word."""
+        got = zero_certified(decoder, y)
+        if got:
+            assert decoder.decode(y).weight == 0  # certified words decode to zero
+        return got
 
     @pytest.mark.parametrize(
         "order, amplitudes, want",
@@ -147,12 +146,12 @@ class TestImpulseCertificate:
             (2, (1.25,) + (0.25,) * 14, True),  # e = n: no untouched position
         ],
     )
-    def test_matches_the_dense_test(self, order, amplitudes, want, monkeypatch):
+    def test_matches_the_dense_test(self, order, amplitudes, want):
         decoder = OsdDecoder(self.CODE, order=order)
         positions = tuple(range(len(amplitudes)))
         got = mim._certified(decoder, 15, amplitudes)
         assert got == want
-        assert self.dense(decoder, apply_pattern(15, positions, amplitudes), monkeypatch) == want
+        assert self.dense(decoder, apply_pattern(15, positions, amplitudes)) == want
 
     @pytest.mark.parametrize("make", [lambda: build_qdc(11), lambda: build_qr(41), lambda: build_bch(6, 7)],
                              ids=["qdc24", "qr41", "bch63"])
@@ -170,9 +169,7 @@ class TestImpulseCertificate:
         def certified_spy(decoder, n, amplitudes):
             got = certified(decoder, n, amplitudes)
             y = apply_pattern(n, *last)
-            assert self.dense(reference, y, monkeypatch) == got
-            if got:
-                assert reference.decode(y) == BitWord(n)
+            assert self.dense(reference, y) == got
             outcomes[got] += 1
             return got
 

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from mindist import oracle
+from mindist.bounds import certified_lower
 from mindist.codes import LinearCode, build_dcc, build_qdc, build_qr
 from mindist.errors import BudgetError
 from mindist.gf2 import BitMatrix, BitWord
@@ -43,7 +44,7 @@ def assert_exact(code: LinearCode) -> ExactResult:
 
 
 def set_ranks(code: LinearCode) -> list[int]:
-    return [len(pivots) for _, pivots in oracle._information_sets(code)]
+    return [len(pivots) for _, pivots in oracle._information_sets(code.generator)]
 
 
 def naive_enumerator(code: LinearCode) -> dict[int, int]:
@@ -221,7 +222,7 @@ class TestSearchAgainstNaive:
         code = LinearCode(10, 5, BitMatrix.from_strings(
             ["1000011110", "0100010101", "0010011001", "0001001100", "0000110010"]))
         assert set_ranks(code) == [5, 3, 2]
-        assert oracle._search(code)[:2] == (3, 3)
+        assert oracle._search(code.generator)[:2] == (3, 3)
         res = assert_exact(code)
         assert res.enumerated == comb(5, 1) + comb(5, 2)
 
@@ -318,15 +319,18 @@ def built_codes() -> dict[str, tuple[LinearCode, int]]:
 
 
 class TestLowerBound:
-    """``lower_bound``: min(least weight scored, Zimmermann bound) of a
-    search capped at ``LOWER_BOUND_WORDS`` combinations."""
+    """``lower_bound``: the larger of ``certified_lower`` and min(least
+    weight scored, Zimmermann bound) of a search capped at
+    ``LOWER_BOUND_WORDS`` combinations."""
 
     def test_at_most_d_on_built_codes(self):
         short = []
         for label, (code, d) in built_codes().items():
-            got = oracle.lower_bound(code, 1)
-            assert 1 <= got <= min(d, oracle._capped_reach(code.n, code.k)), label
-            if got < d:
+            searched = oracle._capped_bound(code.generator)
+            got = oracle.lower_bound(code)
+            assert got == max(certified_lower(code), searched), label
+            assert 1 <= certified_lower(code) <= got <= d, label
+            if searched < d:
                 short.append(label)
         # the cap stops these searches before they end
         assert {"BCH(127,64)", "QR(73)", "QR(47)"} <= set(short)
@@ -339,16 +343,15 @@ class TestLowerBound:
             k = rng.randint(10, 26)
             code = random_full_rank(rng, k, rng.randint(k + 4, 3 * k))
             d = exact_min_distance(code).d_exact
-            assert oracle.lower_bound(code, 1) <= min(d, oracle._capped_reach(code.n, code.k))
-            assert oracle.lower_bound(code, d) == d
+            assert certified_lower(code) <= oracle.lower_bound(code) <= d
 
     @pytest.mark.parametrize("cap", [0, 1, 10, 100, 1000, 5000])
     def test_any_cap_is_sound(self, cap, c20):
-        bound, least, _, scored = oracle._search(c20, cap)
+        bound, least, _, scored = oracle._search(c20.generator, cap)
         assert scored <= cap
         assert min(bound, least) <= 6
 
     def test_proves_the_distance_where_the_cap_allows(self, golay24, c20):
-        assert oracle.lower_bound(golay24, 1) == 8
-        assert oracle.lower_bound(c20, 1) == 6
-        assert oracle.lower_bound(build_qr(41), 7) == 9
+        assert oracle.lower_bound(golay24) == 8
+        assert oracle.lower_bound(c20) == 6
+        assert oracle.lower_bound(build_qr(41)) == 9

@@ -8,7 +8,7 @@ import pytest
 from mindist import oracle, osd
 from mindist.bounds import certified_lower
 from mindist.cli import EXIT_OK, main
-from mindist.codes import LinearCode, build_bch, build_dcc, build_qr, load_code
+from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr, load_code
 from mindist.errors import ConsistencyError
 from mindist.gf2 import BitMatrix, BitWord, eliminate, xor_rows
 from mindist.mim import apply_pattern, make_pattern
@@ -364,19 +364,11 @@ class TestTopOrderSkip:
         assert 0 < scored_top < len(words)
 
 
-@pytest.fixture
-def reductions(monkeypatch):
-    """A list that grows by one entry for each word a decoder reduces, so
-    it stays empty across decodes the zero-word certificate ends."""
-    calls = []
-    reduce = osd._mrb_reduce
-
-    def spy(*args):
-        calls.append(args)
-        return reduce(*args)
-
-    monkeypatch.setattr(osd, "_mrb_reduce", spy)
-    return calls
+def zero_certified(decoder: OsdDecoder, y: np.ndarray) -> bool:
+    """The zero certificate on a word's samples: those above 0, and the
+    magnitudes of the others."""
+    pos = y > 0
+    return decoder.zero_certified(y[pos].tolist(), (-y[~pos]).tolist())
 
 
 class TestZeroCertificate:
@@ -384,7 +376,9 @@ class TestZeroCertificate:
 
     Every word here has P = 2 samples above 0 at positions 0 and 1 and
     -1.0 elsewhere unless stated, so the floor on a nonzero codeword's cost
-    is the sum of the 5 - 2 = 3 smallest magnitudes among the rest.
+    is the sum of the 5 - 2 = 3 smallest magnitudes among the rest.  A
+    certified word must decode to the zero word, and every word to the
+    reference decoder's word.
     """
 
     CODE = build_bch(4, 2)
@@ -397,28 +391,30 @@ class TestZeroCertificate:
     def test_bound_is_the_distance(self):
         assert OsdDecoder(self.CODE, order=2)._d_lb == 5
 
-    def test_cost_just_below_floor_is_certified(self, reductions):
+    def test_cost_just_below_floor_is_certified(self):
         y = self.word(1.5, 1.25)  # zero costs 2.75 < 3.0
-        assert OsdDecoder(self.CODE, order=2).decode(y) == BitWord(15)
-        assert reductions == []
+        dec = OsdDecoder(self.CODE, order=2)
+        assert zero_certified(dec, y)
+        assert dec.decode(y) == BitWord(15)
         assert reference_decode(self.CODE, y, 2) == BitWord(15)
 
-    def test_cost_equal_to_floor_falls_through(self, reductions):
+    def test_cost_equal_to_floor_falls_through(self):
         y = self.word(1.5, 1.5)  # zero costs 3.0, the floor exactly
-        out = OsdDecoder(self.CODE, order=2).decode(y)
-        assert len(reductions) == 1
-        assert out == reference_decode(self.CODE, y, 2)
+        dec = OsdDecoder(self.CODE, order=2)
+        assert not zero_certified(dec, y)
+        assert dec.decode(y) == reference_decode(self.CODE, y, 2)
 
-    def test_more_positives_than_order_falls_through(self, reductions):
+    def test_more_positives_than_order_falls_through(self):
         # zero costs 2.0 < 3.0, but with P = order + 1 its MRB part is
         # order + 1 flips from the hard decisions, so it is no candidate
         y = self.word(1.0, 1.0)
-        out = OsdDecoder(self.CODE, order=1).decode(y)
-        assert len(reductions) == 1
+        dec = OsdDecoder(self.CODE, order=1)
+        assert not zero_certified(dec, y)
+        out = dec.decode(y)
         assert out == reference_decode(self.CODE, y, 1)
         assert out.weight > 0
 
-    def test_floor_takes_d_lb_minus_p_samples(self, reductions):
+    def test_floor_takes_d_lb_minus_p_samples(self):
         # a weight-5 codeword c: +1.0 on two of its positions, -0.5 on the
         # other three.  c costs 1.5 < 2.0, the zero word's cost, and the
         # floor is 3 * 0.5 = 1.5; one more sample in it would read 2.5
@@ -427,40 +423,52 @@ class TestZeroCertificate:
         y = np.full(15, -1.0)
         y[support[:2]] = 1.0
         y[support[2:]] = -0.5
-        out = OsdDecoder(self.CODE, order=2).decode(y)
-        assert len(reductions) == 1
+        dec = OsdDecoder(self.CODE, order=2)
+        assert not zero_certified(dec, y)
+        out = dec.decode(y)
         assert out == reference_decode(self.CODE, y, 2)
         assert out.weight > 0
 
-    def test_zero_sample_is_no_floor(self, reductions, golay24):
+    def test_zero_sample_is_no_floor(self, golay24):
         # QDC(24,12) gets d_lb = 8: with no positive sample zero costs 0,
         # certified while the 8 smallest magnitudes sum above 0
         dec = OsdDecoder(golay24, order=3)
         y = np.full(24, -1.0)
-        assert dec.decode(y) == BitWord(24) and reductions == []
+        assert zero_certified(dec, y) and dec.decode(y) == BitWord(24)
         y[7:15] = 0.0
-        out = dec.decode(y)
-        assert len(reductions) == 1
-        assert out == reference_decode(golay24, y, 3)
+        assert not zero_certified(dec, y)
+        assert dec.decode(y) == reference_decode(golay24, y, 3)
 
     @pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_qr(47)], ids=["bch63", "qr47"])
-    def test_mim_words_match_reference(self, reductions, make):
+    def test_mim_words_match_reference(self, make):
         code = make()
         dec = OsdDecoder(code, order=3)
         words = mim_words(code.n, 40, seed=code.n)
+        certified = 0
         for y in words:
-            assert dec.decode(y) == reference_decode(code, y, 3)
-        # reference_decode reduces once per word through most_reliable_basis
-        reduced = len(reductions) - len(words)
-        assert 0 < reduced < len(words)
+            out = dec.decode(y)
+            assert out == reference_decode(code, y, 3)
+            if zero_certified(dec, y):
+                certified += 1
+                assert out == BitWord(code.n)
+        assert 0 < certified < len(words)
 
 
 class TestProvenBound:
-    """d_lb is the larger of ``certified_lower`` and the capped search's
-    Zimmermann bound."""
+    """d_lb is ``oracle.lower_bound``: the larger of ``certified_lower``
+    and the capped search's Zimmermann bound, searched once per generator."""
 
-    def test_qdc24_gets_its_distance(self, golay24):
-        assert OsdDecoder(golay24)._d_lb == 8
+    @pytest.mark.parametrize("make, d_lb", [
+        (lambda: build_qdc(11), 8),
+        (lambda: build_qr(41), 9),
+        (lambda: build_qr(47), 9),
+        (lambda: build_qr(73), 9),
+        (lambda: build_bch(6, 7), 15),
+        (lambda: build_bch(6, 5), 11),
+        (lambda: build_bch(7, 10), 21),
+    ], ids=["qdc24", "qr41", "qr47", "qr73", "bch63_24", "bch63_36", "bch127"])
+    def test_pinned_bounds(self, make, d_lb):
+        assert OsdDecoder(make(), order=1)._d_lb == d_lb
 
     def test_loaded_bch63_gets_a_search_bound(self, tmp_path):
         # the file keeps only the rows: the loaded code is GENERIC, and the
@@ -469,14 +477,21 @@ class TestProvenBound:
         assert main(["construct", "--bch", "6", "7", "--out", str(path)]) == EXIT_OK
         code = load_code(path)
         assert code.family == "GENERIC" and certified_lower(code) == 1
-        assert 1 < OsdDecoder(code)._d_lb <= 15
+        assert OsdDecoder(code)._d_lb == 10
 
-    def test_known_bound_skips_the_search(self, monkeypatch):
-        # no capped search could beat the BCH bound of BCH(127,64) or the
-        # square-root bound of QR(47,24), so none runs
-        monkeypatch.setattr(oracle, "_search", None)
-        assert OsdDecoder(build_bch(7, 10), order=1)._d_lb == 21
-        assert OsdDecoder(build_qr(47), order=1)._d_lb == 9
+    def test_equal_generator_runs_no_second_search(self, monkeypatch, golay24):
+        oracle._capped_bound.cache_clear()
+        searches = []
+        search = oracle._search
+
+        def spy(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "_search", spy)
+        assert OsdDecoder(golay24, order=1)._d_lb == 8
+        assert OsdDecoder(build_qdc(11), order=3)._d_lb == 8
+        assert len(searches) == 1
 
 
 @pytest.fixture
@@ -503,8 +518,7 @@ class TestPostOrderCertificate:
     """Order-2 decodes on BCH(15,7), where ``certified_lower`` proves 5.
 
     The low table holds the 8 flip sets of weight 0 and 1, the top table
-    the 21 of weight 2.  No word here has P <= 2 samples above 0, so the
-    zero-word certificate ends before its floor.
+    the 21 of weight 2.
     """
 
     CODE = build_bch(4, 2)
