@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .codes import LinearCode, _cyclic_generator, _is_prime, qr_factors
 from .errors import ConsistencyError
-from .gf2 import PRIMITIVE_POLYS, BinPoly, GF2mField, cyclotomic_coset, systematize
+from .gf2 import PRIMITIVE_POLYS, BinPoly, BitMatrix, GF2mField, cyclotomic_coset, systematize
 
 __all__ = [
     "BoundReport",
@@ -41,6 +41,7 @@ __all__ = [
     "truncate2",
     "build_report",
     "certified_lower",
+    "generator_lower",
 ]
 
 KRASIKOV_COEFFICIENT = 0.166315
@@ -61,15 +62,22 @@ def qr_sqrt_lower(n: int) -> int:
 
 
 def certified_lower(code: LinearCode) -> int:
-    """A lower bound on the minimum distance, proven from the generator.
+    """A lower bound on the minimum distance, proven from the generator:
+    ``generator_lower(code.generator, code.metadata.get("generator_poly"))``."""
+    return generator_lower(code.generator, code.metadata.get("generator_poly"))
+
+
+def generator_lower(generator: BitMatrix, hint: object) -> int:
+    """A lower bound on the minimum distance of the code ``generator``
+    spans, proven from the generator.
 
     Reads no label a caller can set (``family``, ``design_distance``).  The
-    generator polynomial in ``metadata["generator_poly"]`` is only a hint,
-    used after it is checked: g has degree n - k, divides x^n - 1, and
-    systematizing the cyclic rows x^i g(x) reproduces the generator's rows
-    exactly.  The code is then a column permutation of the cyclic code
-    generated by g, which has the same distance.  The bound is the larger
-    of these, when they apply:
+    generator polynomial ``hint`` (a code's ``metadata["generator_poly"]``)
+    is used only when it is an int and after it is checked: g has degree
+    n - k, divides x^n - 1, and systematizing the cyclic rows x^i g(x)
+    reproduces the generator's rows exactly.  The code is then a column
+    permutation of the cyclic code generated by g, which has the same
+    distance.  The bound is the larger of these, when they apply:
 
     - n = 2^m - 1 (m in the field table): the BCH bound.  If g has among
       its zeros alpha^b, alpha^(b+1), .., alpha^(b+delta-2) for a primitive
@@ -87,15 +95,14 @@ def certified_lower(code: LinearCode) -> int:
 
     Any other code gets 1.
     """
-    n, k = code.n, code.k
-    hint = code.metadata.get("generator_poly")
+    n, k = generator.cols, generator.nrows
     if type(hint) is not int or hint <= 0:
         return 1
     g = BinPoly(hint)
     x_n_1 = BinPoly((1 << n) | 1)
     if g.degree != n - k or x_n_1 % g:
         return 1
-    if systematize(_cyclic_generator(g, n))[0].rows != code.generator.rows:
+    if systematize(_cyclic_generator(g, n))[0].rows != generator.rows:
         return 1
     bound = 1
     m = n.bit_length()

@@ -9,6 +9,7 @@ the stored generator transfer to the original cyclic code.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
@@ -311,7 +312,13 @@ def build_qdc(p: int, corner: int = 0) -> LinearCode:
 # ---------------------------------------------------------------------------
 # matrix file I/O
 #
-# Text format: line 1 = "n k"; then k rows of n characters from {0, 1}.
+# Text format: line 1 = "n k"; then k rows of n characters from {0, 1};
+# then, for a code built with a generator polynomial g (BCH, QR), the line
+# "# generator_poly 0x..." with g's coefficient bits in hex (bit i holds
+# x^i).  Loading restores it as the ``generator_poly`` hint, which
+# ``bounds.certified_lower`` checks against the rows before it uses it, so
+# the file adds no trust; the family is not kept.  Files without the line
+# load as before.
 
 
 def save_code(code: LinearCode, dest: str | Path | TextIO) -> None:
@@ -327,11 +334,14 @@ def _write_matrix(code: LinearCode, fh: TextIO) -> None:
     for i in range(code.k):
         fh.write(code.generator.row_word(i).to01())
         fh.write("\n")
+    hint = code.metadata.get("generator_poly")
+    if type(hint) is int and hint > 0:
+        fh.write(f"# generator_poly {hint:#x}\n")
 
 
 def load_code(src: str | Path | TextIO) -> LinearCode:
     """Read a generator matrix file; verifies shape and full rank.  Lines
-    after the k rows must be blank."""
+    after the k rows must be blank, but for one generator polynomial line."""
     if hasattr(src, "read"):
         return _read_matrix(src)
     with open(src, "r", encoding="ascii") as fh:
@@ -356,7 +366,11 @@ def _read_matrix(fh: TextIO) -> LinearCode:
         if set(line) - {"0", "1"}:
             raise ValueError(f"row {i}: symbols outside {{0,1}}")
         rows.append(line)
+    metadata = {}
     for i, line in enumerate(fh, start=k + 2):
-        if line.strip():
+        hint = re.fullmatch(r"# generator_poly 0x([0-9a-f]+)", line.strip())
+        if hint and not metadata:
+            metadata["generator_poly"] = int(hint[1], 16)
+        elif line.strip():
             raise ValueError(f"line {i}: unexpected text after the {k} rows: {line.strip()!r}")
-    return LinearCode(n, k, BitMatrix.from_strings(rows), family="GENERIC")
+    return LinearCode(n, k, BitMatrix.from_strings(rows), family="GENERIC", metadata=metadata)

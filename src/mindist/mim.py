@@ -15,6 +15,11 @@ of 1.0 while every decode at the level still returns the all-zero word,
 capped by a ceiling A_min that starts at d1 + 0.5 and shrinks to each
 trial's final amplitude, so later trials stop probing above the level
 where escapes already happen.
+
+A run ends early once its witness weighs ``oracle.lower_bound(code)``:
+that bound is proven, so no later probe can find a lighter codeword, and
+d and the witness are final.  The run then closes the trial, records a
+``certified`` event, and stops.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from .bounds import singleton
 from .codes import LinearCode
 from .gf2 import BitWord
+from .oracle import lower_bound
 from .osd import DEFAULT_ORDER, OsdDecoder
 from .results import DistanceEstimate
 
@@ -160,9 +166,11 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
     codeword is reachable by the decoder from a perturbed all-zero word.
 
     Starts from the Singleton bound and keeps the lightest nonzero decoded
-    codeword.  If no decode ever escapes the all-zero word the result is
-    the untouched initialization, flagged by a missing witness ("no
-    witness" diagnostic) and a terminal event.
+    codeword.  Stops after the trial in which the witness reaches
+    ``lower_bound(code)``, with a ``certified`` event: d is then proven.
+    If no decode ever escapes the all-zero word the result is the
+    untouched initialization, flagged by a missing witness ("no witness"
+    diagnostic) and a terminal event.
     """
     if cfg is None:
         cfg = MimConfig.for_code(code)
@@ -171,6 +179,7 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
     started = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
     decoder = OsdDecoder(code, cfg.osd_order)
+    d_lb = lower_bound(code)
 
     a_min = cfg.d1 + 0.5
     d_t = singleton(n, k)
@@ -204,9 +213,16 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
                                 "time": round(time.perf_counter() - started, 6),
                             }
                         )
+                        if w <= d_lb:
+                            break  # no codeword is lighter
             all_zero = level_all_zero
         a_min = amplitude
         events.append({"kind": "trial", "trial": trial, "a_min": a_min})
+        # the Singleton start value is no witness, even when it equals d_lb
+        if witness is not None and d_t <= d_lb:
+            events.append({"kind": "certified", "d_lb": d_lb,
+                           "time": round(time.perf_counter() - started, 6)})
+            break
 
     if witness is None:
         events.append({"kind": "no_witness", "d_init": d_t})

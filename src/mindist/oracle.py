@@ -31,9 +31,13 @@ the terms sum above n minus the zero columns, so the loop always stops.
 
 The bound holds at every step, so a search cut short still proves
 d >= min(least weight scored, bound).  ``lower_bound`` runs the same loop
-under a cap on the combinations it scores, for the OSD decoder's
-certificates, once per generator: the result is memoized on the
-generator matrix.
+under a cap on the combinations it scores, and given a bound ``known``
+already proven (``bounds.certified_lower``) it also stops as soon as the
+least weight scored is at most ``known``: that weight is then d.  Grassl
+(2006) stops the search at a known bound the same way.  With the cap it
+proves d on every criterion-4 code, built or loaded from a file that
+keeps the generator polynomial (``codes.save_code``); it runs once per
+code and is memoized.  MIM and the OSD decoder's certificates read it.
 
 Scoring.  Let s be the largest size with C(k, t) <= 2^16 for every
 t <= s.  The weight-w combinations of a set's rows are its table of
@@ -82,7 +86,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .bounds import certified_lower
+from .bounds import generator_lower
 from .codes import LinearCode
 from .errors import BudgetError
 from .gf2 import BitMatrix, BitWord, eliminate
@@ -100,12 +104,15 @@ __all__ = [
 
 DEFAULT_BUDGET = 32
 
-# the combinations ``lower_bound``'s search may score: it proves the true d
-# of QDC(24,12) and QR(41,21) (8 and 9, where certified_lower gives 1 and
-# 7) in 0.7 and 1.3 ms; 2^18 would add QR(47,24) at 11 (against 9) for 5.9
-# ms once per generator, and leaves QR(73,37) and the BCH codes where 2^16
-# does
-LOWER_BOUND_WORDS = 1 << 16
+# the combinations ``lower_bound``'s search may score: the least power of
+# two with which it proves d on every criterion-4 code.  QR(73,37) takes
+# the most, 5,670,398 (about 0.1 s on a 2-core x86 host, once per
+# process; 2^22 proves 12); given their BCH bound, the BCH codes stop
+# within 50,000.  Without it, as for a code loaded from a file with no
+# generator polynomial, the search stops short at the level that would
+# pass the cap: BCH(63,36) at 7 after 2,391,495 and BCH(127,64) at 9
+# after 1,358,240 (9–12 ms)
+LOWER_BOUND_WORDS = 1 << 23
 
 _LOW_BLOCK_BITS = 16
 _BLOCK = 1 << _LOW_BLOCK_BITS
@@ -270,16 +277,19 @@ class _Scorer:
             self.best = int.from_bytes(self.block[:, at].astype("<u8").tobytes(), "little")
 
 
-def _search(generator: BitMatrix, max_words: float = inf) -> tuple[int, int, int, int]:
+def _search(generator: BitMatrix, max_words: float = inf,
+            known: int = 0) -> tuple[int, int, int, int]:
     """Run the search until the bound reaches the least weight scored, or
-    until the next level of a set would take the count of combinations
-    scored above ``max_words``.
+    the least weight scored is at most ``known``, a proven lower bound on
+    d, or until the next level of a set would take the count of
+    combinations scored above ``max_words``.
 
     Returns (bound, least weight scored, the first codeword of that weight
     scored, combinations scored).  Every nonzero codeword weighs at least
-    min(bound, least weight), and when the search ran to its end the least
-    weight is d and the codeword a witness.  The scorer's block buffers are
-    freed on return, before an enumerator sweep.
+    max(known, min(bound, least weight)), and when the search ran to its
+    end, on either stop, the least weight is d and the codeword a witness.
+    The scorer's block buffers are freed on return, before an enumerator
+    sweep.
     """
     n, k = generator.cols, generator.nrows
     sets = [_InfoSet(rows, pivots, n) for rows, pivots in _information_sets(generator)]
@@ -298,7 +308,7 @@ def _search(generator: BitMatrix, max_words: float = inf) -> tuple[int, int, int
                 info.score(info.done, k, None, scorer)
             scorer.flush()
             bound = _bound(sets, k)
-            if bound >= scorer.best_w:
+            if bound >= scorer.best_w or scorer.best_w <= known:
                 return bound, scorer.best_w, scorer.best, scorer.scored
 
 
@@ -308,21 +318,27 @@ def _bound(sets: list[_InfoSet], k: int) -> int:
 
 
 def lower_bound(code: LinearCode) -> int:
-    """A lower bound on d: the larger of ``bounds.certified_lower(code)``
-    and the bound of a search that scores at most ``LOWER_BOUND_WORDS``
-    combinations, min(least weight scored, Zimmermann bound), which holds
-    whether or not it finished (module docstring).  The search runs once
-    per generator matrix; later calls on an equal generator reuse it.
+    """A lower bound on d: max(known, min(least weight scored, Zimmermann
+    bound)) of a search that starts from known = ``bounds.certified_lower(code)``
+    and scores at most ``LOWER_BOUND_WORDS`` combinations.  It holds
+    whether or not the search finished, and is d when it did (module
+    docstring).  The result is memoized on the two inputs it reads, the
+    generator and the ``generator_poly`` hint (which must be hashable, as
+    the builders' and ``load_code``'s ints are), so each code pays it once
+    per process.
     """
-    return max(certified_lower(code), _capped_bound(code.generator))
+    return _proven(code.generator, code.metadata.get("generator_poly"))
 
 
-@lru_cache
-def _capped_bound(generator: BitMatrix) -> int:
-    """min(bound, least weight scored) of the capped search, memoized for
-    the last 128 generators (``lru_cache``'s default size)."""
-    bound, least, _, _ = _search(generator, LOWER_BOUND_WORDS)
-    return min(bound, least)
+@lru_cache(typed=True)
+def _proven(generator: BitMatrix, hint: object) -> int:
+    """``lower_bound`` of the code with this generator and hint, memoized
+    for the last 128 keys (``lru_cache``'s default size); ``typed`` keeps a
+    float hint, which ``generator_lower`` rejects, off an equal int hint's
+    entry."""
+    known = generator_lower(generator, hint)
+    bound, least, _, _ = _search(generator, LOWER_BOUND_WORDS, known)
+    return max(known, min(bound, least))
 
 
 def _sweep(code: LinearCode) -> dict[int, int]:

@@ -62,17 +62,18 @@ decoded word is thus a function of the received word alone.
 Two certificates prove that a candidate is the word full reprocessing
 returns.  Both rest on one test.  Let c be a candidate, D1 the positions
 where it differs from the hard decisions, and d_lb a lower bound on the
-minimum distance, ``oracle.lower_bound(code)``: the larger of
+minimum distance, ``oracle.lower_bound(code)``: the bound of a search
+capped at ``oracle.LOWER_BOUND_WORDS`` combinations that starts from
 ``bounds.certified_lower`` (the BCH or square-root bound, from the
-generator) and the Zimmermann bound of a search capped at
-``oracle.LOWER_BOUND_WORDS`` combinations, run once per generator (it
-gives QDC(24,12) its d = 8, where the first gives 1).  Any other codeword
-differs from c at d_lb or more positions (their XOR is a nonzero
-codeword), at most |D1| of them in D1, so at need = d_lb - |D1| or more
-positions outside D1.  There c agrees with the hard decisions and the
-other codeword does not, so each such position adds its |y_i| to that
-codeword's cost, which is therefore at least the sum of the need smallest
-|y_i| outside D1.  The test is that
+generator), run once per code.  It is d on every criterion-4 code, where
+``certified_lower`` alone gives 1 to QDC(24,12) and 9 to QR(73,37),
+against d = 8 and 13; the larger d_lb, the more often both tests below
+hold.  Any other codeword differs from c at d_lb or more positions
+(their XOR is a nonzero codeword), at most |D1| of them in D1, so at
+need = d_lb - |D1| or more positions outside D1.  There c agrees with
+the hard decisions and the other codeword does not, so each such
+position adds its |y_i| to that codeword's cost, which is therefore at
+least the sum of the need smallest |y_i| outside D1.  The test is that
 c's exact cost, the ``fsum`` of |y_i| over D1, is strictly below the
 ``fsum`` of that floor; it fails outright when need <= 0.  Correct
 rounding is monotone: the strict test on the two rounded sums implies it
@@ -264,7 +265,8 @@ class OsdDecoder:
     generator's basis on the columns in index order, which the decoder
     reduces once and keeps.
 
-    d_lb is ``oracle.lower_bound(code)``.  Where the top order would be
+    d_lb is ``oracle.lower_bound(code)``, d itself on the criterion-4
+    codes, computed once per code.  Where the top order would be
     scored, the best flip set c of lower weight returns without it when
     its cost is below the sum of the d_lb - |D1| smallest magnitudes off
     D1, the positions where c differs from the hard decisions: that sum is

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mindist
 
+from mindist.bounds import certified_lower
 from mindist.codes import (
     LinearCode,
     build_bch,
@@ -233,6 +234,31 @@ class TestMatrixIO:
         loaded = load_code(path)
         assert loaded.generator == c20.generator
         assert (loaded.n, loaded.k) == (20, 10)
+        # a code with no generator polynomial gets no line for it
+        assert len(path.read_text().splitlines()) == 11 and loaded.metadata == {}
+
+    @pytest.mark.parametrize("code", [build_bch(6, 5), build_qr(73)], ids=["bch63_36", "qr73"])
+    def test_generator_poly_round_trip(self, code):
+        # the file keeps g as a hint, so the loaded code keeps the bound
+        # certified_lower proves from it; the family is not kept
+        buf = io.StringIO()
+        save_code(code, buf)
+        g = code.metadata["generator_poly"]
+        assert buf.getvalue().splitlines()[-1] == f"# generator_poly {g:#x}"
+        loaded = loads(buf.getvalue())
+        assert loaded.generator == code.generator
+        assert (loaded.family, loaded.metadata) == ("GENERIC", {"generator_poly": g})
+        assert certified_lower(loaded) == certified_lower(code) > 1
+
+    @pytest.mark.parametrize("tail", [
+        "# generator_poly 0x7\n# generator_poly 0x7\n",
+        "# generator_poly 7\n",
+        "# generator_poly 0xG\n",
+        "# note\n",
+    ], ids=["twice", "no-0x", "not-hex", "other-comment"])
+    def test_other_lines_after_k_rows_are_errors(self, tail):
+        with pytest.raises(ValueError, match="unexpected text after the 2 rows"):
+            loads("4 2\n1100\n0011\n" + tail)
 
     def test_trailing_newline_optional(self):
         assert loads("3 1\n111").generator == loads("3 1\n111\n").generator

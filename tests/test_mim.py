@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mindist import mim
-from mindist.codes import LinearCode, build_bch, build_qdc, build_qr
+from mindist import mim, oracle
+from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
@@ -175,6 +175,7 @@ class TestImpulseCertificate:
 
         monkeypatch.setattr(mim, "make_pattern", draw_spy)
         monkeypatch.setattr(mim, "_certified", certified_spy)
+        monkeypatch.setattr(mim, "lower_bound", no_stop)  # every trial's probes
         for seed in range(2):
             mim.run(code, MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=seed))
         assert outcomes[True] and outcomes[False]
@@ -203,6 +204,63 @@ class TestApplyPattern:
                 if amp > 1.0:
                     expect |= 1 << pos
             assert flipped.bits == expect
+
+
+def no_stop(code: LinearCode) -> int:
+    """A ``lower_bound`` no witness reaches: patched into ``mim``, runs
+    never stop early, and the decoder keeps its own bound."""
+    return 1
+
+
+def strip_times(events) -> list[dict]:
+    return [{k: v for k, v in e.items() if k != "time"} for e in events]
+
+
+class TestCertifiedStop:
+    """A run stops after the trial in which its witness reaches
+    ``lower_bound(code)``.  The same seeded run with the stop switched off
+    (``no_stop``) must give the same d and witness, and its events must
+    begin with the stopped run's events but the last, a ``certified``
+    event."""
+
+    CODES = {
+        "qdc24": lambda: build_qdc(11),
+        "qr41": lambda: build_qr(41),
+        "qr47": lambda: build_qr(47),
+        "qr73": lambda: build_qr(73),
+        "bch63_24": lambda: build_bch(6, 7),
+        "bch63_36": lambda: build_bch(6, 5),
+        "c20": lambda: build_dcc(BitWord.parse("1001111110")),
+        "repetition7": lambda: LinearCode(7, 1, BitMatrix.from_strings(["1111111"])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    def test_stop_keeps_d_and_the_witness(self, name, monkeypatch):
+        code = self.CODES[name]()
+        # repetition7 needs the amplitude up to d = 7 to escape at all
+        cfg = MimConfig.for_code(code, nb_test=3, error_max=min(20, code.n),
+                                 osd_order=min(3, code.k), rng_seed=1,
+                                 **({"d1": 7} if name == "repetition7" else {}))
+        stopped = run(code, cfg)
+        monkeypatch.setattr(mim, "lower_bound", no_stop)
+        full = run(code, cfg)
+        assert stopped.witness is not None
+        assert (stopped.d, stopped.witness) == (full.d, full.witness)
+        *head, last = strip_times(stopped.events)
+        assert last == {"kind": "certified", "d_lb": stopped.d}
+        assert head[-1]["kind"] == "trial"  # the stop closes its trial first
+        assert stopped.d == oracle.lower_bound(code)
+        assert head == strip_times(full.events)[:len(head)]
+        assert not any(e["kind"] == "certified" for e in full.events)
+
+    def test_no_stop_short_of_the_bound(self, monkeypatch):
+        # this seed reaches 16 on BCH(63,24), d = 15: every trial runs
+        code = build_bch(6, 7)
+        cfg = MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=3)
+        est = run(code, cfg)
+        monkeypatch.setattr(mim, "lower_bound", no_stop)
+        assert est.d == 16
+        assert strip_times(est.events) == strip_times(run(code, cfg).events)
 
 
 class TestRun:
@@ -244,11 +302,13 @@ class TestRun:
             stacked = BitMatrix(24, golay24.generator.rows + (est.witness.bits,))
             assert stacked.rank() == golay24.k
 
-    def test_monotone_refinement_and_a_min(self, golay24):
+    def test_monotone_refinement_and_a_min(self, golay24, monkeypatch):
+        monkeypatch.setattr(mim, "lower_bound", no_stop)  # all 10 trials
         est = run(golay24, MimConfig.for_code(golay24, nb_test=10, rng_seed=2))
         weights = [e["weight"] for e in est.events if e["kind"] == "witness"]
         assert weights == sorted(weights, reverse=True)
         a_mins = [e["a_min"] for e in est.events if e["kind"] == "trial"]
+        assert len(a_mins) == 10
         assert all(x >= y for x, y in zip(a_mins, a_mins[1:]))
 
     def test_witness_events_carry_time_and_word(self, golay24):
@@ -268,6 +328,8 @@ class TestRun:
         assert est.witness is None
         assert est.d == 31  # untouched Singleton initialization
         assert any(e["kind"] == "no_witness" for e in est.events)
+        # d_lb = 31 is the Singleton start value, but no witness reached it
+        assert not any(e["kind"] == "certified" for e in est.events)
         validate_result(est.to_dict())  # the one record that may lack a witness
 
     def test_determinism(self, golay24):

@@ -6,7 +6,8 @@ import pytest
 
 from mindist import oracle
 from mindist.bounds import certified_lower
-from mindist.codes import LinearCode, build_dcc, build_qdc, build_qr
+from mindist.cli import EXIT_OK, main
+from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr, load_code
 from mindist.errors import BudgetError
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.oracle import ExactResult, exact_enumerator, exact_min_distance
@@ -319,21 +320,15 @@ def built_codes() -> dict[str, tuple[LinearCode, int]]:
 
 
 class TestLowerBound:
-    """``lower_bound``: the larger of ``certified_lower`` and min(least
-    weight scored, Zimmermann bound) of a search capped at
-    ``LOWER_BOUND_WORDS`` combinations."""
+    """``lower_bound``: max(known, min(least weight scored, Zimmermann
+    bound)) of a search from known = ``certified_lower`` capped at
+    ``LOWER_BOUND_WORDS`` combinations, which also stops once the least
+    weight scored is at most known."""
 
     def test_at_most_d_on_built_codes(self):
-        short = []
+        # and equal to it: the search proves d on every one of them
         for label, (code, d) in built_codes().items():
-            searched = oracle._capped_bound(code.generator)
-            got = oracle.lower_bound(code)
-            assert got == max(certified_lower(code), searched), label
-            assert 1 <= certified_lower(code) <= got <= d, label
-            if searched < d:
-                short.append(label)
-        # the cap stops these searches before they end
-        assert {"BCH(127,64)", "QR(73)", "QR(47)"} <= set(short)
+            assert 1 <= certified_lower(code) <= oracle.lower_bound(code) == d, label
 
     @pytest.mark.parametrize("seed", range(6))
     def test_at_most_d_on_random_codes(self, seed):
@@ -355,3 +350,69 @@ class TestLowerBound:
         assert oracle.lower_bound(golay24) == 8
         assert oracle.lower_bound(c20) == 6
         assert oracle.lower_bound(build_qr(41)) == 9
+
+    @pytest.mark.parametrize("construct, d", [
+        (["--qr", "47"], 11),
+        (["--qr", "73"], 13),
+        (["--bch", "6", "7"], 15),
+    ], ids=["qr47", "qr73", "bch63_24"])
+    def test_pins_the_distance(self, construct, d, tmp_path):
+        # built, loaded from the file construct writes, and loaded from a
+        # file without its generator polynomial line, as written before
+        # the line existed: that code is GENERIC with certified_lower 1,
+        # so the search alone proves d
+        path = tmp_path / "code.gm"
+        assert main(["construct", *construct, "--out", str(path)]) == EXIT_OK
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[-1].startswith("# generator_poly 0x")
+        bare = tmp_path / "bare.gm"
+        bare.write_text("".join(lines[:-1]))
+        old = load_code(bare)
+        assert old.family == "GENERIC" and certified_lower(old) == 1
+        assert oracle.lower_bound(old) == d
+        built = {"--qr": lambda: build_qr(int(construct[1])),
+                 "--bch": lambda: build_bch(6, 7)}[construct[0]]()
+        loaded = load_code(path)
+        assert certified_lower(loaded) == certified_lower(built) > 1
+        assert oracle.lower_bound(loaded) == oracle.lower_bound(built) == d
+
+    def test_known_bound_stops_the_search(self):
+        # BCH(63,36): the BCH bound proves 11, and the search finds a word
+        # of weight 11 among its first 36 combinations; without the known
+        # bound it runs into the cap and proves only 7
+        code = build_bch(6, 5)
+        assert certified_lower(code) == 11
+        bound, least, _, scored = oracle._search(code.generator, oracle.LOWER_BOUND_WORDS, 11)
+        assert (least, scored) == (11, 36)
+        bound, least, _, scored = oracle._search(code.generator, oracle.LOWER_BOUND_WORDS)
+        assert min(bound, least) == 7 and scored > 2_000_000
+
+    def test_a_float_hint_is_not_the_int_hint(self):
+        # certified_lower rejects a float hint, so its memo entry must not
+        # be the equal int hint's
+        code = build_bch(6, 5)
+        floated = LinearCode(63, 36, code.generator,
+                             metadata={"generator_poly": float(code.metadata["generator_poly"])})
+        assert oracle.lower_bound(code) == 11
+        assert certified_lower(floated) == 1 and oracle.lower_bound(floated) == 7
+
+    def test_cap_stops_the_search_short(self, monkeypatch):
+        # a GENERIC copy of BCH(127,64) has no BCH bound to stop at, and the
+        # cap stops its search at 9, against d = 21
+        bch = build_bch(7, 10)
+        generic = LinearCode(127, 64, bch.generator)
+        assert certified_lower(generic) == 1
+        runs = []
+
+        def spy(*args, real=oracle._search):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(oracle, "_search", spy)
+        oracle._proven.cache_clear()
+        assert oracle.lower_bound(generic) == 9
+        ((bound, least, _, scored),) = runs
+        assert scored <= oracle.LOWER_BOUND_WORDS and bound < least
+        assert min(bound, least) == 9
+        # the generator_poly hint is part of the memo's key
+        assert oracle.lower_bound(bch) == 21 and len(runs) == 2

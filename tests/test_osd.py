@@ -455,14 +455,15 @@ class TestZeroCertificate:
 
 
 class TestProvenBound:
-    """d_lb is ``oracle.lower_bound``: the larger of ``certified_lower``
-    and the capped search's Zimmermann bound, searched once per generator."""
+    """d_lb is ``oracle.lower_bound``: the capped search's bound from
+    ``certified_lower``, searched once per code.  It is d on every code
+    here."""
 
     @pytest.mark.parametrize("make, d_lb", [
         (lambda: build_qdc(11), 8),
         (lambda: build_qr(41), 9),
-        (lambda: build_qr(47), 9),
-        (lambda: build_qr(73), 9),
+        (lambda: build_qr(47), 11),
+        (lambda: build_qr(73), 13),
         (lambda: build_bch(6, 7), 15),
         (lambda: build_bch(6, 5), 11),
         (lambda: build_bch(7, 10), 21),
@@ -471,27 +472,29 @@ class TestProvenBound:
         assert OsdDecoder(make(), order=1)._d_lb == d_lb
 
     def test_loaded_bch63_gets_a_search_bound(self, tmp_path):
-        # the file keeps only the rows: the loaded code is GENERIC, and the
-        # BCH bound's 15 becomes 1
+        # a file with only the rows loads a GENERIC code, and the BCH
+        # bound's 15 becomes 1; the search alone proves 15
         path = tmp_path / "b63.gm"
-        assert main(["construct", "--bch", "6", "7", "--out", str(path)]) == EXIT_OK
+        path.write_text("63 24\n" + "".join(
+            build_bch(6, 7).generator.row_word(i).to01() + "\n" for i in range(24)))
         code = load_code(path)
         assert code.family == "GENERIC" and certified_lower(code) == 1
-        assert OsdDecoder(code)._d_lb == 10
+        assert OsdDecoder(code)._d_lb == 15
 
     def test_equal_generator_runs_no_second_search(self, monkeypatch, golay24):
-        oracle._capped_bound.cache_clear()
-        searches = []
-        search = oracle._search
+        # nor a second generator_lower: all of lower_bound is memoized
+        oracle._proven.cache_clear()
+        calls = []
+        for name in ("_search", "generator_lower"):
+            def spy(*args, real=getattr(oracle, name), name=name):
+                calls.append(name)
+                return real(*args)
 
-        def spy(*args):
-            searches.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(oracle, "_search", spy)
+            monkeypatch.setattr(oracle, name, spy)
         assert OsdDecoder(golay24, order=1)._d_lb == 8
         assert OsdDecoder(build_qdc(11), order=3)._d_lb == 8
-        assert len(searches) == 1
+        assert oracle.lower_bound(golay24) == 8
+        assert sorted(calls) == ["_search", "generator_lower"]
 
 
 @pytest.fixture
