@@ -21,8 +21,17 @@ tournament of two).
 Classic mutation draws the geometric gap to the next flipped gene
 (Devroye's skip method for Bernoulli sequences, *Non-Uniform Random
 Variate Generation*, Springer 1986), so a k-gene word costs about
-k*p_m + 1 draws instead of k.  The runners score an individual through
-byte tables of XORed generator rows, one lookup per 8 genes.
+k*p_m + 1 draws instead of k.  Tournament picks and crossover cuts take
+``randrange``'s own ``getrandbits`` draws, inlined.
+
+The runners score a whole generation in one call: byte tables of XORed
+generator rows (the Method of Four Russians) as uint64 lanes, one numpy
+gather over every word and byte, an XOR-reduce and a popcount.  Variant B
+scores its population once a generation.  Variant A breeds all its child
+pairs before it scores any: selection reads only the previous
+generation's fitness, and no draw depends on a child's score, so breeding
+first consumes the random stream exactly as scoring each pair in turn
+does, and seeded runs are unchanged.
 """
 
 from __future__ import annotations
@@ -33,8 +42,10 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from .codes import LinearCode
-from .gf2 import BitWord, xor_rows
+from .gf2 import BitWord, to_lanes, xor_rows
 from .results import DistanceEstimate
 
 __all__ = [
@@ -135,26 +146,33 @@ def fitness(rows: tuple[int, ...], n: int, info: int) -> int:
     return w if w else n
 
 
-def _scorer(rows: tuple[int, ...], n: int) -> Callable[[int], int]:
-    """``fitness(rows, n, .)`` by table lookup.
+def _scorer(rows: tuple[int, ...], n: int) -> Callable[[list[int]], list[int]]:
+    """``[fitness(rows, n, b) for b in words]``, a whole generation a call.
 
     Each run of 8 generator rows gets a 256-entry table holding the XOR of
-    every subset of them, built by doubling, so one info word costs
-    ceil(k/8) lookups instead of one XOR per set bit.
+    every subset of them, built by doubling (the Method of Four Russians),
+    as uint64 lanes: ``flat[lane, 256 * j + byte]`` is that lane of byte
+    j's subset.  A call joins the words' little-endian bytes, gathers every
+    (byte, word) entry at once, XOR-reduces over the bytes and counts the
+    bits over the lanes.
     """
-    tables = []
-    for start in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[start:start + 8]:
-            table += [t ^ row for t in table]
-        tables.append(table)
-    nbytes = len(tables)
+    nbytes = (len(rows) + 7) // 8
+    padded = tuple(rows) + (0,) * (8 * nbytes - len(rows))
+    groups = to_lanes(padded, n).T.reshape(-1, nbytes, 8)  # (lanes, bytes, rows of a byte)
+    tables = np.zeros((groups.shape[0], nbytes, 256), dtype=np.uint64)
+    for i in range(8):
+        h = 1 << i
+        np.bitwise_xor(tables[:, :, :h], groups[:, :, i, None], out=tables[:, :, h:2 * h])
+    flat = tables.reshape(-1, 256 * nbytes)
+    offsets = np.arange(0, 256 * nbytes, 256)[:, None]
 
-    def score(info: int) -> int:
-        acc = 0
-        for table, byte in zip(tables, info.to_bytes(nbytes, "little")):
-            acc ^= table[byte]
-        return acc.bit_count() or n
+    def score(words: list[int]) -> list[int]:
+        data = b"".join([b.to_bytes(nbytes, "little") for b in words])
+        idx = np.frombuffer(data, dtype=np.uint8).reshape(len(words), nbytes).T + offsets
+        codewords = np.bitwise_xor.reduce(flat.take(idx, axis=1), axis=1)  # (lanes, m)
+        w = np.bitwise_count(codewords).sum(axis=0)
+        w[w == 0] = n
+        return w.tolist()
 
     return score
 
@@ -167,7 +185,11 @@ def crossover_one_point(a: int, b: int, k: int, rng: random.Random) -> tuple[int
     """Cut at a position in 1..k-1 and swap suffixes.  Degenerate for k < 2."""
     if k < 2:
         return a, b
-    cut = rng.randint(1, k - 1)
+    # rng.randint(1, k - 1), drawn inline as select_tournament draws
+    bits = (k - 1).bit_length()
+    cut = rng.getrandbits(bits) + 1
+    while cut >= k:
+        cut = rng.getrandbits(bits) + 1
     low = (1 << cut) - 1
     return (a & low) | (b & ~low), (b & low) | (a & ~low)
 
@@ -176,9 +198,18 @@ def crossover_two_point(a: int, b: int, k: int, rng: random.Random) -> tuple[int
     """Swap the segment between two cut positions.  Degenerate for k < 3."""
     if k < 3:
         return a, b
-    # a uniform ordered pair of distinct cuts in 1..k-1, then sorted
-    lo = rng.randrange(1, k)
-    hi = rng.randrange(1, k - 1)
+    # a uniform ordered pair of distinct cuts in 1..k-1, then sorted; lo is
+    # rng.randrange(1, k) and hi rng.randrange(1, k - 1), drawn inline as
+    # select_tournament draws
+    draw = rng.getrandbits
+    bits = (k - 1).bit_length()
+    lo = draw(bits) + 1
+    while lo >= k:
+        lo = draw(bits) + 1
+    bits = (k - 2).bit_length()
+    hi = draw(bits) + 1
+    while hi >= k - 1:
+        hi = draw(bits) + 1
     if hi >= lo:
         hi += 1
     else:
@@ -313,8 +344,8 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     child per pairing: two parents picked by tournaments of
     ``tournament_size`` (one by default: a uniform pick over the whole
     sorted population), bitwise mutation, crossover with probability p_c,
-    and the lighter of the two children survives.  Returns the best of the
-    final population.
+    and the lighter of the two children survives (the second on a tie).
+    Returns the best of the final population.
     """
     cfg.validate()
     if cfg.elite_count is not None:
@@ -329,31 +360,31 @@ def run_variant_a(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     tsize = cfg.tournament_size
 
     pop = _initial_population(k, size, rng)
-    fits = [score(b) for b in pop]
+    fits = score(pop)
     events: list[dict] = []
     for gen in range(1, cfg.max_generations):
         pop, fits = _sort_by_fitness(pop, fits)
         events.append({"generation": gen, "best_fitness": fits[0]})
-        elite = size // 2
-        new_pop = pop[:elite]
-        new_fits = fits[:elite]
-        while len(new_pop) < size:
+        # breed every pair, then score all children in one call: no draw
+        # reads a child's score, so the stream is the one-pair-at-a-time one
+        half = size // 2
+        children = []
+        for _ in range(half):
             pa = pop[select_tournament(fits, tsize, rng)]
             pb = pop[select_tournament(fits, tsize, rng)]
             pa = mutate(pa, rng)
             pb = mutate(pb, rng)
             if rng.random() < cfg.crossover_prob:
-                ch1, ch2 = cross(pa, pb, k, rng)
+                children += cross(pa, pb, k, rng)
             else:
-                ch1, ch2 = pa, pb
-            f1 = score(ch1)
-            f2 = score(ch2)
-            if f1 < f2:
-                new_pop.append(ch1)
-                new_fits.append(f1)
-            else:
-                new_pop.append(ch2)
-                new_fits.append(f2)
+                children += (pa, pb)
+        child_fits = score(children)
+        new_pop = pop[:half]
+        new_fits = fits[:half]
+        for i in range(0, size, 2):
+            j = i if child_fits[i] < child_fits[i + 1] else i + 1
+            new_pop.append(children[j])
+            new_fits.append(child_fits[j])
         pop, fits = new_pop, new_fits
     d, witness = _best_with_witness(code, pop, fits)
     events.append({"generation": cfg.max_generations, "best_fitness": d})
@@ -390,7 +421,7 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     best_bits = 0
     events: list[dict] = []
     for gen in range(1, cfg.max_generations + 1):
-        fits = [score(b) for b in pop]
+        fits = score(pop)
         for b, f in zip(pop, fits):
             if f < best_f and b:
                 best_f, best_bits = f, b
@@ -414,6 +445,6 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
         witness = BitWord(code.n, xor_rows(rows, best_bits))
         d = best_f
     else:
-        d, witness = _best_with_witness(code, pop, [score(b) for b in pop])
+        d, witness = _best_with_witness(code, pop, score(pop))
     return DistanceEstimate.of(code, "ga_b", d, witness, asdict(cfg), cfg.rng_seed,
                                started, events)

@@ -4,12 +4,13 @@ Words and matrix rows are stored as Python integers where bit i is the
 symbol at index i, index 0 being the first transmitted bit.  Binary
 polynomials use the same packing with bit i as the coefficient of x^i,
 so a word and the polynomial it represents are literally the same int.
-Weight is a single popcount; XOR is a single int op.  The oracle scores
-codewords in uint64 lanes built from these rows.  ``unpack_rows`` and
-``pack_rows`` convert such rows to and from 0/1 numpy matrices for the
-vectorized code.  ``eliminate`` is the package's one Gauss-Jordan
-routine: matrix rank, the systematizer, the OSD decoder's reduction on
-the most reliable basis and the oracle's information sets all run it.
+Weight is a single popcount; XOR is a single int op.  The oracle and the
+genetic scorer weigh codewords in uint64 lanes that ``to_lanes`` builds
+from these rows.  ``unpack_rows`` and ``pack_rows`` convert such rows to
+and from 0/1 numpy matrices for the vectorized code.  ``eliminate`` is
+the package's one Gauss-Jordan routine: matrix rank, the systematizer,
+the OSD decoder's reduction on the most reliable basis and the oracle's
+information sets all run it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "xor_rows",
     "pack_rows",
     "unpack_rows",
+    "to_lanes",
 ]
 
 
@@ -163,6 +165,13 @@ def pack_rows(bits: np.ndarray) -> list[int]:
     """Rows of a 0/1 uint8 matrix as ints with bit j = column j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def to_lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
+    """Rows, each below bit n, as a (len(rows), ceil(n / 64)) uint64 array."""
+    size = 8 * ((n + 63) // 64)
+    data = b"".join(row.to_bytes(size, "little") for row in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), size // 8)
 
 
 def eliminate(rows: list[int], units: list[int | None], cols: Iterable[int]) -> int:

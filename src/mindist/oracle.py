@@ -89,7 +89,7 @@ import numpy as np
 from .bounds import generator_lower
 from .codes import LinearCode
 from .errors import BudgetError
-from .gf2 import BitMatrix, BitWord, eliminate
+from .gf2 import BitMatrix, BitWord, eliminate, to_lanes
 from .results import DistanceEstimate
 
 __all__ = [
@@ -163,13 +163,6 @@ def exact_min_distance(
     return res
 
 
-def _lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
-    """Rows, each below bit n, as a (len(rows), ceil(n / 64)) uint64 array."""
-    size = 8 * ((n + 63) // 64)
-    data = b"".join(row.to_bytes(size, "little") for row in rows)
-    return np.frombuffer(data, dtype="<u8").reshape(len(rows), size // 8)
-
-
 def _weight_buffers(lanes: int, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Block buffers, allocated once per call: a uint8 popcount per lane and
     the weights, in the narrowest unsigned dtype that holds n.  With one
@@ -207,7 +200,7 @@ class _InfoSet:
     def __init__(self, rows: list[int], pivots: list[int], n: int):
         k = len(rows)
         self.rank = len(pivots)
-        self.lanes = np.ascontiguousarray(_lanes(rows, n).T)  # (lanes, k)
+        self.lanes = np.ascontiguousarray(to_lanes(rows, n).T)  # (lanes, k)
         self.tables = [np.zeros((self.lanes.shape[0], 1), dtype=np.uint64)]
         self.top = 1  # the largest s with C(k, t) <= 2^16 for every t <= s
         while self.top < k and comb(k, self.top + 1) <= _BLOCK:
@@ -344,7 +337,7 @@ def _proven(generator: BitMatrix, hint: object) -> int:
 def _sweep(code: LinearCode) -> dict[int, int]:
     """Weight -> count over all 2^k codewords, the zero word included."""
     k, n = code.k, code.n
-    rows_u = _lanes(code.generator.rows, n)
+    rows_u = to_lanes(code.generator.rows, n)
     lanes = rows_u.shape[1]
 
     low = min(k, _LOW_BLOCK_BITS)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -24,25 +26,15 @@ from mindist.oracle import exact_min_distance
 
 
 class FakeRng:
-    """Scripted RNG: hands out queued answers per method."""
+    """Scripted RNG: hands out queued ``getrandbits`` answers."""
 
-    def __init__(self, randint=(), randrange=(), random=()):
-        self._randint = list(randint)
-        self._randrange = list(randrange)
-        self._random = list(random)
+    def __init__(self, getrandbits=()):
+        self._bits = list(getrandbits)
 
-    def randint(self, a, b):
-        v = self._randint.pop(0)
-        assert a <= v <= b
+    def getrandbits(self, k):
+        v = self._bits.pop(0)
+        assert 0 <= v < 1 << k
         return v
-
-    def randrange(self, start, stop):
-        v = self._randrange.pop(0)
-        assert start <= v < stop
-        return v
-
-    def random(self):
-        return self._random.pop(0)
 
 
 def parse(text: str) -> int:
@@ -76,17 +68,38 @@ def generators_k64():
 
 
 class TestScorer:
+    @staticmethod
+    def check(rows, n, infos):
+        assert _scorer(rows, n)(infos) == [fitness(rows, n, i) for i in infos]
+
+    @staticmethod
+    def infos(k):
+        rng = random.Random(k)
+        return [0, (1 << k) - 1, *(1 << i for i in range(k)),
+                *(rng.getrandbits(k) for _ in range(300))]
+
     @pytest.mark.parametrize("family", ["bch", "qr", "dcc"])
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 24, 64])
     def test_matches_fitness(self, generators_k64, family, k):
         rows, n = generators_k64[family]
-        rows = rows[:k]
-        score = _scorer(rows, n)
-        rng = random.Random(k)
-        infos = [0, (1 << k) - 1, *(1 << i for i in range(k)),
-                 *(rng.getrandbits(k) for _ in range(300))]
-        assert score(0) == n
-        assert [score(i) for i in infos] == [fitness(rows, n, i) for i in infos]
+        self.check(rows[:k], n, self.infos(k))
+
+    def test_nine_table_bytes(self):
+        code = build_bch(7, 9)  # BCH(127,71)
+        assert code.k == 71
+        self.check(code.generator.rows, code.n, self.infos(71))
+
+    def test_three_lanes(self):
+        code = build_qr(151)  # n = 151 > 128: three uint64 lanes
+        assert code.n == 151
+        self.check(code.generator.rows, code.n, self.infos(code.k))
+
+    def test_zero_and_repeated_words(self, generators_k64):
+        rows, n = generators_k64["bch"]
+        words = [0, 5, 0, 5, (1 << 64) - 1, 5, 0]
+        assert _scorer(rows, n)(words)[0] == n
+        self.check(rows, n, words)
+        self.check(rows, n, [0] * 40)
 
 
 class TestCrossover:
@@ -99,16 +112,50 @@ class TestCrossover:
         assert cross(p, p, 7, rng) == (p, p)
 
     def test_one_point_forced_cut(self):
+        # cut 2 is 1 + the 2-bit draw 1; the draw 3 is out of range, redrawn
         p1, p2 = parse("1100"), parse("0011")
-        ch1, ch2 = crossover_one_point(p1, p2, 4, FakeRng(randint=[2]))
-        assert (genes(ch1, 4), genes(ch2, 4)) == ("1111", "0000")
+        for draws in ([1], [3, 1]):
+            ch1, ch2 = crossover_one_point(p1, p2, 4, FakeRng(getrandbits=draws))
+            assert (genes(ch1, 4), genes(ch2, 4)) == ("1111", "0000")
 
     def test_two_point_forced_cuts(self):
-        # cuts 2 and 4, drawn in either order: the second draw skips the first
+        # cuts 2 and 4, drawn in either order as 1 + a 3-bit draw below 5,
+        # then below 4: the second cut skips the first; 7 and 5 are redrawn
         p1, p2 = parse("111111"), parse("000000")
-        for draws in ([2, 3], [4, 2]):
-            ch1, ch2 = crossover_two_point(p1, p2, 6, FakeRng(randrange=draws))
+        for draws in ([1, 2], [3, 1], [7, 1, 5, 2]):
+            ch1, ch2 = crossover_two_point(p1, p2, 6, FakeRng(getrandbits=draws))
             assert (genes(ch1, 6), genes(ch2, 6)) == ("110011", "001100")
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 64, 65])
+    def test_cuts_are_randint_and_randrange_draws(self, k):
+        # the inlined cut draws consume the stream exactly as randint and
+        # randrange do, so seeded GA runs stay byte-identical
+        def one_point(a, b, rng):
+            cut = rng.randint(1, k - 1)
+            low = (1 << cut) - 1
+            return (a & low) | (b & ~low), (b & low) | (a & ~low)
+
+        def two_point(a, b, rng):
+            if k < 3:
+                return a, b
+            lo = rng.randrange(1, k)
+            hi = rng.randrange(1, k - 1)
+            if hi >= lo:
+                hi += 1
+            else:
+                lo, hi = hi, lo
+            mid = ((1 << hi) - 1) ^ ((1 << lo) - 1)
+            return (a & ~mid) | (b & mid), (b & ~mid) | (a & mid)
+
+        parents = random.Random(k)
+        pairs = [(parents.getrandbits(k), parents.getrandbits(k)) for _ in range(10_000)]
+        for cross, reference in ((crossover_one_point, one_point),
+                                 (crossover_two_point, two_point)):
+            ours, ref = random.Random(7), random.Random(7)
+            assert [cross(a, b, k, ours) for a, b in pairs] == [
+                reference(a, b, ref) for a, b in pairs
+            ]
+            assert ours.getstate() == ref.getstate()
 
     @pytest.mark.parametrize(
         "cross", [crossover_one_point, crossover_two_point]
@@ -298,6 +345,46 @@ class TestRunVariantA:
         b = run_variant_a(c20, cfg)
         assert (a.d, a.witness) == (b.d, b.witness)
         assert a.events == b.events
+
+
+# (code, variant, seed) -> d, witness bits and the sha256 of the events'
+# JSON, for population 200 and 20 generations; any change to the draw
+# stream, or to the order in which variant A breeds and scores, moves them
+SEEDED_RECORDS = {
+    ("bch63_24", "a", 0): (15, 0x4860218e78001000,
+                           "feef2070873ad8ae9782a0ad3110919222ea27fae504cbd2e77c4516a9427ff1"),
+    ("bch63_24", "b", 0): (15, 0x50150d700a00024,
+                           "f60a517bbb5ce885ab090fd6f1bf94b053f683cef4547fb9f4e7a09d4bacd1a2"),
+    ("bch63_24", "a", 1): (15, 0x4860218e78001000,
+                           "cab839ee6553b3afdc0021936a9ae7b92c2d03c914fb8d014bfd80a9028a5d0e"),
+    ("bch63_24", "b", 1): (15, 0x4860218e78001000,
+                           "cab839ee6553b3afdc0021936a9ae7b92c2d03c914fb8d014bfd80a9028a5d0e"),
+    ("bch127_64", "a", 0): (24, 0x50ec890a0062d3800080000002010000,
+                            "668a0d929b097b77d87122352e4c9f30e582aa4748041579ef6e50bc4ae2b5fd"),
+    ("bch127_64", "b", 0): (23, 0x10c16449d1543000000008000500080,
+                            "982fa21202c6519ded49c3800f58a643ea927df38edbbc1a2eecc5c4c45da3ec"),
+    ("bch127_64", "a", 1): (25, 0x86dd818c40180830880010000110000,
+                            "e2420d0b611b70d6ba0500beddc27e0acbf4b974a8cb39af297419a0f9bccaf8"),
+    ("bch127_64", "b", 1): (24, 0x6cae0550094d140800000000000084,
+                            "a90a2464f13a28b3ae0290096db3784fa24e0ca506ef874c7899021e2a8366f1"),
+}
+
+
+@pytest.fixture(scope="module")
+def bch_codes():
+    return {"bch63_24": build_bch(6, 7), "bch127_64": build_bch(7, 10)}
+
+
+@pytest.mark.parametrize("key", sorted(SEEDED_RECORDS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_seeded_records_are_pinned(bch_codes, key):
+    name, variant, seed = key
+    maker, runner = {"a": (GaConfig.variant_a, run_variant_a),
+                     "b": (GaConfig.variant_b, run_variant_b)}[variant]
+    est = runner(bch_codes[name],
+                 maker(population_size=200, max_generations=20, rng_seed=seed))
+    events = json.dumps(est.events, sort_keys=True).encode()
+    assert (est.d, est.witness.bits, hashlib.sha256(events).hexdigest()) == SEEDED_RECORDS[key]
 
 
 class TestRunVariantB:
