@@ -2,7 +2,9 @@
 
 Each bound and the codes it holds for:
 
-- Singleton, d <= n - k + 1: every (n, k) linear code.
+- Singleton, d <= n - k + 1: every (n, k) linear code.  An estimate above
+  it is still the weight of a verified codeword, so a valid if weak upper
+  bound, and the report lists it as a warning.
 - The square-root lower bound d^2 >= p, and the odd-minimum-weight parity
   rule: binary quadratic residue codes of prime length p = +-1 (mod 8).
   In the reports they are applied to codes labelled QR.
@@ -187,12 +189,17 @@ class BoundReport:
 
 
 def build_report(family: str, n: int, k: int, d: int) -> BoundReport:
-    """Evaluate every applicable bound against an estimated distance."""
+    """Evaluate every applicable bound against an estimated distance.
+
+    The one hard violation is a QR-labelled code's estimate below the
+    square-root bound; an estimate above the Singleton or the 0.166315*n
+    bound is a warning.
+    """
     violated: list[str] = []
     warnings: list[str] = []
     s = singleton(n, k)
     if d > s:
-        violated.append("singleton")
+        warnings.append("singleton")
     sqrt_lb = sqrt_n = kras = parity = None
     if family == "QR":
         sqrt_lb = qr_sqrt_lower(n)

@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .codes import LinearCode
+from .errors import ConsistencyError
 from .gf2 import BitWord, to_lanes, xor_rows
 from .results import DistanceEstimate
 
@@ -317,20 +318,19 @@ def _mutator(cfg: GaConfig, k: int):
 def _best_with_witness(
     code: LinearCode, pop: list[int], fits: list[int]
 ) -> tuple[int, BitWord]:
-    """First individual (in sorted order) with nonzero genes.
+    """Variant A's result: the first individual of least fitness, the one
+    the stable sort puts first, and its codeword.
 
-    G has full rank, so nonzero genes encode to a nonzero codeword; the
-    guard covers the degenerate population of all-zero words, whose
-    fitness n cannot certify a distance.
+    That individual is never the zero word.  The initial population holds
+    none (``_random_weight_word`` draws weight 1..k), position 0 of the
+    sorted population is copied unchanged each generation, and a zero word
+    scores n, the worst fitness, so it can only tie a word ahead of it,
+    never pass it.  The raise guards that argument.
     """
-    rows = code.generator.rows
-    spop, sfits = _sort_by_fitness(pop, fits)
-    for bits, f in zip(spop, sfits):
-        if bits:
-            return f, BitWord(code.n, xor_rows(rows, bits))
-    # every individual is the zero word; fall back to the first generator row
-    cw = rows[0]
-    return cw.bit_count(), BitWord(code.n, cw)
+    best = min(range(len(pop)), key=fits.__getitem__)
+    if not pop[best]:
+        raise ConsistencyError("ga_a: the best individual is the zero word")
+    return fits[best], BitWord(code.n, xor_rows(code.generator.rows, pop[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,9 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     with probability p_c the selected parents are crossed and both mutated
     children inserted, otherwise a single parent (either, with equal
     probability) passes through.  The returned estimate is the best
-    individual observed in any generation.
+    individual observed in any generation.  Generation 1 scores the initial
+    population, whose words weigh 1..k, so the best is set before the loop
+    can end; a later zero word scores n and never passes it.
     """
     cfg.validate()
     started = time.perf_counter()
@@ -423,7 +425,7 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
     for gen in range(1, cfg.max_generations + 1):
         fits = score(pop)
         for b, f in zip(pop, fits):
-            if f < best_f and b:
+            if f < best_f:
                 best_f, best_bits = f, b
         events.append({"generation": gen, "best_fitness": best_f})
         if gen == cfg.max_generations:
@@ -441,10 +443,6 @@ def run_variant_b(code: LinearCode, cfg: GaConfig) -> DistanceEstimate:
             else:
                 new_pop.append(pop[i1] if rng.random() < 0.5 else pop[i2])
         pop = new_pop
-    if best_bits:
-        witness = BitWord(code.n, xor_rows(rows, best_bits))
-        d = best_f
-    else:
-        d, witness = _best_with_witness(code, pop, score(pop))
-    return DistanceEstimate.of(code, "ga_b", d, witness, asdict(cfg), cfg.rng_seed,
+    witness = BitWord(code.n, xor_rows(rows, best_bits))
+    return DistanceEstimate.of(code, "ga_b", best_f, witness, asdict(cfg), cfg.rng_seed,
                                started, events)

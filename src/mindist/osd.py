@@ -17,8 +17,9 @@ or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 The MRB reduction (``gf2.eliminate``) runs on the generator's rows as
 Python ints (cheap XOR, no per-pivot array traffic), and starts from a
 basis each decoder caches.
-The decoder reduces the generator once, on the columns in index order, and
-keeps k rows, each the only row with a 1 at its unit column.  A word is
+The cached basis is the reduction of a word whose samples all tie: the
+stable sort walks its columns in index order, and the decoder keeps the k
+rows, each the only row with a 1 at its unit column.  A word is
 reduced from those rows by walking its reliability order, one column at a
 time.  If the column is the unit column of a row not yet fixed, that row
 becomes the next pivot by a swap, with no XOR.  Otherwise the column takes
@@ -32,6 +33,12 @@ and the pivots, not on the basis the reduction starts from.  Most samples
 of an impulse word are exactly -1 and the stable sort keeps them in index
 order, so most pivots are unit columns of the cached basis, and only the
 few columns the impulses move cost XORs.
+
+Every candidate is an int codeword in original position order.  The
+re-encoded hard decisions c0 are one XOR of the reduced rows, those of the
+pivots where the hard decisions are 1, and a flip set's codeword is c0
+XORed with its rows.  Only two arrays are gathered in MRB order: the
+parity columns, and the reliabilities of the MRB positions.
 
 The parity part of the reduced generator is then packed into uint64 lanes,
 ceil((n - k) / 64) per row, and a flip set's parity change is the XOR of
@@ -99,16 +106,17 @@ order, and only where the floor test above would score the top order: c
 is the codeword of the scored flip set of least LUT cost (Taipale and
 Pursley, IEEE T-IT 1991; Fossorier and Lin, IEEE T-IT 1995).  When it
 holds, the decode returns c and skips the top order and the tie-break.
-D1 is read in MRB order, with no int codeword built unless c is returned:
-its MRB part is c's flip set, and its parity part is where the re-encoded
-hard decisions disagree with them, XORed with the flipped rows' parity.
-Its size comes first: with a weak bound need is often at most 0 (with
-|D1| >= d_lb), and the test then ends before the floor is gathered.
+c is built once, as an int codeword, and D1 is c ^ h, with h the hard
+decisions packed once per decode; when the test holds, that same c is
+returned.  The size of D1, a popcount, comes first: with a weak bound need
+is often at most 0 (with |D1| >= d_lb), and the test then ends before the
+floor is gathered.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -145,9 +153,8 @@ _BYTE_BITS = np.unpackbits(
 
 _EPS = float(np.finfo(np.float64).eps)
 
-_PATTERN_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-
+@cache
 def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The MRB flip sets of weight below ``order``, and those of weight
     ``order``, as two index tables with one flip set per column.
@@ -156,20 +163,12 @@ def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     sets are padded with k, which selects an all-zero lane and a zero
     weight, so it flips nothing.
     """
-    key = (k, order)
-    pats = _PATTERN_CACHE.get(key)
-    if pats is None:
 
-        def table(weights: range, width: int) -> np.ndarray:
-            rows = [c + (k,) * (width - t) for t in weights for c in combinations(range(k), t)]
-            return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
+    def table(weights: range, width: int) -> np.ndarray:
+        rows = [c + (k,) * (width - t) for t in weights for c in combinations(range(k), t)]
+        return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
 
-        pats = (
-            table(range(order), max(order - 1, 1)),
-            table(range(order, order + 1), max(order, 1)),
-        )
-        _PATTERN_CACHE[key] = pats
-    return pats
+    return table(range(order), max(order - 1, 1)), table(range(order, order + 1), max(order, 1))
 
 
 def _score(
@@ -212,11 +211,12 @@ def _mrb_reduce(
     of the received samples ``arr`` (checked by ``_received``).  ``units``
     gives each row's unit column, or None (see ``gf2.eliminate``): a decoder
     passes its cached basis, whose unit columns make most pivots of an
-    impulse word a row swap, and ``most_reliable_basis`` the generator's own
-    rows with none.  Returns (rows, perm, |y|).  perm lists the MRB
-    positions, then the others in decreasing reliability; rows are in
-    original position order, reduced so that row i is the only one with a 1
-    at position perm[i] among the MRB.  Both starts give the same result:
+    impulse word a row swap; ``most_reliable_basis``, and a decoder building
+    that basis, pass the generator's own rows with none.  Returns (rows,
+    perm, |y|).  perm lists the MRB positions, then the others in
+    decreasing reliability; rows are in original position order, reduced
+    so that row i is the only one with a 1 at position perm[i] among the
+    MRB.  Both starts give the same result:
     the pivots depend only on the code and the reliability order, and the
     reduced rows, G[:, piv]^-1 G, only on the row space and the pivots.
     """
@@ -261,16 +261,19 @@ class OsdDecoder:
     the result.  The winner is the candidate of least exact cost
     (``math.fsum`` of |y_i| where it differs from the hard decision); ties
     on that cost break toward the lexicographically smaller codeword, so the
-    result is a function of y alone.  Every word is reduced from the
-    generator's basis on the columns in index order, which the decoder
-    reduces once and keeps.
+    result is a function of y alone.  Every word is reduced from a basis
+    the decoder builds once with ``_mrb_reduce``: the reduction of a word
+    whose samples all tie, whose columns the stable sort walks in index
+    order.  Every candidate is an int codeword in original position order,
+    the re-encoded hard decisions XORed with the rows of its flip set.
 
     d_lb is ``oracle.lower_bound(code)``, d itself on the criterion-4
     codes, computed once per code.  Where the top order would be
     scored, the best flip set c of lower weight returns without it when
     its cost is below the sum of the d_lb - |D1| smallest magnitudes off
-    D1, the positions where c differs from the hard decisions: that sum is
-    a floor on the cost of every other codeword.  ``zero_certified`` is
+    D1, the positions where c differs from the hard decisions (c ^ h, with
+    h the hard decisions packed once): that sum is a floor on the cost of
+    every other codeword.  ``zero_certified`` is
     the same test on the all-zero word, for MIM's impulse lists.  The
     module docstring has the proofs, rounding included.  The decoded word
     is the one full reprocessing returns.
@@ -282,12 +285,8 @@ class OsdDecoder:
         self.code = code
         self.order = order
         self._patterns = _patterns(code.k, order)
-        rows = list(code.generator.rows)
-        units = [None] * code.k
-        r = eliminate(rows, units, range(code.n))
-        if r < code.k:
-            raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {code.k}")
-        self._basis = (tuple(rows), tuple(units))
+        rows, perm, _ = _mrb_reduce(code.generator.rows, [None] * code.k, np.ones(code.n))
+        self._basis = (tuple(rows), tuple(perm[: code.k].tolist()))
         self._d_lb = lower_bound(code)
 
     def zero_certified(self, on: list[float], off: list[float], ones: int = 0) -> bool:
@@ -314,27 +313,28 @@ class OsdDecoder:
         k, n = self.code.k, self.code.n
         arr = _received(n, y)
         rows, perm, abs_y = _mrb_reduce(*self._basis, arr)
-        P8 = unpack_rows(rows, n)[:, perm[k:]]
-        abs_p = abs_y[perm]
         h = arr > 0
-        h_p = h[perm]
-        # disagreement of the re-encoded hard decisions with h; the MRB half
-        # agrees by construction
-        disagree = ((h_p[:k].astype(np.uint8) @ P8) & 1) ^ h_p[k:]
+        h_bits = pack_rows(h[None])[0]
+        # the re-encoded hard decisions, and where they disagree with the
+        # hard decisions: never on the MRB
+        c0 = xor_rows(rows, pack_rows(h[perm[:k]][None])[0])
+        off0 = unpack_rows([c0 ^ h_bits], n)[0].view(bool)
 
         # parity rows as little-endian bytes in uint64 lanes, one lane-major
         # array per lane, plus the zero row that the padding index k selects
         nbytes = (n - k + 7) // 8
         nlanes = (nbytes + 7) // 8
         packed = np.zeros((k + 1, 8 * nlanes), dtype=np.uint8)
-        packed[:k, :nbytes] = np.packbits(P8, axis=1, bitorder="little")
+        packed[:k, :nbytes] = np.packbits(
+            unpack_rows(rows, n)[:, perm[k:]], axis=1, bitorder="little"
+        )
         lanes = np.ascontiguousarray(packed.view(np.uint64).T)
 
         # cost minus the base cost: flipping bit j adds |y_j| where the base
         # agreed with the hard decision and subtracts it where it disagreed
-        w_mrb = np.append(abs_p[:k], 0.0)
+        w_mrb = np.append(abs_y[perm[:k]], 0.0)
         w_par = np.zeros(nbytes * 8)
-        w_par[: n - k] = abs_p[k:] * (1.0 - 2.0 * disagree)
+        w_par[: n - k] = np.where(off0, -abs_y, abs_y)[perm[k:]]
         tables = w_par.reshape(nbytes, 8) @ _BYTE_BITS.T
 
         # each cost sums terms whose magnitudes add up to at most sum(|y|)
@@ -347,24 +347,23 @@ class OsdDecoder:
         low, top = self._patterns
         scored = [(low, _score(low, lanes, w_mrb, tables))] if order else []
         least = min((float(c.min()) for _, c in scored), default=math.inf)
-        u0 = pack_rows(h_p[None, :k])[0]
 
         def word(flips: Sequence[int]) -> int:
-            return xor_rows(rows, u0 ^ sum(1 << i for i in flips if i < k))
+            return c0 ^ xor_rows(rows, sum(1 << i for i in flips if i < k))
 
         # Score the weight-order flip sets only if one of them can come
         # within tol of the least cost.  Such a candidate differs from the
         # hard decisions at each of its flipped MRB positions, so its exact
         # cost is at least floor, the sum of the ``order`` smallest MRB
-        # reliabilities (abs_p[:k] is non-increasing), and its LUT cost is
-        # within tol / 2 of that exact cost minus base, the exact cost of
-        # the re-encoded hard decisions.  Both sums are correctly rounded,
-        # so when floor > base + least + 2 tol every skipped LUT cost lies
-        # more than tol above least (the few roundings here stay far below
-        # the tol / 2 to spare): none of them could enter the near set, and
-        # the decoded word is the one full scoring would return.
-        floor = math.fsum(abs_p[k - order : k].tolist())
-        base = math.fsum(abs_p[k:][disagree == 1].tolist())
+        # reliabilities (those of perm[:k] are non-increasing), and its LUT
+        # cost is within tol / 2 of that exact cost minus base, the exact
+        # cost of the re-encoded hard decisions.  Both sums are correctly
+        # rounded, so when floor > base + least + 2 tol every skipped LUT
+        # cost lies more than tol above least (the few roundings here stay
+        # far below the tol / 2 to spare): none of them could enter the near
+        # set, and the decoded word is the one full scoring would return.
+        floor = math.fsum(abs_y[perm[k - order : k]].tolist())
+        base = math.fsum(abs_y[off0].tolist())
         if floor <= base + least + 2.0 * tol:
             # Unless the post-order certificate holds: c, the codeword of
             # least LUT cost so far, differs from the hard decisions on D1,
@@ -373,16 +372,13 @@ class OsdDecoder:
             # cost is below the sum of the need smallest |y_i| there, c is
             # the decoded word (module docstring).
             if scored:
-                flips = [i for i in low[:, int(np.argmin(scored[0][1]))].tolist() if i < k]
-                d1 = np.zeros(n, dtype=np.uint8)  # D1, in MRB order
-                d1[flips] = 1
-                d1[k:] = disagree
-                for i in flips:
-                    d1[k:] ^= P8[i]
-                need = self._d_lb - int(np.count_nonzero(d1))
-                on = d1.view(bool)
-                if need > 0 and _beats_floor(abs_p[on].tolist(), abs_p[~on].tolist(), need):
-                    return BitWord(n, word(flips))
+                c = word(low[:, int(np.argmin(scored[0][1]))].tolist())
+                d1 = c ^ h_bits
+                need = self._d_lb - d1.bit_count()
+                if need > 0:
+                    on = unpack_rows([d1], n)[0].view(bool)
+                    if _beats_floor(abs_y[on].tolist(), abs_y[~on].tolist(), need):
+                        return BitWord(n, c)
             scored.append((top, _score(top, lanes, w_mrb, tables)))
             least = min(least, float(scored[-1][1].min()))
 
@@ -395,7 +391,6 @@ class OsdDecoder:
             return BitWord(n, words[0])
         # exact costs: sum |y_i| over the positions where a word differs
         # from the hard decision, correctly rounded
-        h_bits = hard_decision(arr).bits
         diffs = unpack_rows([w ^ h_bits for w in words], n).view(bool)
         exact = [math.fsum(abs_y[diff].tolist()) for diff in diffs]
         best = min(exact)

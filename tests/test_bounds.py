@@ -105,15 +105,18 @@ class TestBuildReport:
         r = build_report("QR", 223, 112, 32)
         assert r.parity_adjusted_d == 31
 
-    def test_singleton_violation_flagged_and_enforced(self):
+    def test_singleton_excess_warns_only(self):
+        # a d above n - k + 1 is the weight of a verified codeword: a weak
+        # upper bound, not an inconsistency
         r = build_report("DCC", 8, 6, 5)  # singleton is 3
-        assert "singleton" in r.violated
-        with pytest.raises(ConsistencyError):
-            enforce(r, "test")
+        assert r.warnings == ("singleton",) and r.violated == ()
+        assert enforce(r, "test") is r
 
     def test_sqrt_violation_hard(self):
         r = build_report("QR", 47, 24, 4)  # below sqrt lower bound 7
         assert "qr_sqrt_lower" in r.violated
+        with pytest.raises(ConsistencyError, match="qr_sqrt_lower"):
+            enforce(r, "test")
 
     def test_krasikov_excess_warns_only(self):
         r = build_report("QR", 47, 24, 20)  # above 7.81, below singleton

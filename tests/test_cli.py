@@ -100,6 +100,18 @@ class TestEstimate:
         assert rc == EXIT_OK
         assert "ga_a" in capsys.readouterr().out
 
+    def test_ga_estimate_above_singleton_warns(self, c20_file, tmp_path):
+        # a tiny GA run keeps a weight-12 codeword against a Singleton bound
+        # of 11: a valid, if weak, upper bound, so a warning and exit 0
+        out = tmp_path / "w.json"
+        rc = main(["estimate", "--code", str(c20_file), "--method", "ga-a", "--seed", "0",
+                   "--population", "2", "--generations", "1", "--json", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads(out.read_text())
+        validate_result(doc)
+        assert doc["bounds"]["warnings"] == ["singleton"] and doc["bounds"]["violated"] == []
+        assert doc["d"] == doc["witness"].count("1") > doc["bounds"]["singleton_upper"]
+
     @pytest.mark.parametrize("flags", [
         ["--selection", "roulette"], ["--mutation", "greedy"], ["--crossover", "uniform"],
         ["--config", "ga.cfg"],

@@ -9,6 +9,7 @@ import pytest
 
 from mindist import genetic
 from mindist.codes import build_bch, build_dcc, build_qr
+from mindist.errors import ConsistencyError
 from mindist.genetic import (
     GaConfig,
     _mutator,
@@ -437,6 +438,36 @@ class TestEstimateContract:
 
             stacked = BitMatrix(c20.n, c20.generator.rows + (est.witness.bits,))
             assert stacked.rank() == c20.k
+
+    @pytest.mark.parametrize("runner, maker", [
+        (run_variant_a, GaConfig.variant_a),
+        (run_variant_b, GaConfig.variant_b),
+    ])
+    def test_estimate_above_singleton_is_a_warning(self, runner, maker):
+        # two individuals and one generation keep a random codeword of
+        # BCH(31,26), often heavier than n - k + 1 = 6: still a verified
+        # codeword, so a valid if weak upper bound
+        code = build_bch(5, 1)
+        above = 0
+        for seed in range(5):
+            est = runner(code, maker(population_size=2, max_generations=1, rng_seed=seed))
+            report = est.bound_report
+            assert est.witness.weight == est.d and report.violated == ()
+            assert report.warnings == (("singleton",) if est.d > 6 else ())
+            above += est.d > 6
+        assert above == 3
+
+    def test_variant_a_best_is_the_first_of_least_fitness(self, c20):
+        rows, n = c20.generator.rows, c20.n
+        pop = [1, 2, 3, 0]
+        fits = [fitness(rows, n, b) for b in pop]
+        d, witness = genetic._best_with_witness(c20, pop, fits)
+        first = min(range(len(pop)), key=fits.__getitem__)
+        assert d == fits[first] == witness.weight
+        assert witness == c20.encode(BitWord(c20.k, pop[first]))
+        # the zero word scores n: first only when every individual ties at n
+        with pytest.raises(ConsistencyError, match="zero word"):
+            genetic._best_with_witness(c20, [0, 1], [n, n])
 
     def test_validation_rejects_odd_population(self):
         with pytest.raises(ValueError):

@@ -584,18 +584,31 @@ class TestPostOrderCertificate:
         assert steps == [("score", 8), ("score", 21)]
         assert out == reference_decode(self.CODE, y, 2)
 
-    @pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_qr(47)], ids=["bch63", "qr47"])
-    def test_mim_words_match_reference(self, steps, make):
-        code = make()
+    @staticmethod
+    def check_words(steps, code, words):
+        """Every order-3 decode of ``words`` equals ``reference_decode``, the
+        certificate ends at least one, and at least one scores the top order."""
         dec = OsdDecoder(code, order=3)
         low = dec._patterns[0].shape[1]
         certified = top = 0
-        for y in mim_words(code.n, 40, seed=1):
+        for y in words:
             steps.clear()
             assert dec.decode(y) == reference_decode(code, y, 3)
             certified += steps[-2:] == [("score", low), ("floor", True)]
             top += any(kind == "score" and cols != low for kind, cols in steps)
         assert certified > 0 and top > 0
+
+    @pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_qr(47)], ids=["bch63", "qr47"])
+    def test_mim_words_match_reference(self, steps, make):
+        code = make()
+        self.check_words(steps, code, mim_words(code.n, 40, seed=1))
+
+    @pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_qr(47)], ids=["bch63", "qr47"])
+    def test_mixed_words_match_reference(self, steps, make):
+        # D1 is c ^ h: on Gaussian and all-+-1 words it holds many samples
+        # of every size, not just a few strong impulses
+        code = make()
+        self.check_words(steps, code, mixed_words(code.n, 30, seed=code.n))
 
 
 def permuted_dcc() -> LinearCode:
