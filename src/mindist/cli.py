@@ -94,7 +94,9 @@ def _add_estimate_args(p_est: argparse.ArgumentParser) -> None:
     p_est.add_argument("--method", required=True, choices=("exact", "ga-a", "ga-b", "mim"))
     p_est.add_argument("--seed", dest="rng_seed", type=int)
     p_est.add_argument("--json", metavar="PATH", help="write the full result record here")
-    p_est.add_argument("--budget", type=int, help="oracle k budget override")
+    p_est.add_argument("--budget", type=int,
+                       help="exact method: log2 of the combinations its search may score, "
+                            "and the largest k its --enumerator sweep may take (default 32)")
     p_est.add_argument("--enumerator", dest="collect_enumerator", action="store_true",
                        help="collect the weight enumerator (exact method)")
     p_est.add_argument("--population", dest="population_size", type=int)

@@ -22,7 +22,8 @@ class RankError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An operation was refused because its cost exceeds the allowed budget."""
+    """An operation was refused, or stopped short of its answer, because its
+    cost exceeds the allowed budget."""
 
 
 class ConsistencyError(RuntimeError):

@@ -30,14 +30,22 @@ least that much, so it is d.  At w = k every set's term is r_j + 1, and
 the terms sum above n minus the zero columns, so the loop always stops.
 
 The bound holds at every step, so a search cut short still proves
-d >= min(least weight scored, bound).  ``lower_bound`` runs the same loop
-under a cap on the combinations it scores, and given a bound ``known``
-already proven (``bounds.certified_lower``) it also stops as soon as the
-least weight scored is at most ``known``: that weight is then d.  Grassl
-(2006) stops the search at a known bound the same way.  With the cap it
-proves d on every criterion-4 code, built or loaded from a file that
-keeps the generator polynomial (``codes.save_code``); it runs once per
-code and is memoized.  MIM and the OSD decoder's certificates read it.
+d >= min(least weight scored, bound).  Every search starts from a bound
+``known`` already proven from the generator (``bounds.generator_lower``:
+the BCH or square-root bound, else 1), stops as soon as the least weight
+scored is at most ``known`` (that weight is then d; Grassl, 2006, stops
+the same way), and is capped at 2^budget combinations scored.  Its result
+is the proven interval max(known, min(bound, least weight)) <= d <= least
+weight.  ``exact_min_distance`` returns d when the interval closes and
+refuses (``BudgetError``) when it does not; ``lower_bound`` is the
+interval's lower end under the cap 2^``LOWER_BOUND_BUDGET``, memoized
+per code, which MIM and the OSD decoder's certificates read.  It proves
+d on every criterion-4 code, built or loaded from a file that keeps the
+generator polynomial (``codes.save_code``).  The cap counts combinations
+scored, not the 2^k codewords: a BCH(127,64) with its generator
+polynomial stops at its BCH bound 21 after 45,824 combinations, and a
+small-k code with many information sets can need more than 2^k (three
+copies of the [7,3] simplex code, an [21,3] code, score 15).
 
 Scoring.  Let s be the largest size with C(k, t) <= 2^16 for every
 t <= s.  The weight-w combinations of a set's rows are its table of
@@ -82,7 +90,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 
 import numpy as np
 
@@ -99,20 +107,20 @@ __all__ = [
     "lower_bound",
     "run",
     "DEFAULT_BUDGET",
-    "LOWER_BOUND_WORDS",
+    "LOWER_BOUND_BUDGET",
 ]
 
 DEFAULT_BUDGET = 32
 
-# the combinations ``lower_bound``'s search may score: the least power of
-# two with which it proves d on every criterion-4 code.  QR(73,37) takes
-# the most, 5,670,398 (about 0.1 s on a 2-core x86 host, once per
+# log2 of the combinations ``lower_bound``'s search may score: the least
+# power of two with which it proves d on every criterion-4 code.  QR(73,37)
+# takes the most, 5,670,398 (about 0.1 s on a 2-core x86 host, once per
 # process; 2^22 proves 12); given their BCH bound, the BCH codes stop
 # within 50,000.  Without it, as for a code loaded from a file with no
 # generator polynomial, the search stops short at the level that would
 # pass the cap: BCH(63,36) at 7 after 2,391,495 and BCH(127,64) at 9
 # after 1,358,240 (9–12 ms)
-LOWER_BOUND_WORDS = 1 << 23
+LOWER_BOUND_BUDGET = 23
 
 _LOW_BLOCK_BITS = 16
 _BLOCK = 1 << _LOW_BLOCK_BITS
@@ -144,19 +152,30 @@ def exact_min_distance(
 ) -> ExactResult:
     """Minimum weight over all nonzero information words, with witness.
 
-    Refuses to run when k exceeds ``budget`` (default 32).  The
-    Brouwer-Zimmermann search finds d and the witness, scoring only as
-    many codewords as the bound needs; with ``collect_enumerator`` the
-    Gray sweep then also counts the weights of all 2^k codewords.
+    The Brouwer-Zimmermann search, started from the bound proven from the
+    generator and capped at 2^``budget`` combinations (default 2^32),
+    finds d and the witness; it raises ``BudgetError``, naming the
+    interval it proved, when the cap stops it before d.  With
+    ``collect_enumerator`` the Gray sweep then also counts the weights of
+    all 2^k codewords, which is refused up front when k exceeds
+    ``budget``.  A bool, non-int or negative ``budget`` is a ``ValueError``.
     """
-    k = code.k
-    if k > budget:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    n, k = code.n, code.k
+    if collect_enumerator and k > budget:
         raise BudgetError(
-            f"k = {k} exceeds oracle budget {budget}: the code has "
-            f"2^{k} = {1 << k} codewords"
+            f"k = {k} exceeds oracle budget {budget}: the enumerator sweep "
+            f"visits 2^{k} = {1 << k} codewords"
         )
-    _, d, witness, scored = _search(code.generator)
-    res = ExactResult(d_exact=d, witness=BitWord(code.n, witness), enumerator=None,
+    lower, least, witness, scored = _prove(
+        code.generator, code.metadata.get("generator_poly"), budget)
+    if lower < least:
+        raise BudgetError(
+            f"oracle budget {budget} stopped the search after {scored} of at most "
+            f"2^{budget} combinations: it proved d in [{lower}, {min(least, n - k + 1)}]"
+        )
+    res = ExactResult(d_exact=least, witness=BitWord(n, witness), enumerator=None,
                       enumerated=scored)
     if collect_enumerator:
         return replace(res, enumerator=_sweep(code), enumerated=1 << k)
@@ -270,8 +289,7 @@ class _Scorer:
             self.best = int.from_bytes(self.block[:, at].astype("<u8").tobytes(), "little")
 
 
-def _search(generator: BitMatrix, max_words: float = inf,
-            known: int = 0) -> tuple[int, int, int, int]:
+def _search(generator: BitMatrix, max_words: int, known: int) -> tuple[int, int, int, int]:
     """Run the search until the bound reaches the least weight scored, or
     the least weight scored is at most ``known``, a proven lower bound on
     d, or until the next level of a set would take the count of
@@ -310,15 +328,25 @@ def _bound(sets: list[_InfoSet], k: int) -> int:
     return sum(max(0, s.done + 1 - (k - s.rank)) for s in sets)
 
 
+def _prove(generator: BitMatrix, hint: object, budget: int) -> tuple[int, int, int, int]:
+    """The search from known = ``generator_lower(generator, hint)``, capped
+    at 2^``budget`` combinations: (lower, least weight scored, the first
+    codeword of that weight scored, combinations scored), where lower =
+    max(known, min(bound, least weight)) <= d <= least weight.  d is
+    proven, and the codeword a witness, when lower equals least weight."""
+    known = generator_lower(generator, hint)
+    bound, least, witness, scored = _search(generator, 1 << budget, known)
+    return max(known, min(bound, least)), least, witness, scored
+
+
 def lower_bound(code: LinearCode) -> int:
-    """A lower bound on d: max(known, min(least weight scored, Zimmermann
-    bound)) of a search that starts from known = ``bounds.certified_lower(code)``
-    and scores at most ``LOWER_BOUND_WORDS`` combinations.  It holds
-    whether or not the search finished, and is d when it did (module
-    docstring).  The result is memoized on the two inputs it reads, the
-    generator and the ``generator_poly`` hint (which must be hashable, as
-    the builders' and ``load_code``'s ints are), so each code pays it once
-    per process.
+    """A lower bound on d: the lower end of the interval ``_prove`` proves
+    under the cap 2^``LOWER_BOUND_BUDGET``, with known =
+    ``bounds.certified_lower(code)``.  It holds whether or not the search
+    finished, and is d when it did (module docstring).  The result is
+    memoized on the two inputs it reads, the generator and the
+    ``generator_poly`` hint (which must be hashable, as the builders' and
+    ``load_code``'s ints are), so each code pays it once per process.
     """
     return _proven(code.generator, code.metadata.get("generator_poly"))
 
@@ -329,9 +357,7 @@ def _proven(generator: BitMatrix, hint: object) -> int:
     for the last 128 keys (``lru_cache``'s default size); ``typed`` keeps a
     float hint, which ``generator_lower`` rejects, off an equal int hint's
     entry."""
-    known = generator_lower(generator, hint)
-    bound, least, _, _ = _search(generator, LOWER_BOUND_WORDS, known)
-    return max(known, min(bound, least))
+    return _prove(generator, hint, LOWER_BOUND_BUDGET)[0]
 
 
 def _sweep(code: LinearCode) -> dict[int, int]:
@@ -380,8 +406,9 @@ def run(
     budget: int = DEFAULT_BUDGET,
     collect_enumerator: bool = False,
 ) -> DistanceEstimate:
-    """The exact method's certified record; ``config`` holds the budget the
-    oracle ran under, and the enumerator, when collected, is its one event."""
+    """The exact method's certified record, or ``BudgetError`` as
+    ``exact_min_distance`` refuses; ``config`` holds the budget the oracle
+    ran under, and the enumerator, when collected, is its one event."""
     started = time.perf_counter()
     res = exact_min_distance(code, budget=budget, collect_enumerator=collect_enumerator)
     events = []

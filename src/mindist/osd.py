@@ -70,7 +70,7 @@ Two certificates prove that a candidate is the word full reprocessing
 returns.  Both rest on one test.  Let c be a candidate, D1 the positions
 where it differs from the hard decisions, and d_lb a lower bound on the
 minimum distance, ``oracle.lower_bound(code)``: the bound of a search
-capped at ``oracle.LOWER_BOUND_WORDS`` combinations that starts from
+capped at 2^``oracle.LOWER_BOUND_BUDGET`` combinations that starts from
 ``bounds.certified_lower`` (the BCH or square-root bound, from the
 generator), run once per code.  It is d on every criterion-4 code, where
 ``certified_lower`` alone gives 1 to QDC(24,12) and 9 to QR(73,37),

@@ -158,8 +158,9 @@ BUILT = {
     "QR(73)": (lambda: build_qr(73), 9),
 }
 
-# k too large for the 2^k oracle: the distances the criterion 4 and 8 MIM
-# runs reach with a witness, which the literature gives as exact
+# above k = 32: the distances the criterion 4 and 8 MIM runs reach with a
+# witness, which the literature gives as exact (the oracle's search proves
+# each of them too, from the BCH or square-root bound)
 PUBLISHED = {"BCH(63,36)": 11, "BCH(127,64)": 21, "QR(73)": 13}
 
 

@@ -60,15 +60,48 @@ class TestEstimate:
         assert sum(counts.values()) == 1 << 10
 
     def test_budget_refusal_exits_3(self, tmp_path, capsys):
+        # k = 40 > 32 refuses only the enumerator's 2^40 sweep; the search
+        # proves d
         rng = random.Random(0)
         k = 40
         path = tmp_path / "big.gm"
         rows = ["".join("1" if (i == j or (j >= k and rng.random() < 0.5)) else "0"
                         for j in range(2 * k)) for i in range(k)]
         path.write_text(f"{2 * k} {k}\n" + "\n".join(rows) + "\n")
-        rc = main(["estimate", "--code", str(path), "--method", "exact"])
+        rc = main(["estimate", "--code", str(path), "--method", "exact", "--enumerator"])
         assert rc == EXIT_BUDGET
         assert "2^40" in capsys.readouterr().err
+        assert main(["estimate", "--code", str(path), "--method", "exact"]) == EXIT_OK
+        assert "d = 10" in capsys.readouterr().out
+        # a BCH(127,64) file without its generator polynomial line has no
+        # BCH bound to stop at, and 2^23 combinations prove only 9
+        bare = tmp_path / "bare127.gm"
+        assert main(["construct", "--bch", "7", "10", "--out", str(bare)]) == EXIT_OK
+        bare.write_text("".join(bare.read_text().splitlines(keepends=True)[:-1]))
+        rc = main(["estimate", "--code", str(bare), "--method", "exact", "--budget", "23"])
+        assert rc == EXIT_BUDGET
+        assert "it proved d in [9, 21]" in capsys.readouterr().err
+
+    def test_exact_above_k_32(self, tmp_path, capsys):
+        # a construct-written BCH(63,36) keeps its generator polynomial: the
+        # search stops at its BCH bound, while the sweep is refused
+        path = tmp_path / "b63.gm"
+        assert main(["construct", "--bch", "6", "5", "--out", str(path)]) == EXIT_OK
+        out = tmp_path / "r.json"
+        rc = main(["estimate", "--code", str(path), "--method", "exact", "--json", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads(out.read_text())
+        validate_result(doc)
+        assert doc["d"] == 11
+        capsys.readouterr()
+        rc = main(["estimate", "--code", str(path), "--method", "exact", "--enumerator"])
+        assert rc == EXIT_BUDGET
+        assert "2^36" in capsys.readouterr().err
+
+    def test_negative_budget_exits_2(self, c20_file, capsys):
+        rc = main(["estimate", "--code", str(c20_file), "--method", "exact", "--budget", "-1"])
+        assert rc == EXIT_CONFIG
+        assert "budget must be an int >= 0, got -1" in capsys.readouterr().err
 
     def test_mim_deterministic_json(self, c20_file, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -194,9 +227,12 @@ class TestEstimate:
                    "--json", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["config"]["budget"] == oracle.DEFAULT_BUDGET
-        rc = main(["estimate", "--code", str(c20_file), "--method", "exact", "--budget", "9"])
-        assert rc == EXIT_BUDGET
-        assert "exceeds oracle budget 9" in capsys.readouterr().err
+        # C(20,10) proves d = 6 in 110 combinations, within 2^9
+        rc = main(["estimate", "--code", str(c20_file), "--method", "exact", "--budget", "9",
+                   "--json", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert (doc["config"]["budget"], doc["d"]) == (9, 6)
 
     def test_mim_order_above_k_exits_2(self, c20_file, capsys):
         rc = main(["estimate", "--code", str(c20_file), "--method", "mim",

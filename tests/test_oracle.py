@@ -106,18 +106,102 @@ class TestExactMinDistance:
         assert exact_min_distance(c20).enumerator is None
 
 
+def simplex_copies() -> LinearCode:
+    """Three copies of the [7,3] simplex code side by side: an [21,3] code
+    of d = 12 whose seven information sets need 15 > 2^3 combinations."""
+    rows = [r * 3 for r in ("1110100", "0111010", "0011101")]
+    return LinearCode(21, 3, BitMatrix.from_strings(rows))
+
+
 class TestBudget:
     def test_refusal_names_cost(self):
+        # the 2^k refusal guards the enumerator sweep alone: the search
+        # proves this [80,40] code's d without a sweep
         rng = random.Random(7)
         rows = tuple((1 << i) | (rng.getrandbits(40) << 40) for i in range(40))
         code = LinearCode(80, 40, BitMatrix(80, rows))
         with pytest.raises(BudgetError, match=r"2\^40"):
-            exact_min_distance(code)
+            exact_enumerator(code)
+        assert exact_min_distance(code).d_exact == 10
 
     def test_explicit_budget_override(self, c20):
-        with pytest.raises(BudgetError):
-            exact_min_distance(c20, budget=9)
-        assert exact_min_distance(c20, budget=10).d_exact == 6
+        # C(20,10) proves d = 6 in 110 combinations, within 2^9; its sweep
+        # needs k = 10 <= budget
+        assert exact_min_distance(c20, budget=9).d_exact == 6
+        with pytest.raises(BudgetError, match=r"2\^10"):
+            exact_enumerator(c20, budget=9)
+        assert exact_enumerator(c20, budget=10).d_exact == 6
+
+    def test_search_refusal_names_the_interval(self):
+        # 15 combinations do not fit in 2^3: budget = k does not always prove d
+        code = simplex_copies()
+        with pytest.raises(BudgetError, match=r"after 6 of at most 2\^3 combinations: "
+                                               r"it proved d in \[9, 12\]"):
+            exact_min_distance(code, budget=3)
+        res = exact_min_distance(code, budget=4)
+        assert (res.d_exact, res.enumerated) == (12, 15)
+
+    def test_hintless_bch127_refused_at_its_cap(self):
+        # a GENERIC copy of BCH(127,64) has no BCH bound to stop at
+        generic = LinearCode(127, 64, build_bch(7, 10).generator)
+        with pytest.raises(BudgetError, match=r"\[9, 21\]"):
+            exact_min_distance(generic, budget=oracle.LOWER_BOUND_BUDGET)
+
+    @pytest.mark.parametrize("budget", [True, False, 9.5, 40.0, "32", None, -1])
+    def test_invalid_budget_is_a_value_error(self, budget, c20):
+        with pytest.raises(ValueError, match="budget must be an int >= 0"):
+            exact_min_distance(c20, budget=budget)
+
+    def test_zero_budget_scores_nothing(self, c20):
+        # a cap of one combination is below any level of a 10-row set; the
+        # two disjoint full-rank sets still prove d >= 2, Singleton d <= 11
+        with pytest.raises(BudgetError, match=r"after 0 of at most 2\^0 combinations: "
+                                               r"it proved d in \[2, 11\]"):
+            exact_min_distance(c20, budget=0)
+
+
+class TestKnownBound:
+    """The exact method starts from the bound proven from the generator
+    and stops once a codeword reaches it (Grassl, 2006)."""
+
+    @pytest.mark.parametrize("make, construct, d", [
+        (lambda: build_bch(7, 10), ["--bch", "7", "10"], 21),
+        (lambda: build_qr(73), ["--qr", "73"], 13),
+    ], ids=["bch127_64", "qr73"])
+    def test_default_budget_proves_d_above_k_32(self, make, construct, d, tmp_path):
+        # built, and loaded from the file construct writes, which keeps the
+        # generator polynomial
+        code = make()
+        assert code.k > 32
+        res = exact_min_distance(code)
+        assert res.d_exact == res.witness.weight == d
+        path = tmp_path / "code.gm"
+        assert main(["construct", *construct, "--out", str(path)]) == EXIT_OK
+        loaded = exact_min_distance(load_code(path))
+        assert (loaded.d_exact, loaded.witness) == (d, res.witness)
+
+    def test_stops_at_the_known_bound(self):
+        # BCH(63,36): the BCH bound proves 11, and the first set's 36 rows
+        # hold a word of weight 11
+        res = exact_min_distance(build_bch(6, 5))
+        assert (res.d_exact, res.enumerated) == (11, 36)
+
+    def test_same_d_and_witness_without_the_known_bound(self):
+        # the known bound only cuts the search short: a full search replaces
+        # the witness only on a strictly lower weight
+        cut = set()
+        for label, (code, d) in built_codes().items():
+            if code.k > 32:
+                continue
+            bare = LinearCode(code.n, code.k, code.generator)
+            assert certified_lower(bare) == 1
+            res, full = exact_min_distance(code), exact_min_distance(bare)
+            assert res.d_exact == full.d_exact == d, label
+            assert res.witness == full.witness, label
+            assert res.enumerated <= full.enumerated, label
+            if res.enumerated < full.enumerated:
+                cut.add(label)
+        assert "BCH(63,24)" in cut
 
 
 class TestAgainstNaiveReference:
@@ -223,7 +307,7 @@ class TestSearchAgainstNaive:
         code = LinearCode(10, 5, BitMatrix.from_strings(
             ["1000011110", "0100010101", "0010011001", "0001001100", "0000110010"]))
         assert set_ranks(code) == [5, 3, 2]
-        assert oracle._search(code.generator)[:2] == (3, 3)
+        assert oracle._search(code.generator, 1 << 32, 1)[:2] == (3, 3)
         res = assert_exact(code)
         assert res.enumerated == comb(5, 1) + comb(5, 2)
 
@@ -298,7 +382,7 @@ class TestExtendedTable9:
 
 def built_codes() -> dict[str, tuple[LinearCode, int]]:
     """The codes the test modules build, with their distances: the oracle's
-    where it runs, the literature's above its budget."""
+    up to k = 32, the literature's above it."""
     from test_acceptance import TABLE9_ROWS, _soundness_pool
     from test_bounds import BUILT, PUBLISHED
     from test_osd import DEPENDENT_LEAD, permuted_dcc
@@ -322,7 +406,7 @@ def built_codes() -> dict[str, tuple[LinearCode, int]]:
 class TestLowerBound:
     """``lower_bound``: max(known, min(least weight scored, Zimmermann
     bound)) of a search from known = ``certified_lower`` capped at
-    ``LOWER_BOUND_WORDS`` combinations, which also stops once the least
+    2^``LOWER_BOUND_BUDGET`` combinations, which also stops once the least
     weight scored is at most known."""
 
     def test_at_most_d_on_built_codes(self):
@@ -342,7 +426,7 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("cap", [0, 1, 10, 100, 1000, 5000])
     def test_any_cap_is_sound(self, cap, c20):
-        bound, least, _, scored = oracle._search(c20.generator, cap)
+        bound, least, _, scored = oracle._search(c20.generator, cap, 1)
         assert scored <= cap
         assert min(bound, least) <= 6
 
@@ -382,9 +466,9 @@ class TestLowerBound:
         # bound it runs into the cap and proves only 7
         code = build_bch(6, 5)
         assert certified_lower(code) == 11
-        bound, least, _, scored = oracle._search(code.generator, oracle.LOWER_BOUND_WORDS, 11)
+        bound, least, _, scored = oracle._search(code.generator, 1 << oracle.LOWER_BOUND_BUDGET, 11)
         assert (least, scored) == (11, 36)
-        bound, least, _, scored = oracle._search(code.generator, oracle.LOWER_BOUND_WORDS)
+        bound, least, _, scored = oracle._search(code.generator, 1 << oracle.LOWER_BOUND_BUDGET, 1)
         assert min(bound, least) == 7 and scored > 2_000_000
 
     def test_a_float_hint_is_not_the_int_hint(self):
@@ -412,7 +496,7 @@ class TestLowerBound:
         oracle._proven.cache_clear()
         assert oracle.lower_bound(generic) == 9
         ((bound, least, _, scored),) = runs
-        assert scored <= oracle.LOWER_BOUND_WORDS and bound < least
+        assert scored <= 1 << oracle.LOWER_BOUND_BUDGET and bound < least
         assert min(bound, least) == 9
         # the generator_poly hint is part of the memo's key
         assert oracle.lower_bound(bch) == 21 and len(runs) == 2
