@@ -12,7 +12,6 @@ a witness codeword and a bound report.
 from .bounds import (
     BoundReport,
     krasikov_upper,
-    pless_parity_adjust,
     qr_sqrt_lower,
     singleton,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "load_code",
     "make_pattern",
     "most_reliable_basis",
-    "pless_parity_adjust",
     "qr_sqrt_lower",
     "quadratic_residues",
     "run_mim",

@@ -5,14 +5,18 @@ systematic form [I_k | P] (cyclic constructions are systematized; the
 double-circulant families are systematic by shape).  Column permutations
 applied during systematization preserve minimum distance, so estimates on
 the stored generator transfer to the original cyclic code.
+
+``identify`` owns what a generator proves: that the code is BCH or QR, and
+a lower bound on its distance; ``LinearCode`` checks its label against it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .errors import ConsistencyError, DimensionError, RankError
 from .gf2 import (
@@ -27,7 +31,9 @@ from .gf2 import (
 )
 
 __all__ = [
+    "Identity",
     "LinearCode",
+    "identify",
     "quadratic_residues",
     "build_bch",
     "build_qr",
@@ -42,13 +48,19 @@ FAMILIES = ("BCH", "QR", "DCC", "QDC", "GENERIC")
 
 @dataclass(frozen=True)
 class LinearCode:
-    """An (n, k) binary linear code given by a full-rank generator matrix."""
+    """An (n, k) binary linear code given by a full-rank generator matrix.
+
+    ``family`` is checked against ``identify`` of the generator and its
+    ``generator_poly`` hint (which must be hashable): a ``BCH`` or ``QR``
+    label it does not prove is a ``ValueError``, and a ``GENERIC`` code it
+    proves takes the proven family, QR first.  ``DCC`` and ``QDC`` labels
+    are kept as given, since nothing is proven from them.
+    """
 
     n: int
     k: int
     generator: BitMatrix
     family: str = "GENERIC"
-    design_distance: int | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -64,10 +76,14 @@ class LinearCode:
         r = self.generator.rank()
         if r != self.k:
             raise RankError(f"generator rank {r} < k = {self.k}", rank=r)
-
-    def encode(self, info: BitWord) -> BitWord:
-        """info * G; length-k info word to length-n codeword."""
-        return self.generator.mul_word(info)
+        if self.family in ("BCH", "QR", "GENERIC"):
+            facts = identify(self.generator, self.metadata.get("generator_poly"))
+            proven = [f for f, ok in (("QR", facts.qr), ("BCH", facts.bch)) if ok]
+            if self.family == "GENERIC" and proven:
+                object.__setattr__(self, "family", proven[0])
+            elif self.family != "GENERIC" and self.family not in proven:
+                raise ValueError(f"the generator and its generator_poly hint "
+                                 f"do not prove a {self.family} code")
 
     def label(self) -> str:
         return f"{self.family}({self.n},{self.k})"
@@ -105,7 +121,8 @@ def build_bch(m: int, t: int) -> LinearCode:
     The generator polynomial is the lcm of the minimal polynomials of
     alpha^1 .. alpha^2t over the fixed GF(2^m) representation.  Its roots
     include 2t consecutive powers of alpha, so by the BCH bound the
-    distance is at least the designed distance 2t + 1.
+    distance is at least 2t + 1, or the larger designed distance that
+    ``identify`` gives when the zeros run on past alpha^2t.
     """
     if not 3 <= m <= 9:
         raise ValueError(f"BCH field degree {m} outside supported range 3..9")
@@ -132,7 +149,6 @@ def build_bch(m: int, t: int) -> LinearCode:
         k,
         gen,
         family="BCH",
-        design_distance=2 * t + 1,
         metadata={
             "m": m,
             "t": t,
@@ -244,6 +260,104 @@ def build_qr(p: int) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
+# identity
+
+
+class Identity(NamedTuple):
+    """What a generator proves about its code (see ``identify``)."""
+
+    bch: int | None  # the designed distance of a narrow-sense BCH code
+    qr: bool  # a binary quadratic residue code
+    lower: int  # a lower bound on the minimum distance
+
+
+@lru_cache(typed=True)
+def identify(generator: BitMatrix, hint: object) -> Identity:
+    """What the code ``generator`` spans is, and a lower bound on its
+    distance, proven from the generator (MacWilliams & Sloane, *The Theory
+    of Error-Correcting Codes*: the BCH bound, ch. 7; QR codes, ch. 16).
+
+    The generator polynomial ``hint`` (a code's ``metadata["generator_poly"]``)
+    is used only when it is an int and after it is checked: g has degree
+    n - k, divides x^n - 1, and systematizing the cyclic rows x^i g(x)
+    reproduces the generator's rows exactly.  The code is then a column
+    permutation of the cyclic code generated by g, which has the same
+    distance.  Otherwise nothing is proven: ``Identity(None, False, 1)``.
+
+    - ``bch``: for n = 2^m - 1 (m in the field table), the designed distance
+      delta when g's zeros, over the field's primitive alpha, are exactly
+      the cyclotomic cosets of 1 .. delta - 1, with delta - 1 the run of
+      zero exponents from 1: the narrow-sense code ``build_bch`` builds.
+    - ``qr``: n = p prime, p = +-1 (mod 8), and g is one of the two
+      ``qr_factors(p)``.
+    - ``lower``: the larger of these, when they apply, else 1.
+      - The BCH bound: if g has among its zeros alpha^b, .., alpha^(b+delta-2)
+        (exponents mod n), every nonzero codeword has weight >= delta.
+      - For a QR code, the square-root bound on the minimum odd-like weight
+        d_o (MacWilliams & Sloane, ch. 16, section 6, Theorem 1): d_o^2 >=
+        p, and d_o^2 - d_o + 1 >= p when p = -1 (mod 4).  The extended
+        binary QR code is even and its automorphism group is transitive,
+        so puncturing a minimum word of it at the extension coordinate
+        shows that the minimum weight of the QR code is odd, and equal to
+        d_o; the bound is rounded up to odd.
+
+    Memoized for the last 128 keys (``lru_cache``'s default size); ``typed``
+    keeps a float hint, which is rejected, off an equal int hint's entry.
+    """
+    n, k = generator.cols, generator.nrows
+    g = BinPoly(hint) if type(hint) is int and hint > 0 else None
+    if (g is None or g.degree != n - k or BinPoly((1 << n) | 1) % g
+            or systematize(_cyclic_generator(g, n))[0].rows != generator.rows):
+        return Identity(None, False, 1)
+    bch, lower = None, 1
+    m = n.bit_length()
+    if n == (1 << m) - 1 and m in PRIMITIVE_POLYS:
+        bch, lower = _bch_facts(g, GF2mField(m))
+    qr = _is_prime(n) and n % 8 in (1, 7) and g in qr_factors(n)
+    if qr:
+        lower = max(lower, _qr_sqrt_bound(n))
+    return Identity(bch, qr, lower)
+
+
+def _bch_facts(g: BinPoly, f: GF2mField) -> tuple[int | None, int]:
+    """(designed distance or None, BCH bound) of the cyclic code of length
+    n = 2^m - 1 generated by g, over the field's generator alpha.  g's zeros
+    are whole cyclotomic cosets, so g is evaluated at one representative of
+    each.  The bound is 1 + the longest run of consecutive zero exponents
+    (mod n); the designed distance is delta = 1 + the run from exponent 1,
+    when the zeros are exactly the cosets of 1 .. delta - 1.  k >= 1, so
+    some exponent is not a zero and every run ends."""
+    n = f.order
+    zeros: set[int] = set()
+    seen: set[int] = set()
+    for s in range(n):
+        if s not in seen:
+            coset = cyclotomic_coset(s, n)
+            seen |= coset
+            if g.evaluate_in(f, f.alpha_pow(s)) == 0:
+                zeros |= coset
+
+    def run(start: int) -> int:
+        e = start
+        while e % n in zeros:
+            e += 1
+        return e - start
+
+    bound = 1 + max((run(s) for s in zeros if (s - 1) % n not in zeros), default=0)
+    delta = 1 + run(1)
+    narrow = set().union(*(cyclotomic_coset(i, n) for i in range(1, delta)))
+    return (delta if zeros == narrow else None), bound
+
+
+def _qr_sqrt_bound(p: int) -> int:
+    """Least odd d with d^2 >= p, or with d^2 - d + 1 >= p if p = -1 (mod 8)."""
+    d = 1
+    while (d * d - d + 1 if p % 8 == 7 else d * d) < p:
+        d += 1
+    return d | 1
+
+
+# ---------------------------------------------------------------------------
 # double circulants
 
 
@@ -316,9 +430,9 @@ def build_qdc(p: int, corner: int = 0) -> LinearCode:
 # then, for a code built with a generator polynomial g (BCH, QR), the line
 # "# generator_poly 0x..." with g's coefficient bits in hex (bit i holds
 # x^i).  Loading restores it as the ``generator_poly`` hint, which
-# ``bounds.certified_lower`` checks against the rows before it uses it, so
-# the file adds no trust; the family is not kept.  Files without the line
-# load as before.
+# ``identify`` checks against the rows before it uses it, so the file adds
+# no trust: the loaded code is GENERIC until ``identify`` proves it BCH or
+# QR.  Files without the line load as before.
 
 
 def save_code(code: LinearCode, dest: str | Path | TextIO) -> None:
@@ -373,4 +487,4 @@ def _read_matrix(fh: TextIO) -> LinearCode:
             metadata["generator_poly"] = int(hint[1], 16)
         elif line.strip():
             raise ValueError(f"line {i}: unexpected text after the {k} rows: {line.strip()!r}")
-    return LinearCode(n, k, BitMatrix.from_strings(rows), family="GENERIC", metadata=metadata)
+    return LinearCode(n, k, BitMatrix.from_strings(rows), metadata=metadata)

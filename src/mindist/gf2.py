@@ -135,14 +135,6 @@ class BitMatrix:
         """Row rank over GF(2) by elimination on a scratch copy."""
         return eliminate(list(self.rows), [None] * self.nrows, range(self.cols))
 
-    def mul_word(self, w: BitWord) -> BitWord:
-        """Vector-matrix product w * M over GF(2); w has one bit per row."""
-        if w.length != self.nrows:
-            raise DimensionError(
-                f"word length {w.length} != row count {self.nrows}"
-            )
-        return BitWord(self.cols, xor_rows(self.rows, w.bits))
-
 
 def xor_rows(rows: tuple[int, ...], mask: int) -> int:
     """XOR of ``rows[i]`` over the set bits i of ``mask``."""

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .bounds import singleton
-from .codes import LinearCode
+from .codes import LinearCode, identify
 from .gf2 import BitWord
 from .oracle import lower_bound
 from .osd import DEFAULT_ORDER, OsdDecoder
@@ -68,13 +68,13 @@ class MimConfig:
 
     @classmethod
     def for_code(cls, code: LinearCode, **overrides) -> "MimConfig":
-        """Defaults: d0 = 1; d1 = the design distance when the family has
-        one, else the Singleton bound capped at n/2; error_max = min(20, d1);
-        decoder order min(3, k).  A given order above k fails in ``run``."""
-        d1 = code.design_distance
+        """Defaults: d0 = 1; d1 = the designed distance of a BCH code, as
+        ``codes.identify`` proves it from the generator, else the Singleton
+        bound capped at n/2; error_max = min(20, d1); decoder order
+        min(3, k).  A given order above k fails in ``run``."""
+        d1 = identify(code.generator, code.metadata.get("generator_poly")).bch
         if d1 is None:
             d1 = min(singleton(code.n, code.k), code.n // 2)
-        d1 = max(1, d1)
         cfg = cls(d0=1, d1=d1, error_max=min(20, d1),
                   osd_order=min(DEFAULT_ORDER, code.k))
         return replace(cfg, **overrides)

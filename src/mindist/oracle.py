@@ -31,8 +31,8 @@ the terms sum above n minus the zero columns, so the loop always stops.
 
 The bound holds at every step, so a search cut short still proves
 d >= min(least weight scored, bound).  Every search starts from a bound
-``known`` already proven from the generator (``bounds.generator_lower``:
-the BCH or square-root bound, else 1), stops as soon as the least weight
+``known`` already proven from the generator (``codes.identify``'s
+``lower``: the BCH or square-root bound, else 1), stops as soon as the least weight
 scored is at most ``known`` (that weight is then d; Grassl, 2006, stops
 the same way), and is capped at 2^budget combinations scored.  Its result
 is the proven interval max(known, min(bound, least weight)) <= d <= least
@@ -94,8 +94,7 @@ from math import comb
 
 import numpy as np
 
-from .bounds import generator_lower
-from .codes import LinearCode
+from .codes import LinearCode, identify
 from .errors import BudgetError
 from .gf2 import BitMatrix, BitWord, eliminate, to_lanes
 from .results import DistanceEstimate
@@ -329,21 +328,21 @@ def _bound(sets: list[_InfoSet], k: int) -> int:
 
 
 def _prove(generator: BitMatrix, hint: object, budget: int) -> tuple[int, int, int, int]:
-    """The search from known = ``generator_lower(generator, hint)``, capped
+    """The search from known = ``identify(generator, hint).lower``, capped
     at 2^``budget`` combinations: (lower, least weight scored, the first
     codeword of that weight scored, combinations scored), where lower =
     max(known, min(bound, least weight)) <= d <= least weight.  d is
     proven, and the codeword a witness, when lower equals least weight."""
-    known = generator_lower(generator, hint)
+    known = identify(generator, hint).lower
     bound, least, witness, scored = _search(generator, 1 << budget, known)
     return max(known, min(bound, least)), least, witness, scored
 
 
 def lower_bound(code: LinearCode) -> int:
     """A lower bound on d: the lower end of the interval ``_prove`` proves
-    under the cap 2^``LOWER_BOUND_BUDGET``, with known =
-    ``bounds.certified_lower(code)``.  It holds whether or not the search
-    finished, and is d when it did (module docstring).  The result is
+    under the cap 2^``LOWER_BOUND_BUDGET``, with known the ``lower`` of
+    ``codes.identify``.  It holds whether or not the search finished, and
+    is d when it did (module docstring).  The result is
     memoized on the two inputs it reads, the generator and the
     ``generator_poly`` hint (which must be hashable, as the builders' and
     ``load_code``'s ints are), so each code pays it once per process.
@@ -355,7 +354,7 @@ def lower_bound(code: LinearCode) -> int:
 def _proven(generator: BitMatrix, hint: object) -> int:
     """``lower_bound`` of the code with this generator and hint, memoized
     for the last 128 keys (``lru_cache``'s default size); ``typed`` keeps a
-    float hint, which ``generator_lower`` rejects, off an equal int hint's
+    float hint, which ``identify`` rejects, off an equal int hint's
     entry."""
     return _prove(generator, hint, LOWER_BOUND_BUDGET)[0]
 

@@ -71,11 +71,10 @@ returns.  Both rest on one test.  Let c be a candidate, D1 the positions
 where it differs from the hard decisions, and d_lb a lower bound on the
 minimum distance, ``oracle.lower_bound(code)``: the bound of a search
 capped at 2^``oracle.LOWER_BOUND_BUDGET`` combinations that starts from
-``bounds.certified_lower`` (the BCH or square-root bound, from the
+``codes.identify``'s ``lower`` (the BCH or square-root bound, from the
 generator), run once per code.  It is d on every criterion-4 code, where
-``certified_lower`` alone gives 1 to QDC(24,12) and 9 to QR(73,37),
-against d = 8 and 13; the larger d_lb, the more often both tests below
-hold.  Any other codeword differs from c at d_lb or more positions
+``identify`` alone gives 1 to QDC(24,12) and 9 to QR(73,37), against
+d = 8 and 13; the larger d_lb, the more often both tests below hold.  Any other codeword differs from c at d_lb or more positions
 (their XOR is a nonzero codeword), at most |D1| of them in D1, so at
 need = d_lb - |D1| or more positions outside D1.  There c agrees with
 the hard decisions and the other codeword does not, so each such

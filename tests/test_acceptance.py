@@ -21,7 +21,7 @@ from mindist.genetic import (
     run_variant_a,
     run_variant_b,
 )
-from mindist.gf2 import BitMatrix, BitWord
+from mindist.gf2 import BitMatrix, BitWord, xor_rows
 from mindist.mim import MimConfig
 from mindist.mim import run as run_mim
 from mindist.oracle import exact_min_distance
@@ -225,7 +225,7 @@ def test_criterion_7_operator_property_suite():
     code = build_qdc(11)
     dec = OsdDecoder(code, order=3)
     for _ in range(1000):
-        cw = code.encode(BitWord(12, rng.getrandbits(12)))
+        cw = BitWord(24, xor_rows(code.generator.rows, rng.getrandbits(12)))
         y = np.where(list(cw), 1.0, -1.0)
         assert dec.decode(y) == cw
         scaled = y * rng.uniform(0.1, 50.0)

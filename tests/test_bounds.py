@@ -4,13 +4,12 @@ import random
 import pytest
 
 from mindist import oracle
+from conftest import identity
 from mindist.bounds import (
     BoundReport,
     build_report,
-    certified_lower,
     enforce,
     krasikov_upper,
-    pless_parity_adjust,
     qr_sqrt_lower,
     singleton,
     sqrt_display,
@@ -23,6 +22,7 @@ from mindist.codes import (
     build_dcc,
     build_qdc,
     build_qr,
+    identify,
     qr_factors,
 )
 from mindist.errors import ConsistencyError
@@ -75,15 +75,18 @@ class TestKrasikov:
 
 
 class TestPlessParity:
+    """QR minimum weights are odd: an even find w implies distance <= w - 1,
+    the report's ``parity_adjusted_d``."""
+
     def test_even_find_implies_odd(self):
-        assert pless_parity_adjust("QR", 32) == (31, True)
+        assert build_report("QR", 223, 112, 32).parity_adjusted_d == 31
 
     def test_odd_unchanged(self):
-        assert pless_parity_adjust("QR", 27) == (27, False)
+        assert build_report("QR", 223, 112, 27).parity_adjusted_d is None
 
     def test_non_qr_rejected(self):
-        with pytest.raises(ValueError):
-            pless_parity_adjust("DCC", 10)
+        # the rule is not applied to a code that is not QR
+        assert build_report("DCC", 20, 10, 10).parity_adjusted_d is None
 
 
 class TestBuildReport:
@@ -139,7 +142,7 @@ class TestBuildReport:
         assert isinstance(d["violated"], list) and isinstance(d["warnings"], list)
 
 
-# every BCH and QR code the tests build, with the bound certified_lower
+# every BCH and QR code the tests build, with the lower bound ``identify``
 # proves for it
 BUILT = {
     "BCH(15,11)": (lambda: build_bch(4, 1), 3),
@@ -164,30 +167,55 @@ BUILT = {
 PUBLISHED = {"BCH(63,36)": 11, "BCH(127,64)": 21, "QR(73)": 13}
 
 
+def forged_hints(g: int) -> list:
+    """Hints that do not prove the code whose generator polynomial is g."""
+    return [
+        build_bch(6, 5).metadata["generator_poly"],  # the wrong degree
+        g ^ 0b110,  # the right degree, not a divisor of x^n - 1
+        str(g),  # not a polynomial
+        float(g),
+        None,  # missing
+    ]
+
+
 class TestCertifiedLower:
+    """The identity and lower bound ``codes.identify`` proves from a
+    generator and its generator_poly hint, and the label checks on it."""
+
     @pytest.mark.parametrize("label", BUILT)
     def test_value_and_at_most_d(self, label):
         make, want = BUILT[label]
         code = make()
-        got = certified_lower(code)
-        assert got == want
+        facts = identity(code)
+        assert facts.lower == want
         d = PUBLISHED.get(label) or exact_min_distance(code).d_exact
-        assert got <= d
+        assert facts.lower <= d
+        if label.startswith("BCH"):
+            # the designed distance of every BCH code built here is 2t + 1
+            assert facts.bch == 2 * code.metadata["t"] + 1
+        else:
+            # QR(7) is BCH(7,4); QR(31) is cyclic of length 2^5 - 1, not BCH
+            assert facts.bch == (3 if label == "QR(7)" else None)
+        assert facts.qr == label.startswith("QR")
 
     def test_bch127_bound_is_exact(self):
         # the BCH bound on BCH(127,64) is 21, the distance MIM finds
-        assert certified_lower(build_bch(7, 10)) == 21
+        assert identity(build_bch(7, 10)).lower == 21
 
     @pytest.mark.parametrize("label", ["BCH(63,24)", "QR(47)"])
     def test_labels_are_not_read(self, label):
+        # identify reads only the generator and the hint: a GENERIC copy
+        # takes the proven family back, and the other label is refused
         code = BUILT[label][0]()
-        relabelled = dataclasses.replace(code, family="GENERIC", design_distance=99)
-        assert certified_lower(relabelled) == certified_lower(code)
+        assert dataclasses.replace(code, family="GENERIC").family == code.family
+        other = {"BCH": "QR", "QR": "BCH"}[code.family]
+        with pytest.raises(ValueError, match=f"do not prove a {other} code"):
+            dataclasses.replace(code, family=other)
 
     def test_other_codes_get_1(self, c20):
-        assert certified_lower(build_qdc(11)) == 1
-        assert certified_lower(c20) == 1
-        assert certified_lower(build_dcc(BitWord.parse("1101"))) == 1
+        assert identity(build_qdc(11)) == (None, False, 1)
+        assert identity(c20) == (None, False, 1)
+        assert identity(build_dcc(BitWord.parse("1101"))) == (None, False, 1)
 
     def test_forged_generator_poly_gets_1(self):
         bch = build_bch(6, 7)
@@ -197,20 +225,19 @@ class TestCertifiedLower:
             rows = tuple(rng.getrandbits(63) for _ in range(24))
             if BitMatrix(63, rows).rank() == 24:
                 break
-        forged = [
-            # right degree and a divisor of x^63 - 1, but not this generator
-            LinearCode(63, 24, BitMatrix(63, rows), metadata={"generator_poly": g}),
-            # wrong degree
-            dataclasses.replace(bch, metadata={"generator_poly": build_bch(6, 5).metadata["generator_poly"]}),
-            # right degree, not a divisor
-            dataclasses.replace(bch, metadata={"generator_poly": g ^ 0b110}),
-            # not a polynomial
-            dataclasses.replace(bch, metadata={"generator_poly": str(g)}),
-            dataclasses.replace(bch, metadata={"generator_poly": float(g)}),
-            dataclasses.replace(bch, metadata={}),
-        ]
-        for code in forged:
-            assert certified_lower(code) == 1
+        # right degree and a divisor of x^63 - 1, but not this generator
+        assert identify(BitMatrix(63, rows), g) == (None, False, 1)
+        for hint in forged_hints(g):
+            assert identify(bch.generator, hint) == (None, False, 1)
+
+    @pytest.mark.parametrize("label", ["BCH(63,24)", "QR(47)"])
+    def test_forged_label_is_refused(self, label):
+        code = BUILT[label][0]()
+        for hint in forged_hints(code.metadata["generator_poly"]):
+            metadata = {} if hint is None else {"generator_poly": hint}
+            with pytest.raises(ValueError, match=f"do not prove a {code.family} code"):
+                dataclasses.replace(code, metadata=metadata)
+            assert dataclasses.replace(code, family="GENERIC", metadata=metadata).family == "GENERIC"
 
     def test_either_qr_factor_gets_the_sqrt_bound(self):
         # the non-residue factor generates an equivalent QR code; on the
@@ -219,9 +246,9 @@ class TestCertifiedLower:
         (g_n,) = [g for g in qr_factors(47) if g.bits != qr47.metadata["generator_poly"]]
         gen, _ = systematize(_cyclic_generator(g_n, 47))
         other = LinearCode(47, 24, gen, metadata={"generator_poly": g_n.bits})
-        assert certified_lower(other) == 9
+        assert other.family == "QR" and identity(other) == (None, True, 9)
         assert exact_min_distance(other).d_exact == 11
-        assert certified_lower(dataclasses.replace(qr47, metadata={"generator_poly": g_n.bits})) == 1
+        assert identify(qr47.generator, g_n.bits) == (None, False, 1)
 
     @pytest.mark.parametrize(
         "p, want",
@@ -231,6 +258,6 @@ class TestCertifiedLower:
     )
     def test_qr_sqrt_bound(self, p, want):
         code = build_qr(p)
-        assert certified_lower(code) >= want
+        assert identity(code).lower >= want
         if (p + 1) & p:  # not 2^m - 1: the square-root bound alone
-            assert certified_lower(code) == want
+            assert identity(code).lower == want

@@ -116,15 +116,16 @@ class TestEstimate:
         assert strip(out1) == strip(out2)
 
     def test_mim_on_a_loaded_bch_code_stops_at_its_bch_bound(self, tmp_path):
-        # construct keeps g in the file, so the loaded BCH(63,36) gets its
-        # BCH bound, 11 = d, and the run stops after its first trial
+        # construct keeps g in the file, so the loaded BCH(63,36) is proven
+        # BCH again: it gets its family, its d1 and its BCH bound, 11 = d,
+        # and the run stops after its first trial
         code, out = tmp_path / "b63.gm", tmp_path / "m.json"
         assert main(["construct", "--bch", "6", "5", "--out", str(code)]) == EXIT_OK
         assert main(["estimate", "--code", str(code), "--method", "mim",
                      "--seed", "1", "--nb-test", "20", "--json", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
         validate_result(doc)
-        assert doc["d"] == 11 and doc["code"]["family"] == "GENERIC"
+        assert doc["d"] == 11 and doc["code"]["family"] == "BCH" and doc["config"]["d1"] == 11
         assert [e["kind"] for e in doc["events"]][-2:] == ["trial", "certified"]
 
     def test_ga_a_with_flags(self, c20_file, capsys):

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 import mindist
 
-from mindist.bounds import certified_lower
+from conftest import identity
+from mindist import mim
+from mindist.cli import EXIT_OK, main
 from mindist.codes import (
     LinearCode,
     build_bch,
@@ -23,7 +26,7 @@ from mindist.codes import (
     save_code,
 )
 from mindist.errors import RankError
-from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField
+from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, xor_rows
 from mindist.oracle import exact_min_distance
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -59,13 +62,22 @@ class TestBch:
     def test_15_11_shape_and_design(self):
         code = build_bch(4, 1)
         assert (code.n, code.k) == (15, 11)
-        assert code.design_distance == 3
+        assert identity(code).bch == 3
         assert code.family == "BCH"
 
     def test_31_26_shape(self):
         code = build_bch(5, 1)
         assert (code.n, code.k) == (31, 26)
-        assert code.design_distance == 3
+        assert identity(code).bch == 3
+
+    def test_hamming_7_4_is_bch_and_qr(self):
+        # BCH(7,4) is QR(7): it keeps its BCH label, and identify proves both;
+        # unlabelled, as loaded from a file, it takes QR first
+        code = build_bch(3, 1)
+        assert code.family == "BCH"
+        assert identity(code) == (3, True, 3)
+        assert LinearCode(7, 4, code.generator, metadata=code.metadata).family == "QR"
+        assert code.generator == build_qr(7).generator
 
     def test_generator_poly_m4_t1_is_primitive_poly(self):
         code = build_bch(4, 1)
@@ -103,9 +115,8 @@ class TestBch:
         # cyclic rows go through the systematizer; info word = codeword prefix
         code = build_bch(4, 2)
         for bits in (0b1, 0b1010110, 0b1111111):
-            info = BitWord(code.k, bits)
-            cw = code.encode(info)
-            assert cw.bits & ((1 << code.k) - 1) == info.bits
+            cw = xor_rows(code.generator.rows, bits)
+            assert cw & ((1 << code.k) - 1) == bits
 
 
 class TestQr:
@@ -239,16 +250,42 @@ class TestMatrixIO:
 
     @pytest.mark.parametrize("code", [build_bch(6, 5), build_qr(73)], ids=["bch63_36", "qr73"])
     def test_generator_poly_round_trip(self, code):
-        # the file keeps g as a hint, so the loaded code keeps the bound
-        # certified_lower proves from it; the family is not kept
+        # the file keeps g as a hint, so the loaded code gets back the family
+        # and the bound identify proves from it
         buf = io.StringIO()
         save_code(code, buf)
         g = code.metadata["generator_poly"]
         assert buf.getvalue().splitlines()[-1] == f"# generator_poly {g:#x}"
         loaded = loads(buf.getvalue())
         assert loaded.generator == code.generator
-        assert (loaded.family, loaded.metadata) == ("GENERIC", {"generator_poly": g})
-        assert certified_lower(loaded) == certified_lower(code) > 1
+        assert (loaded.family, loaded.metadata) == (code.family, {"generator_poly": g})
+        assert identity(loaded) == identity(code) and identity(code).lower > 1
+
+    @pytest.mark.parametrize("construct, build", [
+        (["--bch", "7", "10"], lambda: build_bch(7, 10)),
+        (["--bch", "6", "7"], lambda: build_bch(6, 7)),
+        (["--qr", "73"], lambda: build_qr(73)),
+    ], ids=["bch127_64", "bch63_24", "qr73"])
+    def test_loaded_code_matches_the_built_code(self, construct, build, tmp_path):
+        # same family, identity, MIM defaults and seeded MIM record (bound
+        # report included) but for the code's params and the times
+        path = tmp_path / "code.gm"
+        assert main(["construct", *construct, "--out", str(path)]) == EXIT_OK
+        built, loaded = build(), load_code(path)
+        assert loaded.family == built.family
+        assert identity(loaded) == identity(built)
+        cfg = mim.MimConfig.for_code(built, nb_test=3, rng_seed=1)
+        assert cfg.d1 == (identity(built).bch or built.n // 2)  # 21, 15 and 36
+        assert mim.MimConfig.for_code(loaded, nb_test=3, rng_seed=1) == cfg
+
+        def record(code):
+            doc = mim.run(code, cfg).to_dict()
+            del doc["code"]["params"], doc["wall_time_seconds"]
+            for event in doc["events"]:
+                event.pop("time", None)
+            return json.dumps(doc, sort_keys=True)
+
+        assert record(loaded) == record(built)
 
     @pytest.mark.parametrize("tail", [
         "# generator_poly 0x7\n# generator_poly 0x7\n",

@@ -22,7 +22,7 @@ from mindist.genetic import (
     run_variant_b,
     select_tournament,
 )
-from mindist.gf2 import BitWord
+from mindist.gf2 import BitWord, xor_rows
 from mindist.oracle import exact_min_distance
 
 
@@ -464,7 +464,7 @@ class TestEstimateContract:
         d, witness = genetic._best_with_witness(c20, pop, fits)
         first = min(range(len(pop)), key=fits.__getitem__)
         assert d == fits[first] == witness.weight
-        assert witness == c20.encode(BitWord(c20.k, pop[first]))
+        assert witness == BitWord(c20.n, xor_rows(c20.generator.rows, pop[first]))
         # the zero word scores n: first only when every individual ties at n
         with pytest.raises(ConsistencyError, match="zero word"):
             genetic._best_with_witness(c20, [0, 1], [n, n])

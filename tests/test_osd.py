@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mindist import oracle, osd
-from mindist.bounds import certified_lower
 from mindist.cli import EXIT_OK, main
 from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr, load_code
 from mindist.errors import ConsistencyError
@@ -14,12 +13,14 @@ from mindist.gf2 import BitMatrix, BitWord, eliminate, xor_rows
 from mindist.mim import apply_pattern, make_pattern
 from mindist.osd import OsdDecoder, hard_decision, most_reliable_basis
 
+from conftest import identity
+
 
 def all_codewords(code) -> list[BitWord]:
     """Independent enumeration of the whole code (small k only)."""
     out = []
     for info in range(1 << code.k):
-        out.append(code.encode(BitWord(code.k, info)))
+        out.append(BitWord(code.n, xor_rows(code.generator.rows, info)))
     return out
 
 
@@ -136,7 +137,7 @@ class TestMostReliableBasis:
             info = BitWord(golay24.k, sum(
                 ((h.bits >> perm[i]) & 1) << i for i in range(golay24.k)
             ))
-            cw_sys = gsys.mul_word(info)
+            cw_sys = BitWord(gsys.cols, xor_rows(gsys.rows, info.bits))
             for i in range(golay24.k):
                 assert cw_sys[i] == (h.bits >> perm[i]) & 1
 
@@ -151,7 +152,7 @@ class TestOsdDecode:
         rng = random.Random(11)
         dec = OsdDecoder(golay24, order=1)
         for _ in range(50):
-            cw = golay24.encode(BitWord(12, rng.getrandbits(12)))
+            cw = BitWord(24, xor_rows(golay24.generator.rows, rng.getrandbits(12)))
             assert dec.decode(np.where(list(cw), 1.0, -1.0)) == cw
 
     def test_all_minus_one_decodes_to_zero(self, golay24):
@@ -245,7 +246,7 @@ class TestOsdDecode:
                     u = u0
                     for i in combo:
                         u ^= 1 << i
-                    cw_sys = gsys.mul_word(BitWord(4, u))
+                    cw_sys = BitWord(gsys.cols, xor_rows(gsys.rows, u))
                     cand = 0
                     for j in range(7):
                         if cw_sys[j]:
@@ -372,7 +373,7 @@ def zero_certified(decoder: OsdDecoder, y: np.ndarray) -> bool:
 
 
 class TestZeroCertificate:
-    """BCH(15,7) has d = 5, and ``certified_lower`` proves 5.
+    """BCH(15,7) has d = 5, and ``codes.identify`` proves 5.
 
     Every word here has P = 2 samples above 0 at positions 0 and 1 and
     -1.0 elsewhere unless stated, so the floor on a nonzero codeword's cost
@@ -455,8 +456,8 @@ class TestZeroCertificate:
 
 
 class TestProvenBound:
-    """d_lb is ``oracle.lower_bound``: the capped search's bound from
-    ``certified_lower``, searched once per code.  It is d on every code
+    """d_lb is ``oracle.lower_bound``: the capped search's bound from the
+    one ``codes.identify`` proves, searched once per code.  It is d on every code
     here."""
 
     @pytest.mark.parametrize("make, d_lb", [
@@ -478,14 +479,14 @@ class TestProvenBound:
         path.write_text("63 24\n" + "".join(
             build_bch(6, 7).generator.row_word(i).to01() + "\n" for i in range(24)))
         code = load_code(path)
-        assert code.family == "GENERIC" and certified_lower(code) == 1
+        assert code.family == "GENERIC" and identity(code).lower == 1
         assert OsdDecoder(code)._d_lb == 15
 
     def test_equal_generator_runs_no_second_search(self, monkeypatch, golay24):
-        # nor a second generator_lower: all of lower_bound is memoized
+        # nor a second identify: all of lower_bound is memoized
         oracle._proven.cache_clear()
         calls = []
-        for name in ("_search", "generator_lower"):
+        for name in ("_search", "identify"):
             def spy(*args, real=getattr(oracle, name), name=name):
                 calls.append(name)
                 return real(*args)
@@ -494,7 +495,7 @@ class TestProvenBound:
         assert OsdDecoder(golay24, order=1)._d_lb == 8
         assert OsdDecoder(build_qdc(11), order=3)._d_lb == 8
         assert oracle.lower_bound(golay24) == 8
-        assert sorted(calls) == ["_search", "generator_lower"]
+        assert sorted(calls) == ["_search", "identify"]
 
 
 @pytest.fixture
@@ -518,7 +519,7 @@ def steps(monkeypatch):
 
 
 class TestPostOrderCertificate:
-    """Order-2 decodes on BCH(15,7), where ``certified_lower`` proves 5.
+    """Order-2 decodes on BCH(15,7), where ``codes.identify`` proves 5.
 
     The low table holds the 8 flip sets of weight 0 and 1, the top table
     the 21 of weight 2.
