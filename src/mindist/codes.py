@@ -51,10 +51,11 @@ class LinearCode:
     """An (n, k) binary linear code given by a full-rank generator matrix.
 
     ``family`` is checked against ``identify`` of the generator and its
-    ``generator_poly`` hint (which must be hashable): a ``BCH`` or ``QR``
-    label it does not prove is a ``ValueError``, and a ``GENERIC`` code it
-    proves takes the proven family, QR first.  ``DCC`` and ``QDC`` labels
-    are kept as given, since nothing is proven from them.
+    ``generator_poly`` hint, which must be hashable in every family: a
+    ``BCH`` or ``QR`` label it does not prove is a ``ValueError``, and a
+    ``GENERIC`` code it proves takes the proven family, QR first.  ``DCC``
+    and ``QDC`` labels are kept as given, since nothing is proven from
+    them.
     """
 
     n: int
@@ -76,8 +77,10 @@ class LinearCode:
         r = self.generator.rank()
         if r != self.k:
             raise RankError(f"generator rank {r} < k = {self.k}", rank=r)
+        # every family's hint is checked, so that the memos keyed on it
+        # (``identify``'s, ``oracle.lower_bound``'s) can take it
+        facts = identify(self.generator, self.metadata.get("generator_poly"))
         if self.family in ("BCH", "QR", "GENERIC"):
-            facts = identify(self.generator, self.metadata.get("generator_poly"))
             proven = [f for f, ok in (("QR", facts.qr), ("BCH", facts.bch)) if ok]
             if self.family == "GENERIC" and proven:
                 object.__setattr__(self, "family", proven[0])
@@ -271,14 +274,16 @@ class Identity(NamedTuple):
     lower: int  # a lower bound on the minimum distance
 
 
-@lru_cache(typed=True)
 def identify(generator: BitMatrix, hint: object) -> Identity:
     """What the code ``generator`` spans is, and a lower bound on its
     distance, proven from the generator (MacWilliams & Sloane, *The Theory
     of Error-Correcting Codes*: the BCH bound, ch. 7; QR codes, ch. 16).
 
     The generator polynomial ``hint`` (a code's ``metadata["generator_poly"]``)
-    is used only when it is an int and after it is checked: g has degree
+    must be hashable, since the answer is memoized on it: an unhashable one
+    (a list of coefficients, say) is a ``ValueError`` that names the field,
+    raised before the memo is looked up.  The hint is used only when it is
+    an int and after it is checked: g has degree
     n - k, divides x^n - 1, and systematizing the cyclic rows x^i g(x)
     reproduces the generator's rows exactly.  The code is then a column
     permutation of the cyclic code generated by g, which has the same
@@ -302,8 +307,19 @@ def identify(generator: BitMatrix, hint: object) -> Identity:
         d_o; the bound is rounded up to odd.
 
     Memoized for the last 128 keys (``lru_cache``'s default size); ``typed``
-    keeps a float hint, which is rejected, off an equal int hint's entry.
+    keeps a float hint, which proves nothing, off an equal int hint's entry.
     """
+    try:
+        hash(hint)
+    except TypeError:
+        raise ValueError(f"the generator_poly hint must be hashable, as an int is; "
+                         f"got {type(hint).__name__} {hint!r}") from None
+    return _identify(generator, hint)
+
+
+@lru_cache(typed=True)
+def _identify(generator: BitMatrix, hint: object) -> Identity:
+    """``identify`` of a hashable hint."""
     n, k = generator.cols, generator.nrows
     g = BinPoly(hint) if type(hint) is int and hint > 0 else None
     if (g is None or g.degree != n - k or BinPoly((1 << n) | 1) % g

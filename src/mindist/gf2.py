@@ -8,9 +8,10 @@ Weight is a single popcount; XOR is a single int op.  The oracle and the
 genetic scorer weigh codewords in uint64 lanes that ``to_lanes`` builds
 from these rows.  ``unpack_rows`` and ``pack_rows`` convert such rows to
 and from 0/1 numpy matrices for the vectorized code.  ``eliminate`` is
-the package's one Gauss-Jordan routine: matrix rank, the systematizer,
-the OSD decoder's reduction on the most reliable basis and the oracle's
-information sets all run it.
+the package's Gauss-Jordan routine: matrix rank, the systematizer, the
+OSD decoder's cached basis and the oracle's information sets all run it.
+The decoder reduces each word from that basis by a low-rank update of its
+own (``osd._update``), which gives the rows ``eliminate`` would.
 """
 
 from __future__ import annotations

@@ -344,8 +344,8 @@ def lower_bound(code: LinearCode) -> int:
     ``codes.identify``.  It holds whether or not the search finished, and
     is d when it did (module docstring).  The result is
     memoized on the two inputs it reads, the generator and the
-    ``generator_poly`` hint (which must be hashable, as the builders' and
-    ``load_code``'s ints are), so each code pays it once per process.
+    ``generator_poly`` hint (hashable, since ``LinearCode`` checks it), so
+    each code pays it once per process.
     """
     return _proven(code.generator, code.metadata.get("generator_poly"))
 
@@ -354,8 +354,7 @@ def lower_bound(code: LinearCode) -> int:
 def _proven(generator: BitMatrix, hint: object) -> int:
     """``lower_bound`` of the code with this generator and hint, memoized
     for the last 128 keys (``lru_cache``'s default size); ``typed`` keeps a
-    float hint, which ``identify`` rejects, off an equal int hint's
-    entry."""
+    float hint, which proves nothing, off an equal int hint's entry."""
     return _prove(generator, hint, LOWER_BOUND_BUDGET)[0]
 
 

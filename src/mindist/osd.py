@@ -14,38 +14,48 @@ word: the sum of |y_i| over the positions where the candidate differs.
 Minimizing it is algebraically the same as minimizing Euclidean distance
 or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 
-The MRB reduction (``gf2.eliminate``) runs on the generator's rows as
-Python ints (cheap XOR, no per-pivot array traffic), and starts from a
-basis each decoder caches.
-The cached basis is the reduction of a word whose samples all tie: the
-stable sort walks its columns in index order, and the decoder keeps the k
-rows, each the only row with a 1 at its unit column.  A word is
-reduced from those rows by walking its reliability order, one column at a
-time.  If the column is the unit column of a row not yet fixed, that row
-becomes the next pivot by a swap, with no XOR.  Otherwise the column takes
-a Gauss-Jordan step: the first unfixed row with a 1 there becomes the
-pivot and is XORed into every other row with that bit, and its own unit
-column is dropped.  The result is bit for bit that of a reduction from the
-generator's own rows.  The pivots, the first k independent columns in
-reliability order, depend only on which sets of columns are independent,
-and the reduced generator, G[:, piv]^-1 G, depends only on the row space
-and the pivots, not on the basis the reduction starts from.  Most samples
-of an impulse word are exactly -1 and the stable sort keeps them in index
-order, so most pivots are unit columns of the cached basis, and only the
-few columns the impulses move cost XORs.
+The MRB reduction runs on the generator's rows as Python ints (cheap XOR,
+no per-pivot array traffic), and starts from a basis B each decoder
+caches: the reduction of a word whose samples all tie, whose columns the
+stable sort walks in index order.  Each of its k rows is the only row with
+a 1 at its unit column.  A word's pivots are the first k independent
+columns in its reliability order.  Most samples of an impulse word are
+exactly -1 and the stable sort keeps them in index order, so most pivots
+are unit columns of B, and the few that are not (about 5 on a
+BCH(127,64) MIM word) take the place of as many dropped unit columns.
+``_update`` finds the pivots by a walk that costs a reduction only at the
+columns that are no free unit column, then applies the whole change to B
+at once, as a low-rank update: the rows of the new pivots come from the
+inverse of the small block of B on the dropped rows and the new pivots,
+and every kept row takes the XOR of those rows where it has a 1 on a new
+pivot.  The result is bit for bit that of ``gf2.eliminate`` from the
+generator's own rows: the pivots depend only on which sets of columns are
+independent, and the reduced generator, G[:, piv]^-1 G, only on the row
+space and the pivots, not on the basis the reduction starts from.  A cold
+start (the cached basis itself, and the ``most_reliable_basis``
+reference) has no unit columns to update from, and runs ``eliminate``.
 
 Every candidate is an int codeword in original position order.  The
 re-encoded hard decisions c0 are one XOR of the reduced rows, those of the
 pivots where the hard decisions are 1, and a flip set's codeword is c0
 XORed with its rows.  Only two arrays are gathered in MRB order: the
-parity columns, and the reliabilities of the MRB positions.
+parity bits of the reduced rows, par, and the reliabilities of the MRB
+positions, w.
 
-The parity part of the reduced generator is then packed into uint64 lanes,
-ceil((n - k) / 64) per row, and a flip set's parity change is the XOR of
-its rows' lanes.  Its cost relative to the re-encoded hard decisions is
-read from per-byte lookup tables, each holding the 256 partial sums of the
-signed parity weights one byte of a lane can select, plus a gather of the
-flipped MRB reliabilities.
+A flip set's cost relative to c0 is its flipped MRB reliabilities plus the
+signed parity weights s of the parity positions it flips: s_j = |y_j| where
+c0 agrees with the hard decision and -|y_j| where it does not.  The flip
+sets are scored a table at a time (``_patterns``), and a table of flip
+sets of weight 2 or less comes from one Gram matrix: with single = w + par
+s, the cost of flipping one row, and Q = (par * s) par^T, flipping rows i
+and j costs single_i + single_j - 2 Q_ij, since a parity bit both rows
+hold stays put (``_gram_score``).  A table with heavier flip sets, such as
+the top order of an order-3 decoder, is scored from lookup tables
+(``_score``): the parity part is packed into uint64 lanes, ceil((n - k) /
+64) per row, a flip set's parity change is the XOR of its rows' lanes, and
+per-byte tables hold the 256 partial sums of s that one byte of a lane can
+select.  Each kernel's inputs are built only when a table of its kind is
+scored, so an order-3 decode builds the lanes only for its top order.
 
 Scoring takes two vectorized passes.  The first covers every flip set of
 weight below the order.  The second covers the flip sets of weight equal
@@ -60,11 +70,16 @@ least cost, and skipping the order leaves the decoded word unchanged.  On
 impulse words (the all-zero word plus a few strong samples) most decodes
 skip it, and the top order holds most of the flip sets.
 
-Those costs are rounded in an order of their own, so they only pick the
-candidates within a float-error tolerance of the least cost.  When more
-than one is that close, each is re-scored exactly with ``math.fsum``, and
-among equal exact costs the lexicographically smallest codeword wins.  The
-decoded word is thus a function of the received word alone.
+Those costs are rounded in an order of their own (a BLAS matmul's, for
+the Gram costs), so they only pick the candidates within a tolerance tol
+of the least cost, where tol / 2 bounds the rounding error of every
+scored cost (``_tolerance``).  When more than one is that close, each is
+re-scored exactly with ``math.fsum``, and among equal exact costs the
+lexicographically smallest codeword wins.  The candidate of least exact
+cost is always that close: its scored cost is within tol / 2 of its
+exact cost minus base, and the least scored cost is at least the least
+exact cost minus base minus tol / 2.  The decoded word is thus a function
+of the received word alone, whatever order the sums were taken in.
 
 Two certificates prove that a candidate is the word full reprocessing
 returns.  Both rest on one test.  Let c be a candidate, D1 the positions
@@ -74,7 +89,8 @@ capped at 2^``oracle.LOWER_BOUND_BUDGET`` combinations that starts from
 ``codes.identify``'s ``lower`` (the BCH or square-root bound, from the
 generator), run once per code.  It is d on every criterion-4 code, where
 ``identify`` alone gives 1 to QDC(24,12) and 9 to QR(73,37), against
-d = 8 and 13; the larger d_lb, the more often both tests below hold.  Any other codeword differs from c at d_lb or more positions
+d = 8 and 13; the larger d_lb, the more often both tests below hold.
+Any other codeword differs from c at d_lb or more positions
 (their XOR is a nonzero codeword), at most |D1| of them in D1, so at
 need = d_lb - |D1| or more positions outside D1.  There c agrees with
 the hard decisions and the other codeword does not, so each such
@@ -85,10 +101,10 @@ c's exact cost, the ``fsum`` of |y_i| over D1, is strictly below the
 rounding is monotone: the strict test on the two rounded sums implies it
 on the real sums, and every other codeword's rounded exact cost is at
 least the rounded floor, so above c's.  c is then the unique codeword of
-least exact cost.  Full reprocessing would return it: its LUT cost lies
-within tol / 2 of its exact cost minus base, and any candidate of lower
-LUT cost has a higher exact cost, so c lies within tol of the least LUT
-cost, in the near set, where exact costs decide.
+least exact cost.  Full reprocessing would return it: its scored cost
+lies within tol / 2 of its exact cost minus base, and any candidate of
+lower scored cost has a higher exact cost, so c lies within tol of the
+least scored cost, in the near set, where exact costs decide.
 
 The zero certificate is MIM's test, run before a word is built: c is the
 all-zero word, and D1 the P positions whose samples are above 0.  It
@@ -102,7 +118,7 @@ reduced and scored.
 
 The post-order certificate runs after the flip sets of weight below the
 order, and only where the floor test above would score the top order: c
-is the codeword of the scored flip set of least LUT cost (Taipale and
+is the codeword of the scored flip set of least cost (Taipale and
 Pursley, IEEE T-IT 1991; Fossorier and Lin, IEEE T-IT 1995).  When it
 holds, the decode returns c and skips the top order and the tie-break.
 c is built once, as an int codeword, and D1 is c ^ h, with h the hard
@@ -115,7 +131,7 @@ floor is gathered.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -158,16 +174,41 @@ def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The MRB flip sets of weight below ``order``, and those of weight
     ``order``, as two index tables with one flip set per column.
 
-    The tables have max(order - 1, 1) and max(order, 1) rows; shorter flip
-    sets are padded with k, which selects an all-zero lane and a zero
-    weight, so it flips nothing.
+    The tables have max(order - 1, 2) and max(order, 2) rows; shorter flip
+    sets are padded with k, which selects a zero row and a zero weight, so
+    it flips nothing.  A two-row table is scored from the Gram matrix
+    (``_gram_score``), a wider one from lookup tables (``_score``): an
+    order-3 decoder scores its lower orders the first way and its top
+    order the second.
     """
 
     def table(weights: range, width: int) -> np.ndarray:
         rows = [c + (k,) * (width - t) for t in weights for c in combinations(range(k), t)]
         return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
 
-    return table(range(order), max(order - 1, 1)), table(range(order, order + 1), max(order, 1))
+    return table(range(order), max(order - 1, 2)), table(range(order, order + 1), max(order, 2))
+
+
+def _gram(par: np.ndarray, w_mrb: np.ndarray, w_par: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_gram_score``'s arguments after the flip sets: single, the cost of
+    flipping one row, w_mrb + par w_par, and the Gram matrix of the signed
+    parity rows, (par * w_par) par^T.
+
+    ``par`` holds the parity bits of the reduced rows (0/1, one row per MRB
+    position plus the zero row of the padding index), ``w_mrb`` their MRB
+    weights and ``w_par`` the signed parity weights.
+    """
+    signed = par * w_par
+    return w_mrb + signed.sum(axis=1), signed @ par.T
+
+
+def _gram_score(pat: np.ndarray, single: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Gram cost, relative to the re-encoded hard decisions, of each flip
+    set (column) of the two-row table ``pat``: flipping rows i and j costs
+    single_i + single_j - 2 gram_ij, since a parity bit that both rows hold
+    stays put."""
+    i, j = pat
+    return single.take(i) + single.take(j) - 2.0 * gram.take(i * len(single) + j)
 
 
 def _score(
@@ -188,6 +229,44 @@ def _score(
     return costs
 
 
+def _luts(par: np.ndarray, w_mrb: np.ndarray, w_par: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_score``'s arguments after the flip sets, from the parity bits and
+    weights that ``_gram`` takes: ``par`` packed as little-endian
+    bytes in uint64 lanes, one lane-major array per lane, the MRB weights,
+    and per byte the 256 partial sums of the signed parity weights that one
+    byte of a lane can select."""
+    m = par.shape[1]
+    nbytes = (m + 7) // 8
+    packed = np.zeros((len(par), 8 * ((nbytes + 7) // 8)), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(par, axis=1, bitorder="little")
+    weights = np.zeros(8 * nbytes)
+    weights[:m] = w_par
+    return (
+        np.ascontiguousarray(packed.view(np.uint64).T),
+        w_mrb,
+        weights.reshape(nbytes, 8) @ _BYTE_BITS.T,
+    )
+
+
+def _tolerance(n: int, k: int, order: int, abs_y: np.ndarray) -> float:
+    """tol: twice a bound on the rounding error of every scored cost.
+
+    Each cost is a sum of terms, rounded at every node of a binary tree of
+    some depth D, so its error is at most gamma_D times the sum of the
+    terms' magnitudes, with gamma_D = D u / (1 - D u) <= (D + 1) u and u =
+    eps / 2 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch.
+    4; any summation order, fused multiply-adds included).  A Gram cost
+    sums w_i, w_j, the signed parity weights of rows i and j and -2 times
+    those of both: at most 4 sum(|y|) in all, and BLAS sums each dot
+    product of length n - k in some tree, so D <= n - k + 2.  A LUT cost
+    sums at most sum(|y|), with D <= 7 + nbytes + order.  So tol / 2 =
+    max(4 (n - k + 3), 8 + nbytes + order) u sum(|y|) bounds both errors
+    (``abs_y.sum()``'s own error is far inside the slack of gamma_D).
+    """
+    nbytes = (n - k + 7) // 8
+    return max(4 * (n - k + 3), 8 + nbytes + order) * _EPS * float(abs_y.sum())
+
+
 def _received(n: int, y: np.ndarray | Sequence[float]) -> np.ndarray:
     """``y`` as a float64 array, checked to be a length-n vector of finite
     samples."""
@@ -201,6 +280,126 @@ def _received(n: int, y: np.ndarray | Sequence[float]) -> np.ndarray:
     return arr
 
 
+@lru_cache
+def _by_column(
+    rows: tuple[int, ...], units: tuple[int, ...], n: int
+) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """A cached basis read by column, for ``_update``.  For each of the n
+    columns: the row it is the unit column of (-1 for none), that row as a
+    bit (0 for none), the column as a k-bit int (bit i is row i's bit
+    there), and the list of rows with a 1 there.  Memoized for the last 128
+    bases (``lru_cache``'s default size): a decoder reads its own on every
+    word."""
+    unit_row = [-1] * n
+    for i, u in enumerate(units):
+        unit_row[u] = i
+    bits = unpack_rows(rows, n).T
+    cols = [int.from_bytes(col.tobytes(), "little")
+            for col in np.packbits(bits, axis=1, bitorder="little")]
+    return (unit_row, [1 << i if i >= 0 else 0 for i in unit_row], cols,
+            [np.flatnonzero(col).tolist() for col in bits])
+
+
+def _update(
+    rows: tuple[int, ...], units: tuple[int, ...], order: list[int]
+) -> tuple[list[int], list[int]]:
+    """The reduction of a cached basis B on the first k independent columns
+    of ``order``, as a low-rank update.  Returns (rows, perm): the rows and
+    pivots of ``gf2.eliminate``, with perm the pivots followed by the other
+    columns in ``order``.
+
+    Column c of B is the k-bit vector col[c]; the unit column of row i is
+    the unit vector e_i.  The walk takes the pivots greedily.  ``kept``
+    holds the rows whose unit columns it took, and ``lead`` the other
+    vectors it took, reduced modulo those rows: each is stored under one of
+    its bits outside ``kept`` (its lead), which no other stored vector has
+    outside ``kept``.  Above bit k each also carries the set of new pivots
+    it sums, so that one XOR updates both.  A column is independent of
+    those taken iff its vector, less the stored vectors of its leads, keeps
+    a bit outside ``kept``.  So a unit column whose row is no lead is taken
+    at once, and only the others cost a reduction: the columns that are no
+    unit column, and the unit columns of leads.  A lead is the highest row
+    it can be, since the cached basis's unit columns rise with their rows:
+    its unit column then comes late in the walk, mostly as one of the
+    dropped columns.
+
+    The new pivots, those that are no unit column, replace the unit
+    columns of the rows D outside ``kept``.  At the end the leads are D, and
+    the vector stored under d is e_d outside ``kept``: its set of new
+    pivots is column d of the inverse of C, the block of B on rows D and
+    the new pivots.  So the row of new pivot p is Y_p, the sum of B_d over
+    the d whose set holds p, and each kept row i becomes B_i plus the Y_p
+    of the new pivots p where B_i has a 1.  That is G[:, piv]^-1 G, the
+    same from any basis.
+    """
+    k, n = len(rows), len(order)
+    unit_row, unit_bit, cols, col_rows = _by_column(rows, units, n)
+    full = (1 << k) - 1
+    kept = leads = 0
+    lead: dict[int, int] = {}
+    new: list[int] = []
+    skipped: list[int] = []
+    # walk in slices that end where the k-th pivot falls if no column of the
+    # slice is skipped
+    walked = 0
+    while walked < min(k + len(skipped), n):
+        stop = min(k + len(skipped), n)
+        for c in order[walked:stop]:
+            b = unit_bit[c]
+            if b and not b & leads:
+                kept |= b
+                continue
+            # a unit column sums no new pivot: e_i is 0 modulo kept once
+            # its row is kept
+            x = cols[c] if b else cols[c] | 1 << (k + len(new))
+            m = x & leads
+            while m:
+                low = m & -m
+                x ^= lead[low]
+                m ^= low
+            x &= ~kept
+            if not x & full:
+                skipped.append(c)
+                continue
+            # lead on x's highest row outside kept (see above)
+            hi = 1 << (x & full).bit_length() - 1
+            for key, v in lead.items():
+                if v & hi:
+                    lead[key] = v ^ x
+            lead[hi] = x
+            leads |= hi
+            if b:
+                # row i's stored vector is now e_i modulo kept: row i is kept
+                del lead[b]
+                leads ^= b
+                kept |= b
+            else:
+                new.append(c)
+        walked = stop
+    if walked - len(skipped) < k:
+        raise ConsistencyError(
+            f"generator lost rank during reduction: {walked - len(skipped)} < k = {k}"
+        )
+    ys = [0] * len(new)
+    for d, v in lead.items():
+        row = rows[d.bit_length() - 1]
+        t = v >> k
+        while t:
+            low = t & -t
+            ys[low.bit_length() - 1] ^= row
+            t ^= low
+    # the dropped rows D take these XORs too, but are read no more
+    out = list(rows)
+    for c, y in zip(new, ys):
+        for i in col_rows[c]:
+            out[i] ^= y
+    skip = set(skipped)
+    piv = [c for c in order[:walked] if c not in skip]
+    fresh = iter(ys)
+    reduced = [out[unit_row[c]] if unit_bit[c] else next(fresh) for c in piv]
+    return reduced, piv + skipped + order[walked:]
+
+
 def _mrb_reduce(
     rows: Sequence[int], units: Sequence[int | None], arr: np.ndarray
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -208,26 +407,30 @@ def _mrb_reduce(
 
     Reduces copies of ``rows`` on the k most reliable independent positions
     of the received samples ``arr`` (checked by ``_received``).  ``units``
-    gives each row's unit column, or None (see ``gf2.eliminate``): a decoder
-    passes its cached basis, whose unit columns make most pivots of an
-    impulse word a row swap; ``most_reliable_basis``, and a decoder building
-    that basis, pass the generator's own rows with none.  Returns (rows,
-    perm, |y|).  perm lists the MRB positions, then the others in
-    decreasing reliability; rows are in original position order, reduced
-    so that row i is the only one with a 1 at position perm[i] among the
-    MRB.  Both starts give the same result:
-    the pivots depend only on the code and the reliability order, and the
-    reduced rows, G[:, piv]^-1 G, only on the row space and the pivots.
+    gives each row's unit column, a column where it is the only row with a
+    1: a decoder passes its cached basis, and the reduction is ``_update``'s
+    low-rank update of it.  ``most_reliable_basis``, and a decoder building
+    that basis, pass the generator's own rows with None for every unit, and
+    the reduction is a ``gf2.eliminate`` from scratch.  Returns (rows, perm,
+    |y|).  perm lists the MRB positions, then the others in decreasing
+    reliability; rows are in original position order, reduced so that row
+    i is the only one with a 1 at position perm[i] among the MRB.  Both
+    starts give the same result: the pivots depend only on the code and the
+    reliability order, and the reduced rows, G[:, piv]^-1 G, only on the
+    row space and the pivots.
     """
     abs_y = np.abs(arr)
     cols = _reliability_order(abs_y).tolist()
-    rows, piv = list(rows), list(units)
-    r = eliminate(rows, piv, cols)
-    if r < len(rows):
-        raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {len(rows)}")
-    piv_set = set(piv)
-    perm = np.array(piv + [c for c in cols if c not in piv_set], dtype=np.intp)
-    return rows, perm, abs_y
+    if None in units:
+        rows, piv = list(rows), list(units)
+        r = eliminate(rows, piv, cols)
+        if r < len(rows):
+            raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {len(rows)}")
+        piv_set = set(piv)
+        perm = piv + [c for c in cols if c not in piv_set]
+    else:
+        rows, perm = _update(tuple(rows), tuple(units), cols)
+    return rows, np.array(perm, dtype=np.intp), abs_y
 
 
 def _beats_floor(on: list[float], off: list[float], need: int) -> bool:
@@ -251,20 +454,23 @@ class OsdDecoder:
     """Reusable order-l decoder for one code.
 
     ``decode`` accepts a float array or sequence of finite samples and
-    returns the decoded codeword in original position order.  Flip sets are
-    scored over packed parity lanes with per-byte lookup tables: first those
-    of weight below the order, then those of weight equal to it, unless the
-    sum of the ``order`` smallest MRB reliabilities already exceeds the base
-    cost plus the least cost so far by more than twice the tie tolerance.
-    Such flip sets cannot tie the best candidate, so the skip never changes
-    the result.  The winner is the candidate of least exact cost
-    (``math.fsum`` of |y_i| where it differs from the hard decision); ties
-    on that cost break toward the lexicographically smaller codeword, so the
-    result is a function of y alone.  Every word is reduced from a basis
-    the decoder builds once with ``_mrb_reduce``: the reduction of a word
-    whose samples all tie, whose columns the stable sort walks in index
-    order.  Every candidate is an int codeword in original position order,
-    the re-encoded hard decisions XORed with the rows of its flip set.
+    returns the decoded codeword in original position order.  Every word
+    is reduced from a basis the decoder builds once with ``_mrb_reduce``
+    (the reduction of a word whose samples all tie, whose columns the
+    stable sort walks in index order), by ``_update``'s low-rank update.
+    A table of flip sets of weight 2 or less is scored from one Gram matrix
+    of the signed parity rows, a table of heavier ones over packed parity
+    lanes with per-byte lookup tables, built only for it.  First come the
+    flip sets of weight below the order, then those of weight equal to it,
+    unless the sum of the ``order`` smallest MRB reliabilities already
+    exceeds the base cost plus the least cost so far by more than twice
+    the tie tolerance.  Such flip sets cannot tie the best candidate, so
+    the skip never changes the result.  The winner is the candidate of
+    least exact cost (``math.fsum`` of |y_i| where it differs from the hard
+    decision); ties on that cost break toward the lexicographically smaller
+    codeword, so the result is a function of y alone.  Every candidate is
+    an int codeword in original position order, the re-encoded hard
+    decisions XORed with the rows of its flip set.
 
     d_lb is ``oracle.lower_bound(code)``, d itself on the criterion-4
     codes, computed once per code.  Where the top order would be
@@ -319,33 +525,38 @@ class OsdDecoder:
         c0 = xor_rows(rows, pack_rows(h[perm[:k]][None])[0])
         off0 = unpack_rows([c0 ^ h_bits], n)[0].view(bool)
 
-        # parity rows as little-endian bytes in uint64 lanes, one lane-major
-        # array per lane, plus the zero row that the padding index k selects
-        nbytes = (n - k + 7) // 8
-        nlanes = (nbytes + 7) // 8
-        packed = np.zeros((k + 1, 8 * nlanes), dtype=np.uint8)
-        packed[:k, :nbytes] = np.packbits(
-            unpack_rows(rows, n)[:, perm[k:]], axis=1, bitorder="little"
-        )
-        lanes = np.ascontiguousarray(packed.view(np.uint64).T)
-
         # cost minus the base cost: flipping bit j adds |y_j| where the base
-        # agreed with the hard decision and subtracts it where it disagreed
-        w_mrb = np.append(abs_y[perm[:k]], 0.0)
-        w_par = np.zeros(nbytes * 8)
-        w_par[: n - k] = np.where(off0, -abs_y, abs_y)[perm[k:]]
-        tables = w_par.reshape(nbytes, 8) @ _BYTE_BITS.T
+        # agreed with the hard decision and subtracts it where it disagreed.
+        # par holds the parity bits of the reduced rows, one row per MRB
+        # position plus the zero row that the padding index k selects.
+        weights = (
+            unpack_rows(rows + [0], n)[:, perm[k:]],
+            np.append(abs_y[perm[:k]], 0.0),
+            np.where(off0, -abs_y, abs_y)[perm[k:]],
+        )
 
-        # each cost sums terms whose magnitudes add up to at most sum(|y|)
-        # in a tree of depth at most 8 + nbytes + width, so its rounding
-        # error is below tol / 2: a candidate more than tol above the least
-        # cost cannot tie the best candidate exactly
+        # a candidate more than tol above the least cost cannot tie the best
+        # candidate exactly
         order = self.order
-        depth = 8 + nbytes + max(order, 1)
-        tol = 2.0 * depth * _EPS * float(abs_y.sum())
+        tol = _tolerance(n, k, order, abs_y)
+        built: dict[bool, tuple[np.ndarray, ...]] = {}
+
+        def score(pat: np.ndarray) -> np.ndarray:
+            """Gram costs of a two-row table, LUT costs of a wider one; each
+            kernel's inputs are built on its first use, so the lookup
+            tables only when a wider table is scored."""
+            pairs = len(pat) == 2
+            if pairs not in built:
+                built[pairs] = (_gram if pairs else _luts)(*weights)
+            return (_gram_score if pairs else _score)(pat, *built[pairs])
+
         low, top = self._patterns
-        scored = [(low, _score(low, lanes, w_mrb, tables))] if order else []
-        least = min((float(c.min()) for _, c in scored), default=math.inf)
+        scored = [(low, score(low))] if order else []
+        least, pick = math.inf, None
+        for pat, costs in scored:
+            i = int(np.argmin(costs))
+            if costs[i] < least:
+                least, pick = float(costs[i]), pat[:, i]
 
         def word(flips: Sequence[int]) -> int:
             return c0 ^ xor_rows(rows, sum(1 << i for i in flips if i < k))
@@ -354,31 +565,32 @@ class OsdDecoder:
         # within tol of the least cost.  Such a candidate differs from the
         # hard decisions at each of its flipped MRB positions, so its exact
         # cost is at least floor, the sum of the ``order`` smallest MRB
-        # reliabilities (those of perm[:k] are non-increasing), and its LUT
-        # cost is within tol / 2 of that exact cost minus base, the exact
-        # cost of the re-encoded hard decisions.  Both sums are correctly
-        # rounded, so when floor > base + least + 2 tol every skipped LUT
-        # cost lies more than tol above least (the few roundings here stay
-        # far below the tol / 2 to spare): none of them could enter the near
-        # set, and the decoded word is the one full scoring would return.
+        # reliabilities (those of perm[:k] are non-increasing), and its
+        # scored cost is within tol / 2 of that exact cost minus base, the
+        # exact cost of the re-encoded hard decisions.  Both sums are
+        # correctly rounded, so when floor > base + least + 2 tol every
+        # skipped cost lies more than tol above least (the few roundings
+        # here, a few u sum(|y|), stay below the tol / 2 >= 12 u sum(|y|)
+        # to spare): none of them could enter the near set, and the decoded
+        # word is the one full scoring would return.
         floor = math.fsum(abs_y[perm[k - order : k]].tolist())
         base = math.fsum(abs_y[off0].tolist())
         if floor <= base + least + 2.0 * tol:
             # Unless the post-order certificate holds: c, the codeword of
-            # least LUT cost so far, differs from the hard decisions on D1,
-            # and every other codeword differs from c at d_lb or more
-            # positions, need or more of them outside D1.  When c's exact
-            # cost is below the sum of the need smallest |y_i| there, c is
-            # the decoded word (module docstring).
-            if scored:
-                c = word(low[:, int(np.argmin(scored[0][1]))].tolist())
+            # least cost so far, differs from the hard decisions on D1, and
+            # every other codeword differs from c at d_lb or more positions,
+            # need or more of them outside D1.  When c's exact cost is
+            # below the sum of the need smallest |y_i| there, c is the
+            # decoded word (module docstring).
+            if pick is not None:
+                c = word(pick.tolist())
                 d1 = c ^ h_bits
                 need = self._d_lb - d1.bit_count()
                 if need > 0:
                     on = unpack_rows([d1], n)[0].view(bool)
                     if _beats_floor(abs_y[on].tolist(), abs_y[~on].tolist(), need):
                         return BitWord(n, c)
-            scored.append((top, _score(top, lanes, w_mrb, tables)))
+            scored.append((top, score(top)))
             least = min(least, float(scored[-1][1].min()))
 
         words = [

@@ -333,6 +333,21 @@ class TestLinearCode:
         with pytest.raises(ValueError):
             LinearCode(2, 2, BitMatrix(2, (0b01, 0b10)))
 
+    @pytest.mark.parametrize("family", ["GENERIC", "BCH", "DCC"])
+    def test_unhashable_hint_names_the_field(self, family):
+        # a hint as a JSON reader would give it: a list of coefficients
+        gen = build_bch(3, 1).generator
+        with pytest.raises(ValueError, match="generator_poly hint must be hashable"):
+            LinearCode(7, 4, gen, family=family, metadata={"generator_poly": [1, 1, 0, 1]})
+
+    def test_float_hint_proves_nothing(self):
+        # hashable, so it reaches the memo, but only an int is a polynomial
+        bch = build_bch(3, 1)
+        hint = {"generator_poly": float(bch.metadata["generator_poly"])}
+        assert LinearCode(7, 4, bch.generator, metadata=hint).family == "GENERIC"
+        with pytest.raises(ValueError, match="do not prove a BCH code"):
+            LinearCode(7, 4, bch.generator, family="BCH", metadata=hint)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20)
     def test_rows_are_codewords(self, seed):

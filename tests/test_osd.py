@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -87,17 +88,23 @@ def random_code(n: int, k: int, rng: random.Random) -> LinearCode:
             return LinearCode(n, k, gen)
 
 
+def spy_scorers(monkeypatch, record):
+    """Wrap both flip-set scorers, the Gram costs of two-row tables and the
+    LUT costs of wider ones, so that each call first passes its table's
+    column count to ``record``."""
+    for name in ("_gram_score", "_score"):
+        def spy(pat, *args, real=getattr(osd, name)):
+            record(pat.shape[1])
+            return real(pat, *args)
+
+        monkeypatch.setattr(osd, name, spy)
+
+
 @pytest.fixture
 def scored_tables(monkeypatch):
     """Column counts of the flip-set tables that decodes score, in call order."""
     sizes = []
-    score = osd._score
-
-    def spy(pat, *args):
-        sizes.append(pat.shape[1])
-        return score(pat, *args)
-
-    monkeypatch.setattr(osd, "_score", spy)
+    spy_scorers(monkeypatch, sizes.append)
     return sizes
 
 
@@ -503,17 +510,13 @@ def steps(monkeypatch):
     """The scoring passes and certificate tests of each decode, in call
     order: ("score", flip sets in the table) and ("floor", outcome)."""
     log = []
-    score, beats = osd._score, osd._beats_floor
-
-    def score_spy(pat, *args):
-        log.append(("score", pat.shape[1]))
-        return score(pat, *args)
+    beats = osd._beats_floor
 
     def beats_spy(*args):
         log.append(("floor", beats(*args)))
         return log[-1][1]
 
-    monkeypatch.setattr(osd, "_score", score_spy)
+    spy_scorers(monkeypatch, lambda cols: log.append(("score", cols)))
     monkeypatch.setattr(osd, "_beats_floor", beats_spy)
     return log
 
@@ -610,6 +613,78 @@ class TestPostOrderCertificate:
         # of every size, not just a few strong impulses
         code = make()
         self.check_words(steps, code, mixed_words(code.n, 30, seed=code.n))
+
+
+# The seven codes MIM runs on in the benchmark and in criteria 4 and 8
+MIM_CODES = {
+    "qdc24": lambda: build_qdc(11),
+    "qr41": lambda: build_qr(41),
+    "qr47": lambda: build_qr(47),
+    "qr73": lambda: build_qr(73),
+    "bch63_24": lambda: build_bch(6, 7),
+    "bch63_36": lambda: build_bch(6, 5),
+    "bch127": lambda: build_bch(7, 10),
+}
+
+
+def test_decoded_words_are_pinned():
+    """The order-3 decodes of seeded impulse, Gaussian and all-+-1 words on
+    the seven MIM codes, hashed.  The hash was recorded with byte lookup
+    tables for every order and a Gauss-Jordan reduction of every word.
+    The decoded word depends on neither the kernel nor the float order of
+    the costs (the module docstring's proofs), so it must also hold under
+    any BLAS thread count."""
+    digest = hashlib.sha256()
+    for seed, make in enumerate(MIM_CODES.values(), start=100):
+        code = make()
+        dec = OsdDecoder(code, order=3)
+        for y in mixed_words(code.n, 40, seed=seed):
+            digest.update(dec.decode(y).bits.to_bytes((code.n + 7) // 8, "little"))
+    assert digest.hexdigest() == "c23314499539afc9c21bd0c3d256f6dc3b4cdb0e5ec7dd9981cc1bf57698d647"
+
+
+class TestGramCosts:
+    """The Gram costs of the flip sets of weight 0 to 2 lie within tol / 2
+    of their exact cost minus base, the bound that the near set, the floor
+    test and the post-order certificate rest on (``osd._tolerance``)."""
+
+    @staticmethod
+    def words(n: int, seed: int) -> list[np.ndarray]:
+        """Magnitudes spread over 1e-6 to 1e6, and all-+-1 words, whose
+        costs tie everywhere."""
+        rng = np.random.default_rng(seed)
+        signs = [rng.choice([-1.0, 1.0], size=n) for _ in range(6)]
+        return [s * 10.0 ** rng.uniform(-6, 6, size=n) for s in signs[:3]] + signs[3:]
+
+    @pytest.mark.parametrize("make", [lambda: build_qdc(11), lambda: build_qr(47),
+                                      lambda: build_bch(6, 7), lambda: build_bch(7, 10)],
+                             ids=["qdc24", "qr47", "bch63", "bch127"])
+    def test_within_half_tol_of_exact(self, monkeypatch, make):
+        code = make()
+        n, k = code.n, code.k
+        dec = OsdDecoder(code, order=3)
+        seen = []
+        for name in ("_mrb_reduce", "_gram_score"):
+            def spy(*args, real=getattr(osd, name)):
+                seen.append((args, real(*args)))
+                return seen[-1][1]
+
+            monkeypatch.setattr(osd, name, spy)
+        for y in self.words(n, seed=n):
+            seen.clear()
+            dec.decode(y)
+            (_, (rows, perm, abs_y)), ((pat, *_), costs) = seen
+            h = hard_decision(y).bits
+            c0 = xor_rows(rows, sum(1 << i for i, p in enumerate(perm[:k].tolist()) if h >> p & 1))
+
+            def terms(word: int) -> list[float]:
+                return [float(abs_y[i]) for i in range(n) if (word ^ h) >> i & 1]
+
+            minus_base = [-t for t in terms(c0)]
+            half_tol = osd._tolerance(n, k, 3, abs_y) / 2
+            for flips, cost in zip(pat.T.tolist(), costs.tolist()):
+                word = c0 ^ xor_rows(rows, sum(1 << i for i in flips if i < k))
+                assert abs(math.fsum(terms(word) + minus_base + [-cost])) <= half_tol
 
 
 def permuted_dcc() -> LinearCode:
