@@ -2,19 +2,21 @@
 
 All constructors return a LinearCode whose generator matrix is in
 systematic form [I_k | P] (cyclic constructions are systematized; the
-double-circulant families are systematic by shape).  Column permutations
-applied during systematization preserve minimum distance, so estimates on
-the stored generator transfer to the original cyclic code.
+double-circulant families are systematic by shape).  The cyclic rows
+x^i g(x), with g(0) = 1, are unit upper triangular on columns 0..k-1, so
+systematization takes pivots 0..k-1 and permutes no column: a BCH or QR
+code's ``column_permutation`` is the identity, and the stored generator
+spans the cyclic code itself.
 
 ``identify`` owns what a generator proves: that the code is BCH or QR, and
-a lower bound on its distance; ``LinearCode`` checks its label against it.
+a lower bound on its distance.  ``LinearCode`` runs it once, keeps the
+answer as ``identity`` and checks its label against it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -50,12 +52,14 @@ FAMILIES = ("BCH", "QR", "DCC", "QDC", "GENERIC")
 class LinearCode:
     """An (n, k) binary linear code given by a full-rank generator matrix.
 
-    ``family`` is checked against ``identify`` of the generator and its
-    ``generator_poly`` hint, which must be hashable in every family: a
-    ``BCH`` or ``QR`` label it does not prove is a ``ValueError``, and a
-    ``GENERIC`` code it proves takes the proven family, QR first.  ``DCC``
-    and ``QDC`` labels are kept as given, since nothing is proven from
-    them.
+    ``identity`` is ``identify`` of the generator and its ``generator_poly``
+    hint, taken once at construction: what the code is and the distance
+    bound it proves stay fixed, whatever later happens to ``metadata``.
+    It is derived, so it is no argument, is not compared and is not in the
+    repr.  ``family`` is checked against it: a ``BCH`` or ``QR`` label it
+    does not prove is a ``ValueError``, and a ``GENERIC`` code it proves
+    takes the proven family, QR first.  ``DCC`` and ``QDC`` labels are kept
+    as given, since nothing is proven from them.
     """
 
     n: int
@@ -63,6 +67,7 @@ class LinearCode:
     generator: BitMatrix
     family: str = "GENERIC"
     metadata: dict = field(default_factory=dict)
+    identity: Identity = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
@@ -77,9 +82,8 @@ class LinearCode:
         r = self.generator.rank()
         if r != self.k:
             raise RankError(f"generator rank {r} < k = {self.k}", rank=r)
-        # every family's hint is checked, so that the memos keyed on it
-        # (``identify``'s, ``oracle.lower_bound``'s) can take it
         facts = identify(self.generator, self.metadata.get("generator_poly"))
+        object.__setattr__(self, "identity", facts)
         if self.family in ("BCH", "QR", "GENERIC"):
             proven = [f for f, ok in (("QR", facts.qr), ("BCH", facts.bch)) if ok]
             if self.family == "GENERIC" and proven:
@@ -280,14 +284,11 @@ def identify(generator: BitMatrix, hint: object) -> Identity:
     of Error-Correcting Codes*: the BCH bound, ch. 7; QR codes, ch. 16).
 
     The generator polynomial ``hint`` (a code's ``metadata["generator_poly"]``)
-    must be hashable, since the answer is memoized on it: an unhashable one
-    (a list of coefficients, say) is a ``ValueError`` that names the field,
-    raised before the memo is looked up.  The hint is used only when it is
-    an int and after it is checked: g has degree
+    is used only when it is an int and after it is checked: g has degree
     n - k, divides x^n - 1, and systematizing the cyclic rows x^i g(x)
-    reproduces the generator's rows exactly.  The code is then a column
-    permutation of the cyclic code generated by g, which has the same
-    distance.  Otherwise nothing is proven: ``Identity(None, False, 1)``.
+    reproduces the generator's rows exactly.  The code is then the cyclic
+    code generated by g.  Otherwise (a float, a str or a list hint, say)
+    nothing is proven: ``Identity(None, False, 1)``.
 
     - ``bch``: for n = 2^m - 1 (m in the field table), the designed distance
       delta when g's zeros, over the field's primitive alpha, are exactly
@@ -306,20 +307,9 @@ def identify(generator: BitMatrix, hint: object) -> Identity:
         shows that the minimum weight of the QR code is odd, and equal to
         d_o; the bound is rounded up to odd.
 
-    Memoized for the last 128 keys (``lru_cache``'s default size); ``typed``
-    keeps a float hint, which proves nothing, off an equal int hint's entry.
+    ``LinearCode`` is its one caller in the package, and keeps the answer
+    as ``identity``.
     """
-    try:
-        hash(hint)
-    except TypeError:
-        raise ValueError(f"the generator_poly hint must be hashable, as an int is; "
-                         f"got {type(hint).__name__} {hint!r}") from None
-    return _identify(generator, hint)
-
-
-@lru_cache(typed=True)
-def _identify(generator: BitMatrix, hint: object) -> Identity:
-    """``identify`` of a hashable hint."""
     n, k = generator.cols, generator.nrows
     g = BinPoly(hint) if type(hint) is int and hint > 0 else None
     if (g is None or g.degree != n - k or BinPoly((1 << n) | 1) % g

@@ -8,10 +8,11 @@ Weight is a single popcount; XOR is a single int op.  The oracle and the
 genetic scorer weigh codewords in uint64 lanes that ``to_lanes`` builds
 from these rows.  ``unpack_rows`` and ``pack_rows`` convert such rows to
 and from 0/1 numpy matrices for the vectorized code.  ``eliminate`` is
-the package's Gauss-Jordan routine: matrix rank, the systematizer, the
-OSD decoder's cached basis and the oracle's information sets all run it.
-The decoder reduces each word from that basis by a low-rank update of its
-own (``osd._update``), which gives the rows ``eliminate`` would.
+the package's Gauss-Jordan routine, always from scratch: matrix rank, the
+systematizer, the OSD decoder's cached basis and reference reduction, and
+the oracle's information sets all run it.  The decoder reduces each word
+from that basis by a low-rank update of its own (``osd._update``), which
+gives the rows ``eliminate`` would.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class BitMatrix:
 
     def rank(self) -> int:
         """Row rank over GF(2) by elimination on a scratch copy."""
-        return eliminate(list(self.rows), [None] * self.nrows, range(self.cols))
+        return len(eliminate(list(self.rows), range(self.cols)))
 
 
 def xor_rows(rows: tuple[int, ...], mask: int) -> int:
@@ -167,44 +168,34 @@ def to_lanes(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(rows), size // 8)
 
 
-def eliminate(rows: list[int], units: list[int | None], cols: Iterable[int]) -> int:
+def eliminate(rows: list[int], cols: Iterable[int]) -> list[int]:
     """In-place Gauss-Jordan taking the first len(rows) independent columns
-    of ``cols``, in that order, as pivots; returns the number of pivots taken.
+    of ``cols``, in that order, as pivots; returns the pivots in the order
+    taken.
 
-    ``units[i]`` is a column where row i is the only row with a 1, or None:
-    such a column becomes a pivot by a row swap alone.  A cold start passes
-    None for every row.  Afterwards, with r the count returned, units[:r]
-    lists the pivot columns in the order taken, and for i < r row i is the
-    only row with a 1 in column units[i].  The pivots depend only on the
-    row space and ``cols``, and the reduced pivot rows, G[:, piv]^-1 G, only
-    on the row space and the pivots, not on the basis the rows start from.
+    With r pivots, row i < r is afterwards the only row with a 1 in column
+    pivots[i], and rows r.. are zero on every pivot column.  The row space
+    is kept.  The pivots depend only on the row space and ``cols``, and the
+    reduced pivot rows, G[:, piv]^-1 G, only on the row space and the
+    pivots, not on the basis the rows start from.
     """
     k = len(rows)
-    where = {u: i for i, u in enumerate(units) if u is not None}
-    r = 0
+    piv: list[int] = []
     for c in cols:
+        r = len(piv)
         if r == k:
             break
-        p = where.pop(c, None)
+        bit = 1 << c
+        p = next((i for i in range(r, k) if rows[i] & bit), None)
         if p is None:
-            bit = 1 << c
-            p = next((i for i in range(r, k) if rows[i] & bit), None)
-            if p is None:
-                continue
-            pr = rows[p]
-            for i in range(k):
-                if i != p and rows[i] & bit:
-                    rows[i] ^= pr
-            # the other rows may now have a 1 at the pivot row's unit column
-            where.pop(units[p], None)
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            u = units[p] = units[r]
-            if u is not None:
-                where[u] = p
-        units[r] = c
-        r += 1
-    return r
+            continue
+        pr = rows[p]
+        for i in range(k):
+            if i != p and rows[i] & bit:
+                rows[i] ^= pr
+        rows[r], rows[p] = pr, rows[r]
+        piv.append(c)
+    return piv
 
 
 def systematize(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -220,10 +211,9 @@ def systematize(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """
     k, n = matrix.nrows, matrix.cols
     rows = list(matrix.rows)
-    piv: list[int | None] = [None] * k
-    r = eliminate(rows, piv, range(n))
-    if r < k:
-        raise RankError(f"rank {r} < {k} rows", rank=r)
+    piv = eliminate(rows, range(n))
+    if len(piv) < k:
+        raise RankError(f"rank {len(piv)} < {k} rows", rank=len(piv))
     perm = list(range(n))
     for i, c in enumerate(piv):
         j = perm.index(c)

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .bounds import singleton
-from .codes import LinearCode, identify
+from .codes import LinearCode
 from .gf2 import BitWord
 from .oracle import lower_bound
 from .osd import DEFAULT_ORDER, OsdDecoder
@@ -69,10 +69,10 @@ class MimConfig:
     @classmethod
     def for_code(cls, code: LinearCode, **overrides) -> "MimConfig":
         """Defaults: d0 = 1; d1 = the designed distance of a BCH code, as
-        ``codes.identify`` proves it from the generator, else the Singleton
-        bound capped at n/2; error_max = min(20, d1); decoder order
-        min(3, k).  A given order above k fails in ``run``."""
-        d1 = identify(code.generator, code.metadata.get("generator_poly")).bch
+        the code's ``identity`` proves it from the generator, else the
+        Singleton bound capped at n/2; error_max = min(20, d1); decoder
+        order min(3, k).  A given order above k fails in ``run``."""
+        d1 = code.identity.bch
         if d1 is None:
             d1 = min(singleton(code.n, code.k), code.n // 2)
         cfg = cls(d0=1, d1=d1, error_max=min(20, d1),

@@ -9,7 +9,7 @@ The search (Zimmermann's algorithm, as described by Grassl, "Searching for
 linear codes with large minimum distance", 2006, after Brouwer; see also
 Leon, IEEE T-IT 1988) finds d without visiting every codeword.
 
-Information sets.  The generator rows are reduced cold with
+Information sets.  The generator rows are reduced from scratch with
 ``gf2.eliminate`` on the columns no earlier set has taken.  Set j takes
 r_j pivots; its first r_j rows each hold the only 1 of the set's rows at
 their pivot column, and its other k - r_j rows are zero on every pivot
@@ -31,15 +31,16 @@ the terms sum above n minus the zero columns, so the loop always stops.
 
 The bound holds at every step, so a search cut short still proves
 d >= min(least weight scored, bound).  Every search starts from a bound
-``known`` already proven from the generator (``codes.identify``'s
-``lower``: the BCH or square-root bound, else 1), stops as soon as the least weight
-scored is at most ``known`` (that weight is then d; Grassl, 2006, stops
-the same way), and is capped at 2^budget combinations scored.  Its result
-is the proven interval max(known, min(bound, least weight)) <= d <= least
-weight.  ``exact_min_distance`` returns d when the interval closes and
-refuses (``BudgetError``) when it does not; ``lower_bound`` is the
-interval's lower end under the cap 2^``LOWER_BOUND_BUDGET``, memoized
-per code, which MIM and the OSD decoder's certificates read.  It proves
+``known`` already proven from the generator (the ``lower`` of the code's
+``identity``: the BCH or square-root bound, else 1), stops as soon as
+the least weight scored is at most ``known`` (that weight is then d;
+Grassl, 2006, stops the same way), and is capped at 2^budget
+combinations scored.  Its result is the proven interval max(known,
+min(bound, least weight)) <= d <= least weight.  ``exact_min_distance``
+returns d when the interval closes and refuses (``BudgetError``) when it
+does not; ``lower_bound`` is the interval's lower end under the cap
+2^``LOWER_BOUND_BUDGET``, memoized per generator and known bound, which
+MIM and the OSD decoder's certificates read.  It proves
 d on every criterion-4 code, built or loaded from a file that keeps the
 generator polynomial (``codes.save_code``).  The cap counts combinations
 scored, not the 2^k codewords: a BCH(127,64) with its generator
@@ -94,7 +95,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import LinearCode, identify
+from .codes import LinearCode
 from .errors import BudgetError
 from .gf2 import BitMatrix, BitWord, eliminate, to_lanes
 from .results import DistanceEstimate
@@ -167,8 +168,7 @@ def exact_min_distance(
             f"k = {k} exceeds oracle budget {budget}: the enumerator sweep "
             f"visits 2^{k} = {1 << k} codewords"
         )
-    lower, least, witness, scored = _prove(
-        code.generator, code.metadata.get("generator_poly"), budget)
+    lower, least, witness, scored = _prove(code.generator, code.identity.lower, budget)
     if lower < least:
         raise BudgetError(
             f"oracle budget {budget} stopped the search after {scored} of at most "
@@ -198,17 +198,15 @@ def _weigh(words: np.ndarray, lane_w: np.ndarray, w: np.ndarray) -> None:
 
 def _information_sets(generator: BitMatrix) -> list[tuple[list[int], list[int]]]:
     """(reduced rows, pivot columns) of each set, on disjoint columns."""
-    k = generator.nrows
     free = list(range(generator.cols))
     sets = []
     while True:
         rows = list(generator.rows)
-        units: list[int | None] = [None] * k
-        r = eliminate(rows, units, free)
-        if r == 0:
+        piv = eliminate(rows, free)
+        if not piv:
             return sets
-        sets.append((rows, units[:r]))
-        taken = set(units[:r])
+        sets.append((rows, piv))
+        taken = set(piv)
         free = [c for c in free if c not in taken]
 
 
@@ -327,35 +325,33 @@ def _bound(sets: list[_InfoSet], k: int) -> int:
     return sum(max(0, s.done + 1 - (k - s.rank)) for s in sets)
 
 
-def _prove(generator: BitMatrix, hint: object, budget: int) -> tuple[int, int, int, int]:
-    """The search from known = ``identify(generator, hint).lower``, capped
-    at 2^``budget`` combinations: (lower, least weight scored, the first
-    codeword of that weight scored, combinations scored), where lower =
-    max(known, min(bound, least weight)) <= d <= least weight.  d is
-    proven, and the codeword a witness, when lower equals least weight."""
-    known = identify(generator, hint).lower
+def _prove(generator: BitMatrix, known: int, budget: int) -> tuple[int, int, int, int]:
+    """The search from ``known``, a lower bound on d proven from the
+    generator (``code.identity.lower``), capped at 2^``budget``
+    combinations: (lower, least weight scored, the first codeword of that
+    weight scored, combinations scored), where lower = max(known, min(bound,
+    least weight)) <= d <= least weight.  d is proven, and the codeword a
+    witness, when lower equals least weight."""
     bound, least, witness, scored = _search(generator, 1 << budget, known)
     return max(known, min(bound, least)), least, witness, scored
 
 
 def lower_bound(code: LinearCode) -> int:
     """A lower bound on d: the lower end of the interval ``_prove`` proves
-    under the cap 2^``LOWER_BOUND_BUDGET``, with known the ``lower`` of
-    ``codes.identify``.  It holds whether or not the search finished, and
-    is d when it did (module docstring).  The result is
-    memoized on the two inputs it reads, the generator and the
-    ``generator_poly`` hint (hashable, since ``LinearCode`` checks it), so
-    each code pays it once per process.
+    under the cap 2^``LOWER_BOUND_BUDGET``, from the ``lower`` of the
+    code's ``identity``.  It holds whether or not the search finished, and
+    is d when it did (module docstring).  Memoized on the two inputs it
+    reads, the generator and that bound, so each code pays it once per
+    process.
     """
-    return _proven(code.generator, code.metadata.get("generator_poly"))
+    return _proven(code.generator, code.identity.lower)
 
 
-@lru_cache(typed=True)
-def _proven(generator: BitMatrix, hint: object) -> int:
-    """``lower_bound`` of the code with this generator and hint, memoized
-    for the last 128 keys (``lru_cache``'s default size); ``typed`` keeps a
-    float hint, which proves nothing, off an equal int hint's entry."""
-    return _prove(generator, hint, LOWER_BOUND_BUDGET)[0]
+@lru_cache
+def _proven(generator: BitMatrix, known: int) -> int:
+    """``lower_bound`` of the code with this generator and proven bound,
+    memoized for the last 128 keys (``lru_cache``'s default size)."""
+    return _prove(generator, known, LOWER_BOUND_BUDGET)[0]
 
 
 def _sweep(code: LinearCode) -> dict[int, int]:

@@ -31,9 +31,10 @@ and every kept row takes the XOR of those rows where it has a 1 on a new
 pivot.  The result is bit for bit that of ``gf2.eliminate`` from the
 generator's own rows: the pivots depend only on which sets of columns are
 independent, and the reduced generator, G[:, piv]^-1 G, only on the row
-space and the pivots, not on the basis the reduction starts from.  A cold
-start (the cached basis itself, and the ``most_reliable_basis``
-reference) has no unit columns to update from, and runs ``eliminate``.
+space and the pivots, not on the basis the reduction starts from.  The
+cached basis itself, and the ``most_reliable_basis`` reference, have no
+unit columns to update from, and are reduced from scratch by
+``eliminate`` (``_cold_reduce``).
 
 Every candidate is an int codeword in original position order.  The
 re-encoded hard decisions c0 are one XOR of the reduced rows, those of the
@@ -86,10 +87,10 @@ returns.  Both rest on one test.  Let c be a candidate, D1 the positions
 where it differs from the hard decisions, and d_lb a lower bound on the
 minimum distance, ``oracle.lower_bound(code)``: the bound of a search
 capped at 2^``oracle.LOWER_BOUND_BUDGET`` combinations that starts from
-``codes.identify``'s ``lower`` (the BCH or square-root bound, from the
-generator), run once per code.  It is d on every criterion-4 code, where
-``identify`` alone gives 1 to QDC(24,12) and 9 to QR(73,37), against
-d = 8 and 13; the larger d_lb, the more often both tests below hold.
+the ``lower`` of the code's ``identity`` (the BCH or square-root bound,
+from the generator), run once per code.  It is d on every criterion-4
+code, where the identity alone gives 1 to QDC(24,12) and 9 to QR(73,37),
+against d = 8 and 13; the larger d_lb, the more often both tests below hold.
 Any other codeword differs from c at d_lb or more positions
 (their XOR is a nonzero codeword), at most |D1| of them in D1, so at
 need = d_lb - |D1| or more positions outside D1.  There c agrees with
@@ -304,9 +305,11 @@ def _update(
     rows: tuple[int, ...], units: tuple[int, ...], order: list[int]
 ) -> tuple[list[int], list[int]]:
     """The reduction of a cached basis B on the first k independent columns
-    of ``order``, as a low-rank update.  Returns (rows, perm): the rows and
-    pivots of ``gf2.eliminate``, with perm the pivots followed by the other
-    columns in ``order``.
+    of ``order``, as a low-rank update.  Returns (rows, perm) as
+    ``_cold_reduce`` does: the rows and pivots of ``gf2.eliminate`` on the
+    generator's own rows, with perm the pivots followed by the other
+    columns in ``order``.  ``decode`` calls it on every word, with the
+    word's reliability order.
 
     Column c of B is the k-bit vector col[c]; the unit column of row i is
     the unit vector e_i.  The walk takes the pivots greedily.  ``kept``
@@ -400,37 +403,20 @@ def _update(
     return reduced, piv + skipped + order[walked:]
 
 
-def _mrb_reduce(
-    rows: Sequence[int], units: Sequence[int | None], arr: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Shared per-word work: reliability sort and reduction on the MRB.
-
-    Reduces copies of ``rows`` on the k most reliable independent positions
-    of the received samples ``arr`` (checked by ``_received``).  ``units``
-    gives each row's unit column, a column where it is the only row with a
-    1: a decoder passes its cached basis, and the reduction is ``_update``'s
-    low-rank update of it.  ``most_reliable_basis``, and a decoder building
-    that basis, pass the generator's own rows with None for every unit, and
-    the reduction is a ``gf2.eliminate`` from scratch.  Returns (rows, perm,
-    |y|).  perm lists the MRB positions, then the others in decreasing
-    reliability; rows are in original position order, reduced so that row
-    i is the only one with a 1 at position perm[i] among the MRB.  Both
-    starts give the same result: the pivots depend only on the code and the
-    reliability order, and the reduced rows, G[:, piv]^-1 G, only on the
-    row space and the pivots.
+def _cold_reduce(rows: Sequence[int], cols: list[int]) -> tuple[list[int], list[int]]:
+    """``gf2.eliminate`` of a copy of ``rows`` on the first len(rows)
+    independent columns of ``cols``: (rows, perm), with perm the pivots
+    followed by the other columns in ``cols``.  Row i is then the only row
+    with a 1 at position perm[i] among the pivots.  Raises
+    ``ConsistencyError`` when fewer than len(rows) columns are independent.
     """
-    abs_y = np.abs(arr)
-    cols = _reliability_order(abs_y).tolist()
-    if None in units:
-        rows, piv = list(rows), list(units)
-        r = eliminate(rows, piv, cols)
-        if r < len(rows):
-            raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {len(rows)}")
-        piv_set = set(piv)
-        perm = piv + [c for c in cols if c not in piv_set]
-    else:
-        rows, perm = _update(tuple(rows), tuple(units), cols)
-    return rows, np.array(perm, dtype=np.intp), abs_y
+    rows = list(rows)
+    piv = eliminate(rows, cols)
+    k, r = len(rows), len(piv)
+    if r < k:
+        raise ConsistencyError(f"generator lost rank during reduction: {r} < k = {k}")
+    taken = set(piv)
+    return rows, piv + [c for c in cols if c not in taken]
 
 
 def _beats_floor(on: list[float], off: list[float], need: int) -> bool:
@@ -455,9 +441,9 @@ class OsdDecoder:
 
     ``decode`` accepts a float array or sequence of finite samples and
     returns the decoded codeword in original position order.  Every word
-    is reduced from a basis the decoder builds once with ``_mrb_reduce``
-    (the reduction of a word whose samples all tie, whose columns the
-    stable sort walks in index order), by ``_update``'s low-rank update.
+    is sorted by reliability and reduced by ``_update``'s low-rank update
+    of a basis the decoder builds once with ``_cold_reduce``, on the
+    columns in index order (the order of a word whose samples all tie).
     A table of flip sets of weight 2 or less is scored from one Gram matrix
     of the signed parity rows, a table of heavier ones over packed parity
     lanes with per-byte lookup tables, built only for it.  First come the
@@ -490,8 +476,8 @@ class OsdDecoder:
         self.code = code
         self.order = order
         self._patterns = _patterns(code.k, order)
-        rows, perm, _ = _mrb_reduce(code.generator.rows, [None] * code.k, np.ones(code.n))
-        self._basis = (tuple(rows), tuple(perm[: code.k].tolist()))
+        rows, perm = _cold_reduce(code.generator.rows, list(range(code.n)))
+        self._basis = (tuple(rows), tuple(perm[: code.k]))
         self._d_lb = lower_bound(code)
 
     def zero_certified(self, on: list[float], off: list[float], ones: int = 0) -> bool:
@@ -517,7 +503,9 @@ class OsdDecoder:
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
         k, n = self.code.k, self.code.n
         arr = _received(n, y)
-        rows, perm, abs_y = _mrb_reduce(*self._basis, arr)
+        abs_y = np.abs(arr)
+        rows, perm = _update(*self._basis, _reliability_order(abs_y).tolist())
+        perm = np.array(perm, dtype=np.intp)
         h = arr > 0
         h_bits = pack_rows(h[None])[0]
         # the re-encoded hard decisions, and where they disagree with the
@@ -621,11 +609,12 @@ def most_reliable_basis(
     reliability order.
 
     A reference, kept public on purpose: no runner calls it (the decoder
-    calls ``_mrb_reduce`` itself), but ``reference_decode`` in
+    reduces each word by ``_update``), but ``reference_decode`` in
     ``tests/test_osd.py`` builds its brute-force OSD from it, and the
-    decoder is checked against that.
+    decoder is checked against that.  It reduces from scratch, by
+    ``_cold_reduce``.
     """
     arr = _received(code.n, y)
-    rows, perm, _ = _mrb_reduce(code.generator.rows, [None] * code.k, arr)
+    rows, perm = _cold_reduce(code.generator.rows, _reliability_order(np.abs(arr)).tolist())
     gsys = pack_rows(unpack_rows(rows, code.n)[:, perm])
-    return BitMatrix(code.n, tuple(gsys)), tuple(int(x) for x in perm)
+    return BitMatrix(code.n, tuple(gsys)), tuple(perm)

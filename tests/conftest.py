@@ -2,13 +2,7 @@ import pytest
 
 from mindist import BitWord, LinearCode, build_dcc, build_qdc, build_qr
 from mindist.cli import EXIT_OK, main
-from mindist.codes import Identity, identify
 from mindist.gf2 import BitMatrix
-
-
-def identity(code: LinearCode) -> Identity:
-    """``codes.identify`` of a code's generator and its generator_poly hint."""
-    return identify(code.generator, code.metadata.get("generator_poly"))
 
 
 def naive_min_distance(code: LinearCode) -> int:

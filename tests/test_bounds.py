@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mindist import oracle
-from conftest import identity
 from mindist.bounds import (
     BoundReport,
     build_report,
@@ -186,7 +185,7 @@ class TestCertifiedLower:
     def test_value_and_at_most_d(self, label):
         make, want = BUILT[label]
         code = make()
-        facts = identity(code)
+        facts = code.identity
         assert facts.lower == want
         d = PUBLISHED.get(label) or exact_min_distance(code).d_exact
         assert facts.lower <= d
@@ -200,7 +199,7 @@ class TestCertifiedLower:
 
     def test_bch127_bound_is_exact(self):
         # the BCH bound on BCH(127,64) is 21, the distance MIM finds
-        assert identity(build_bch(7, 10)).lower == 21
+        assert build_bch(7, 10).identity.lower == 21
 
     @pytest.mark.parametrize("label", ["BCH(63,24)", "QR(47)"])
     def test_labels_are_not_read(self, label):
@@ -213,9 +212,9 @@ class TestCertifiedLower:
             dataclasses.replace(code, family=other)
 
     def test_other_codes_get_1(self, c20):
-        assert identity(build_qdc(11)) == (None, False, 1)
-        assert identity(c20) == (None, False, 1)
-        assert identity(build_dcc(BitWord.parse("1101"))) == (None, False, 1)
+        assert build_qdc(11).identity == (None, False, 1)
+        assert c20.identity == (None, False, 1)
+        assert build_dcc(BitWord.parse("1101")).identity == (None, False, 1)
 
     def test_forged_generator_poly_gets_1(self):
         bch = build_bch(6, 7)
@@ -246,7 +245,7 @@ class TestCertifiedLower:
         (g_n,) = [g for g in qr_factors(47) if g.bits != qr47.metadata["generator_poly"]]
         gen, _ = systematize(_cyclic_generator(g_n, 47))
         other = LinearCode(47, 24, gen, metadata={"generator_poly": g_n.bits})
-        assert other.family == "QR" and identity(other) == (None, True, 9)
+        assert other.family == "QR" and other.identity == (None, True, 9)
         assert exact_min_distance(other).d_exact == 11
         assert identify(qr47.generator, g_n.bits) == (None, False, 1)
 
@@ -258,6 +257,6 @@ class TestCertifiedLower:
     )
     def test_qr_sqrt_bound(self, p, want):
         code = build_qr(p)
-        assert identity(code).lower >= want
+        assert code.identity.lower >= want
         if (p + 1) & p:  # not 2^m - 1: the square-root bound alone
-            assert identity(code).lower == want
+            assert code.identity.lower == want

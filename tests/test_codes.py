@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 
 import mindist
 
-from conftest import identity
-from mindist import mim
+from mindist import mim, oracle
 from mindist.cli import EXIT_OK, main
 from mindist.codes import (
     LinearCode,
@@ -62,20 +62,20 @@ class TestBch:
     def test_15_11_shape_and_design(self):
         code = build_bch(4, 1)
         assert (code.n, code.k) == (15, 11)
-        assert identity(code).bch == 3
+        assert code.identity.bch == 3
         assert code.family == "BCH"
 
     def test_31_26_shape(self):
         code = build_bch(5, 1)
         assert (code.n, code.k) == (31, 26)
-        assert identity(code).bch == 3
+        assert code.identity.bch == 3
 
     def test_hamming_7_4_is_bch_and_qr(self):
         # BCH(7,4) is QR(7): it keeps its BCH label, and identify proves both;
         # unlabelled, as loaded from a file, it takes QR first
         code = build_bch(3, 1)
         assert code.family == "BCH"
-        assert identity(code) == (3, True, 3)
+        assert code.identity == (3, True, 3)
         assert LinearCode(7, 4, code.generator, metadata=code.metadata).family == "QR"
         assert code.generator == build_qr(7).generator
 
@@ -157,6 +157,23 @@ class TestQr:
     def test_rejects_composite(self):
         with pytest.raises(ValueError, match="prime"):
             build_qr(9)
+
+
+CYCLIC = [(f"bch-{m}-{t}", lambda m=m, t=t: build_bch(m, t))
+          for m in range(3, 8) for t in (1, 2, 3, 5, 10) if 2 * t < (1 << m) - 1]
+CYCLIC += [(f"qr{p}", lambda p=p: build_qr(p)) for p in (7, 17, 23, 31, 41, 47, 71, 73, 79)]
+
+
+@pytest.mark.parametrize("make", [make for _, make in CYCLIC], ids=[key for key, _ in CYCLIC])
+def test_cyclic_column_permutation_is_the_identity(make):
+    # the rows x^i g(x), with g(0) = 1, are unit upper triangular on
+    # columns 0..k-1: systematization takes those pivots and swaps nothing,
+    # so the stored generator spans the cyclic code itself
+    code = make()
+    n, k = code.n, code.k
+    assert code.metadata["column_permutation"] == tuple(range(n))
+    cyclic = tuple(code.metadata["generator_poly"] << i for i in range(k))
+    assert BitMatrix(n, code.generator.rows + cyclic).rank() == k
 
 
 class TestDcc:
@@ -259,7 +276,7 @@ class TestMatrixIO:
         loaded = loads(buf.getvalue())
         assert loaded.generator == code.generator
         assert (loaded.family, loaded.metadata) == (code.family, {"generator_poly": g})
-        assert identity(loaded) == identity(code) and identity(code).lower > 1
+        assert loaded.identity == code.identity and code.identity.lower > 1
 
     @pytest.mark.parametrize("construct, build", [
         (["--bch", "7", "10"], lambda: build_bch(7, 10)),
@@ -273,9 +290,9 @@ class TestMatrixIO:
         assert main(["construct", *construct, "--out", str(path)]) == EXIT_OK
         built, loaded = build(), load_code(path)
         assert loaded.family == built.family
-        assert identity(loaded) == identity(built)
+        assert loaded.identity == built.identity
         cfg = mim.MimConfig.for_code(built, nb_test=3, rng_seed=1)
-        assert cfg.d1 == (identity(built).bch or built.n // 2)  # 21, 15 and 36
+        assert cfg.d1 == (built.identity.bch or built.n // 2)  # 21, 15 and 36
         assert mim.MimConfig.for_code(loaded, nb_test=3, rng_seed=1) == cfg
 
         def record(code):
@@ -334,19 +351,43 @@ class TestLinearCode:
             LinearCode(2, 2, BitMatrix(2, (0b01, 0b10)))
 
     @pytest.mark.parametrize("family", ["GENERIC", "BCH", "DCC"])
-    def test_unhashable_hint_names_the_field(self, family):
-        # a hint as a JSON reader would give it: a list of coefficients
+    def test_unhashable_hint_proves_nothing(self, family):
+        # a hint as a JSON reader would give it: a list of coefficients,
+        # which is no int and so no polynomial
         gen = build_bch(3, 1).generator
-        with pytest.raises(ValueError, match="generator_poly hint must be hashable"):
-            LinearCode(7, 4, gen, family=family, metadata={"generator_poly": [1, 1, 0, 1]})
+        hint = {"generator_poly": [1, 1, 0, 1]}
+        if family == "BCH":
+            with pytest.raises(ValueError, match="do not prove a BCH code"):
+                LinearCode(7, 4, gen, family=family, metadata=hint)
+        else:
+            code = LinearCode(7, 4, gen, family=family, metadata=hint)
+            assert code.family == family and code.identity == (None, False, 1)
 
     def test_float_hint_proves_nothing(self):
-        # hashable, so it reaches the memo, but only an int is a polynomial
+        # only an int is a polynomial
         bch = build_bch(3, 1)
         hint = {"generator_poly": float(bch.metadata["generator_poly"])}
         assert LinearCode(7, 4, bch.generator, metadata=hint).family == "GENERIC"
         with pytest.raises(ValueError, match="do not prove a BCH code"):
             LinearCode(7, 4, bch.generator, family="BCH", metadata=hint)
+
+    def test_identity_outlives_a_changed_hint(self):
+        # what the code proved at construction is what every reader sees,
+        # the MIM default d1 and the proven lower bound included
+        code = build_bch(6, 5)
+        code.metadata["generator_poly"] = 0
+        assert (code.family, code.identity) == ("BCH", (11, False, 11))
+        assert mim.MimConfig.for_code(code).d1 == 11
+        assert oracle.lower_bound(code) == 11
+
+    def test_identity_is_derived(self):
+        # not an argument, not compared, not in the repr
+        (f,) = [f for f in dataclasses.fields(LinearCode) if f.name == "identity"]
+        assert (f.init, f.compare, f.repr) == (False, False, False)
+        code = build_bch(3, 1)
+        with pytest.raises(TypeError):
+            LinearCode(7, 4, code.generator, identity=code.identity)
+        assert "identity" not in repr(code)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20)

@@ -11,6 +11,7 @@ from mindist.gf2 import (
     GF2mField,
     PRIMITIVE_POLYS,
     cyclotomic_coset,
+    eliminate,
     pack_rows,
     poly_gcd,
     systematize,
@@ -131,6 +132,66 @@ class TestSystematize:
         # first k bits of any encoding equal the information word
         for bits in (0b1, 0b1011, 0b1111111111):
             assert xor_rows(c20.generator.rows, bits) & 0x3FF == bits
+
+
+def span_rank(vectors) -> int:
+    """Rank of int vectors over GF(2), by a basis keyed on each vector's
+    highest bit: a reference that shares no code with ``eliminate``."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            hi = v.bit_length() - 1
+            if hi not in basis:
+                basis[hi] = v
+                break
+            v ^= basis[hi]
+    return len(basis)
+
+
+def column(rows, c: int) -> int:
+    """Column c of ``rows`` as an int, bit i from row i."""
+    return sum(((r >> c) & 1) << i for i, r in enumerate(rows))
+
+
+class TestEliminate:
+    """``eliminate(rows, cols) -> pivots``, Gauss-Jordan from scratch."""
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_random_rows(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 16)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
+        cols = rng.sample(range(n), rng.randint(1, n))
+        out = list(rows)
+        piv = eliminate(out, cols)
+        # the greedy first independent columns of cols, at most len(rows)
+        greedy: list[int] = []
+        for c in cols:
+            vectors = [column(rows, j) for j in greedy + [c]]
+            if len(greedy) < len(rows) and span_rank(vectors) > len(greedy):
+                greedy.append(c)
+        assert piv == greedy
+        # each pivot row is the only row with a 1 in its pivot column
+        for i, c in enumerate(piv):
+            assert [j for j, r in enumerate(out) if (r >> c) & 1] == [i]
+        # the row space is kept
+        assert span_rank(rows) == span_rank(out) == span_rank(rows + out)
+
+    def test_dependent_rows_give_fewer_pivots(self):
+        rows = [0b0110, 0b1011, 0b0110 ^ 0b1011]
+        out = list(rows)
+        assert eliminate(out, range(4)) == [0, 1]
+        assert out[2] == 0
+        assert span_rank(out) == span_rank(rows + out) == 2
+
+    def test_empty_cols_take_no_pivot(self):
+        rows = [0b101, 0b011]
+        out = list(rows)
+        assert eliminate(out, []) == []
+        assert out == rows
 
 
 class TestBitMatrix:

@@ -12,7 +12,7 @@ from mindist.gf2 import BitMatrix, BitWord
 from mindist.oracle import ExactResult, exact_enumerator, exact_min_distance
 from mindist.results import DistanceEstimate
 
-from conftest import identity, naive_min_distance
+from conftest import naive_min_distance
 from test_golden import without_runtimes
 
 
@@ -193,7 +193,7 @@ class TestKnownBound:
             if code.k > 32:
                 continue
             bare = LinearCode(code.n, code.k, code.generator)
-            assert identity(bare).lower == 1
+            assert bare.identity.lower == 1
             res, full = exact_min_distance(code), exact_min_distance(bare)
             assert res.d_exact == full.d_exact == d, label
             assert res.witness == full.witness, label
@@ -411,7 +411,7 @@ class TestLowerBound:
     def test_at_most_d_on_built_codes(self):
         # and equal to it: the search proves d on every one of them
         for label, (code, d) in built_codes().items():
-            assert 1 <= identity(code).lower <= oracle.lower_bound(code) == d, label
+            assert 1 <= code.identity.lower <= oracle.lower_bound(code) == d, label
 
     @pytest.mark.parametrize("seed", range(6))
     def test_at_most_d_on_random_codes(self, seed):
@@ -421,7 +421,7 @@ class TestLowerBound:
             k = rng.randint(10, 26)
             code = random_full_rank(rng, k, rng.randint(k + 4, 3 * k))
             d = exact_min_distance(code).d_exact
-            assert identity(code).lower <= oracle.lower_bound(code) <= d
+            assert code.identity.lower <= oracle.lower_bound(code) <= d
 
     @pytest.mark.parametrize("cap", [0, 1, 10, 100, 1000, 5000])
     def test_any_cap_is_sound(self, cap, c20):
@@ -451,13 +451,13 @@ class TestLowerBound:
         bare = tmp_path / "bare.gm"
         bare.write_text("".join(lines[:-1]))
         old = load_code(bare)
-        assert old.family == "GENERIC" and identity(old).lower == 1
+        assert old.family == "GENERIC" and old.identity.lower == 1
         assert oracle.lower_bound(old) == d
         built = {"--qr": lambda: build_qr(int(construct[1])),
                  "--bch": lambda: build_bch(6, 7)}[construct[0]]()
         loaded = load_code(path)
         assert loaded.family == built.family
-        assert identity(loaded) == identity(built) and identity(built).lower > 1
+        assert loaded.identity == built.identity and built.identity.lower > 1
         assert oracle.lower_bound(loaded) == oracle.lower_bound(built) == d
 
     def test_known_bound_stops_the_search(self):
@@ -465,27 +465,27 @@ class TestLowerBound:
         # of weight 11 among its first 36 combinations; without the known
         # bound it runs into the cap and proves only 7
         code = build_bch(6, 5)
-        assert identity(code).lower == 11
+        assert code.identity.lower == 11
         bound, least, _, scored = oracle._search(code.generator, 1 << oracle.LOWER_BOUND_BUDGET, 11)
         assert (least, scored) == (11, 36)
         bound, least, _, scored = oracle._search(code.generator, 1 << oracle.LOWER_BOUND_BUDGET, 1)
         assert min(bound, least) == 7 and scored > 2_000_000
 
     def test_a_float_hint_is_not_the_int_hint(self):
-        # identify rejects a float hint, so its memo entry must not be the
-        # equal int hint's
+        # a float hint proves nothing, so the memo, keyed on the proven
+        # bound, must not give it the equal int hint's entry
         code = build_bch(6, 5)
         floated = LinearCode(63, 36, code.generator,
                              metadata={"generator_poly": float(code.metadata["generator_poly"])})
         assert oracle.lower_bound(code) == 11
-        assert identity(floated).lower == 1 and oracle.lower_bound(floated) == 7
+        assert floated.identity.lower == 1 and oracle.lower_bound(floated) == 7
 
     def test_cap_stops_the_search_short(self, monkeypatch):
         # a GENERIC copy of BCH(127,64) has no BCH bound to stop at, and the
         # cap stops its search at 9, against d = 21
         bch = build_bch(7, 10)
         generic = LinearCode(127, 64, bch.generator)
-        assert identity(generic).lower == 1
+        assert generic.identity.lower == 1
         runs = []
 
         def spy(*args, real=oracle._search):
@@ -498,5 +498,5 @@ class TestLowerBound:
         ((bound, least, _, scored),) = runs
         assert scored <= 1 << oracle.LOWER_BOUND_BUDGET and bound < least
         assert min(bound, least) == 9
-        # the generator_poly hint is part of the memo's key
+        # the bound the identity proves is part of the memo's key
         assert oracle.lower_bound(bch) == 21 and len(runs) == 2

@@ -37,3 +37,19 @@ def test_export_lists_resolve():
     missing = [f"{m.__name__}.{name}" for m in modules
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
+
+
+def test_only_codes_calls_identify():
+    # a code's identity is proven once, by LinearCode, and read from
+    # ``code.identity``: a second call elsewhere could see a hint that
+    # changed since construction
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "identify":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers and all(c.startswith("codes.py:") for c in callers), callers
