@@ -59,7 +59,10 @@ class LinearCode:
     repr.  ``family`` is checked against it: a ``BCH`` or ``QR`` label it
     does not prove is a ``ValueError``, and a ``GENERIC`` code it proves
     takes the proven family, QR first.  ``DCC`` and ``QDC`` labels are kept
-    as given, since nothing is proven from them.
+    as given, since nothing is proven from them.  ``proven_poly`` is the
+    ``generator_poly`` hint that ``identity`` proved BCH or QR from, kept
+    with it for ``save_code`` (None when the identity proves neither); it is
+    derived the same way.
     """
 
     n: int
@@ -68,6 +71,7 @@ class LinearCode:
     family: str = "GENERIC"
     metadata: dict = field(default_factory=dict)
     identity: Identity = field(init=False, compare=False, repr=False)
+    proven_poly: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
@@ -82,8 +86,10 @@ class LinearCode:
         r = self.generator.rank()
         if r != self.k:
             raise RankError(f"generator rank {r} < k = {self.k}", rank=r)
-        facts = identify(self.generator, self.metadata.get("generator_poly"))
+        hint = self.metadata.get("generator_poly")
+        facts = identify(self.generator, hint)
         object.__setattr__(self, "identity", facts)
+        object.__setattr__(self, "proven_poly", hint if facts.bch or facts.qr else None)
         if self.family in ("BCH", "QR", "GENERIC"):
             proven = [f for f, ok in (("QR", facts.qr), ("BCH", facts.bch)) if ok]
             if self.family == "GENERIC" and proven:
@@ -433,12 +439,14 @@ def build_qdc(p: int, corner: int = 0) -> LinearCode:
 # matrix file I/O
 #
 # Text format: line 1 = "n k"; then k rows of n characters from {0, 1};
-# then, for a code built with a generator polynomial g (BCH, QR), the line
+# then, for a code proven BCH or QR from a generator polynomial g, the line
 # "# generator_poly 0x..." with g's coefficient bits in hex (bit i holds
-# x^i).  Loading restores it as the ``generator_poly`` hint, which
-# ``identify`` checks against the rows before it uses it, so the file adds
-# no trust: the loaded code is GENERIC until ``identify`` proves it BCH or
-# QR.  Files without the line load as before.
+# x^i).  g is the code's ``proven_poly``, the hint as it was when the code
+# was built, whatever its ``metadata`` holds now.  Loading restores it as
+# the ``generator_poly`` hint, which ``identify`` checks against the rows
+# before it uses it, so the file adds no trust: the loaded code is GENERIC
+# until ``identify`` proves it BCH or QR.  Files without the line load as
+# before.
 
 
 def save_code(code: LinearCode, dest: str | Path | TextIO) -> None:
@@ -454,9 +462,8 @@ def _write_matrix(code: LinearCode, fh: TextIO) -> None:
     for i in range(code.k):
         fh.write(code.generator.row_word(i).to01())
         fh.write("\n")
-    hint = code.metadata.get("generator_poly")
-    if type(hint) is int and hint > 0:
-        fh.write(f"# generator_poly {hint:#x}\n")
+    if code.proven_poly is not None:
+        fh.write(f"# generator_poly {code.proven_poly:#x}\n")
 
 
 def load_code(src: str | Path | TextIO) -> LinearCode:

@@ -69,7 +69,9 @@ positions, so that sum is a floor on its exact cost; when the floor is
 higher, no candidate of the top order can come within the tolerance of the
 least cost, and skipping the order leaves the decoded word unchanged.  On
 impulse words (the all-zero word plus a few strong samples) most decodes
-skip it, and the top order holds most of the flip sets.
+skip it, and the top order holds most of the flip sets.  Where the second
+pass runs on a lookup-table top table, a prefilter below first drops the
+flip sets that cannot come that close, one by one.
 
 Those costs are rounded in an order of their own (a BLAS matmul's, for
 the Gram costs), so they only pick the candidates within a tolerance tol
@@ -127,13 +129,49 @@ decisions packed once per decode; when the test holds, that same c is
 returned.  The size of D1, a popcount, comes first: with a weak bound need
 is often at most 0 (with |D1| >= d_lb), and the test then ends before the
 floor is gathered.
+
+The top-order prefilter runs next, where the post-order certificate does
+not end the decode, on a top table of three or more rows and at least
+``_PREFILTER_MIN`` flip sets.  It bounds the cost of each flip set F from
+below and scores only those whose bound is within least + 2 tol.  Let A
+and D be the parity positions where c0 agrees and disagrees with the hard
+decisions, and a and d the numbers of them that F's parity change x_F
+flips.  F's exact cost minus base is the sum of its ``order`` flipped MRB
+reliabilities, at least floor (the sum of the ``order`` smallest), plus
+the |y_j| of its a flips on A, at least SA[a], the sum of the a smallest
+|y_j| on A, minus the |y_j| of its d flips on D, at most SD[d], the sum of
+the d largest on D.  So LB(F) = floor + SA[a] - SD[d] is a floor on it;
+the floor test above is its weakest case, a = 0 and d = |D|, as SD[|D|]
+= base.
+
+The test is on integers: limit[d] counts the a with SA[a] <= fl(SD[d] +
+fl(fl(least + 2 tol) - floor)) in floats (SA is non-decreasing from
+SA[0] = 0), and F is scored iff a < limit[d] (``_survivors``).  So a
+dropped F has SA[a] above that sum as computed.  SA and SD are running
+sums of at most n - k magnitudes (``_prefix_sums``), so together within
+(n - k) u sum(|y|) of their real values; floor is correctly rounded; and
+least lies in [-sum(|y|) - tol / 2, 0] (0 is the cost of flipping
+nothing, in the low table), so each of the other three roundings is at
+most 3 u sum(|y|).  In all that is at most (n - k + 10) u sum(|y|), below
+tol / 2 >= 4 (n - k + 3) u sum(|y|).  The real LB(F) therefore exceeds
+least + 1.5 tol, and F's scored cost, within tol / 2 of its exact cost
+minus base, lies above least + tol: F would neither enter the near set
+nor lower the least cost, and the decoded word is the one full scoring
+returns.
+
+The counts come from the packed parity lanes that ``_score`` reads: each
+decode XORs every pair of rows once, a (k + 1)^2 table per lane read at
+the pair index that ``_patterns`` caches with the tables, and XORs in the
+other rows of each flip set; a + d is the popcount of x_F and d that of
+x_F on D.  On the top-order decodes of seeded BCH(127,64) MIM words at
+most about 500 of the 41,664 flip sets survive, and mostly a few dozen.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -169,25 +207,47 @@ _BYTE_BITS = np.unpackbits(
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# The prefilter's fixed cost per decode, about 30 us on a 2-core host,
+# outweighs what it saves on small top tables.  Measured there on seeded
+# MIM words, it made a top-order decode 6-16% slower on order-3 top tables
+# of 220 to 2,024 flip sets, and 2-3% faster at 2,925, 2-4% at 4,060,
+# 10-15% at 7,140 and 7,770, and 40-50% at 41,664 (BCH(127,64)).
+_PREFILTER_MIN = 2500
+
 
 @cache
-def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The MRB flip sets of weight below ``order``, and those of weight
-    ``order``, as two index tables with one flip set per column.
+    ``order``, as two index tables with one flip set per column, and the
+    pair index of the second table.
 
     The tables have max(order - 1, 2) and max(order, 2) rows; shorter flip
     sets are padded with k, which selects a zero row and a zero weight, so
     it flips nothing.  A two-row table is scored from the Gram matrix
     (``_gram_score``), a wider one from lookup tables (``_score``): an
     order-3 decoder scores its lower orders the first way and its top
-    order the second.
+    order the second.  A top table wider than two rows may go through the
+    prefilter (``_survivors``) first, which reads the first two entries of
+    each flip set as one index, i (k + 1) + j, into a table of pair XORs;
+    that pair index is the third item, None for a two-row top table.
+
+    Each table is filled in place from a flat ``fromiter`` of the
+    combinations, so building them holds no Python tuple per flip set.
     """
 
     def table(weights: range, width: int) -> np.ndarray:
-        rows = [c + (k,) * (width - t) for t in weights for c in combinations(range(k), t)]
-        return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
+        counts = [math.comb(k, t) for t in weights]
+        out = np.full((width, sum(counts)), k, dtype=np.intp)
+        start = 0
+        for t, count in zip(weights, counts):
+            flat = np.fromiter(chain.from_iterable(combinations(range(k), t)), np.intp, count * t)
+            out[:t, start : start + count] = flat.reshape(count, t).T
+            start += count
+        return out
 
-    return table(range(order), max(order - 1, 2)), table(range(order, order + 1), max(order, 2))
+    top = table(range(order, order + 1), max(order, 2))
+    pairs = top[0] * (k + 1) + top[1] if len(top) > 2 else None
+    return table(range(order), max(order - 1, 2)), top, pairs
 
 
 def _gram(par: np.ndarray, w_mrb: np.ndarray, w_par: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,23 +290,62 @@ def _score(
     return costs
 
 
-def _luts(par: np.ndarray, w_mrb: np.ndarray, w_par: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_score``'s arguments after the flip sets, from the parity bits and
-    weights that ``_gram`` takes: ``par`` packed as little-endian
-    bytes in uint64 lanes, one lane-major array per lane, the MRB weights,
-    and per byte the 256 partial sums of the signed parity weights that one
-    byte of a lane can select."""
-    m = par.shape[1]
-    nbytes = (m + 7) // 8
-    packed = np.zeros((len(par), 8 * ((nbytes + 7) // 8)), dtype=np.uint8)
-    packed[:, :nbytes] = np.packbits(par, axis=1, bitorder="little")
+def _lanes(bits: np.ndarray) -> np.ndarray:
+    """The rows of 0/1 ``bits`` packed as little-endian bytes in uint64
+    lanes, ceil(m / 64) for m columns: one lane-major array per lane."""
+    nbytes = (bits.shape[1] + 7) // 8
+    packed = np.zeros((len(bits), 8 * ((nbytes + 7) // 8)), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(bits, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def _luts(w_par: np.ndarray) -> np.ndarray:
+    """``_score``'s lookup tables: per byte of a lane, the 256 partial sums
+    of the signed parity weights ``w_par`` that the byte can select."""
+    nbytes = (len(w_par) + 7) // 8
     weights = np.zeros(8 * nbytes)
-    weights[:m] = w_par
-    return (
-        np.ascontiguousarray(packed.view(np.uint64).T),
-        w_mrb,
-        weights.reshape(nbytes, 8) @ _BYTE_BITS.T,
-    )
+    weights[: len(w_par)] = w_par
+    return weights.reshape(nbytes, 8) @ _BYTE_BITS.T
+
+
+def _prefix_sums(w_par: np.ndarray, disagree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(SA, SD) of the prefilter: SA[a] is the sum of the a smallest |y_j|
+    on the parity positions where the re-encoded hard decisions agree with
+    the hard decisions, and SD[d] the sum of the d largest where they
+    ``disagree``; both start at 0.  ``w_par`` holds the signed parity
+    weights, -|y_j| where they disagree, so one sort lists the disagreeing
+    magnitudes in descending order and then the agreeing ones ascending."""
+    s = np.sort(w_par)
+    nd = int(np.count_nonzero(disagree))
+    return np.cumsum(np.append(0.0, s[nd:])), -np.cumsum(np.append(0.0, s[:nd]))
+
+
+def _survivors(
+    pat: np.ndarray, pairs: np.ndarray, lanes: np.ndarray, disagree: np.ndarray, limit: np.ndarray
+) -> np.ndarray:
+    """The columns of ``pat`` that pass the top-order prefilter: the flip
+    sets that flip a parity bits where the re-encoded hard decisions agree
+    with the hard decisions and d where they ``disagree`` (as lanes), with
+    a < limit[d], tested as a + d < limit[d] + d.
+
+    A flip set's parity change is the XOR of its rows' ``lanes``: the rows
+    of its first two entries come as one pair XOR, read at ``pairs`` from a
+    (k + 1)^2 table per lane, the others one by one.  The counts are uint8
+    on one lane and summed in uint16 over several.
+    """
+    flips = ones = None
+    for lane, dis in zip(lanes, disagree):
+        x = np.bitwise_xor.outer(lane, lane).ravel().take(pairs)
+        for col in pat[2:]:
+            x ^= lane.take(col)
+        f = np.bitwise_count(x)
+        x &= dis
+        o = np.bitwise_count(x)
+        if flips is None:
+            flips, ones = f, o
+        else:
+            flips, ones = flips + f.astype(np.uint16), ones + o.astype(np.uint16)
+    return np.flatnonzero(flips < (limit + np.arange(len(limit))).astype(flips.dtype).take(ones))
 
 
 def _tolerance(n: int, k: int, order: int, abs_y: np.ndarray) -> float:
@@ -451,12 +550,21 @@ class OsdDecoder:
     unless the sum of the ``order`` smallest MRB reliabilities already
     exceeds the base cost plus the least cost so far by more than twice
     the tie tolerance.  Such flip sets cannot tie the best candidate, so
-    the skip never changes the result.  The winner is the candidate of
-    least exact cost (``math.fsum`` of |y_i| where it differs from the hard
-    decision); ties on that cost break toward the lexicographically smaller
-    codeword, so the result is a function of y alone.  Every candidate is
-    an int codeword in original position order, the re-encoded hard
-    decisions XORed with the rows of its flip set.
+    the skip never changes the result.  A top table scored from lookup
+    tables (order 3 and up) with ``_PREFILTER_MIN`` or more flip sets
+    first goes through a prefilter: it bounds each flip set's cost from
+    below by floor + SA[a] - SD[d], where a and d count the parity bits it
+    flips where the re-encoded hard decisions agree and disagree with the
+    hard decisions, SA[a] sums the a smallest |y_j| where they agree and
+    SD[d] the d largest where they disagree, and scores only the flip sets
+    whose bound is within the least cost plus twice the tolerance.  On
+    BCH(127,64) MIM words mostly a few dozen of 41,664 are left.  The
+    winner is the candidate of least exact cost (``math.fsum`` of |y_i|
+    where it differs from the hard decision); ties on that cost break
+    toward the lexicographically smaller codeword, so the result is a
+    function of y alone.  Every candidate is an int codeword in original
+    position order, the re-encoded hard decisions XORed with the rows of
+    its flip set.
 
     d_lb is ``oracle.lower_bound(code)``, d itself on the criterion-4
     codes, computed once per code.  Where the top order would be
@@ -517,28 +625,29 @@ class OsdDecoder:
         # agreed with the hard decision and subtracts it where it disagreed.
         # par holds the parity bits of the reduced rows, one row per MRB
         # position plus the zero row that the padding index k selects.
-        weights = (
-            unpack_rows(rows + [0], n)[:, perm[k:]],
-            np.append(abs_y[perm[:k]], 0.0),
-            np.where(off0, -abs_y, abs_y)[perm[k:]],
-        )
+        par = unpack_rows(rows + [0], n)[:, perm[k:]]
+        w_mrb = np.append(abs_y[perm[:k]], 0.0)
+        w_par = np.where(off0, -abs_y, abs_y)[perm[k:]]
 
         # a candidate more than tol above the least cost cannot tie the best
         # candidate exactly
         order = self.order
         tol = _tolerance(n, k, order, abs_y)
-        built: dict[bool, tuple[np.ndarray, ...]] = {}
+        gram = lanes = luts = None
 
         def score(pat: np.ndarray) -> np.ndarray:
             """Gram costs of a two-row table, LUT costs of a wider one; each
-            kernel's inputs are built on its first use, so the lookup
-            tables only when a wider table is scored."""
-            pairs = len(pat) == 2
-            if pairs not in built:
-                built[pairs] = (_gram if pairs else _luts)(*weights)
-            return (_gram_score if pairs else _score)(pat, *built[pairs])
+            kernel's inputs are built on first use, so the lookup tables
+            only when a wider table is scored."""
+            nonlocal gram, lanes, luts
+            if len(pat) == 2:
+                gram = _gram(par, w_mrb, w_par) if gram is None else gram
+                return _gram_score(pat, *gram)
+            lanes = _lanes(par) if lanes is None else lanes
+            luts = _luts(w_par) if luts is None else luts
+            return _score(pat, lanes, w_mrb, luts)
 
-        low, top = self._patterns
+        low, top, pairs = self._patterns
         scored = [(low, score(low))] if order else []
         least, pick = math.inf, None
         for pat, costs in scored:
@@ -578,8 +687,20 @@ class OsdDecoder:
                     on = unpack_rows([d1], n)[0].view(bool)
                     if _beats_floor(abs_y[on].tolist(), abs_y[~on].tolist(), need):
                         return BitWord(n, c)
-            scored.append((top, score(top)))
-            least = min(least, float(scored[-1][1].min()))
+            if pairs is not None and top.shape[1] >= _PREFILTER_MIN:
+                # the prefilter: a flip set that flips a parity bits where
+                # c0 agrees with the hard decisions and d where it does not
+                # costs at least floor + SA[a] - SD[d] (module docstring);
+                # limit[d] counts the a that keep that within least + 2 tol
+                disagree = off0[perm[k:]]
+                sa, sd = _prefix_sums(w_par, disagree)
+                limit = np.searchsorted(sa, sd + (least + 2.0 * tol - floor), side="right")
+                lanes = _lanes(par) if lanes is None else lanes
+                keep = _survivors(top, pairs, lanes, _lanes(disagree[None])[:, 0], limit)
+                top = top[:, keep]
+            if top.shape[1]:
+                scored.append((top, score(top)))
+                least = min(least, float(scored[-1][1].min()))
 
         words = [
             word(flips)

@@ -278,6 +278,19 @@ class TestMatrixIO:
         assert (loaded.family, loaded.metadata) == (code.family, {"generator_poly": g})
         assert loaded.identity == code.identity and code.identity.lower > 1
 
+    def test_saved_poly_outlives_a_changed_hint(self):
+        # the file gets the polynomial the identity was proven from, so the
+        # loaded code is BCH with the bound 11, not GENERIC with 1
+        code = build_bch(6, 5)
+        g = code.metadata["generator_poly"]
+        code.metadata["generator_poly"] = 0
+        buf = io.StringIO()
+        save_code(code, buf)
+        assert buf.getvalue().splitlines()[-1] == f"# generator_poly {g:#x}"
+        loaded = loads(buf.getvalue())
+        assert (loaded.family, loaded.identity) == ("BCH", (11, False, 11))
+        assert loaded.proven_poly == code.proven_poly == g
+
     @pytest.mark.parametrize("construct, build", [
         (["--bch", "7", "10"], lambda: build_bch(7, 10)),
         (["--bch", "6", "7"], lambda: build_bch(6, 7)),

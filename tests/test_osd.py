@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ from mindist import oracle, osd
 from mindist.cli import EXIT_OK, main
 from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr, load_code
 from mindist.errors import ConsistencyError
-from mindist.gf2 import BitMatrix, BitWord, eliminate, xor_rows
+from mindist.gf2 import BitMatrix, BitWord, eliminate, unpack_rows, xor_rows
 from mindist.mim import apply_pattern, make_pattern
 from mindist.osd import OsdDecoder, hard_decision, most_reliable_basis
 
@@ -768,3 +769,148 @@ class TestCachedBasis:
             for i, c in enumerate(piv):
                 assert [j for j, r in enumerate(rows) if (r >> c) & 1] == [i]
             assert BitMatrix(n, tuple(rows) + code.generator.rows).rank() == k
+
+
+@pytest.fixture
+def prefilter_everywhere(monkeypatch):
+    """The top-order prefilter on every top table of three or more rows,
+    however few flip sets it holds."""
+    monkeypatch.setattr(osd, "_PREFILTER_MIN", 0)
+
+
+class TestTopOrderPrefilter:
+    """The prefilter's bound LB(F) = floor + SA[a] - SD[d] lies at or below
+    the exact cost minus base of every top-order flip set F, ``_prefix_sums``
+    holds SA and SD, and every flip set whose LUT cost is within tol of the
+    least cost is scored (module docstring).
+
+    Run on the seven MIM codes, on QR(151,76), whose n - k = 75 parity bits
+    span two lanes, and on an order-4 decoder, whose low table is scored
+    from lookup tables too and whose top table has four rows.
+    """
+
+    CASES = {
+        **{name: (make, 3) for name, make in MIM_CODES.items()},
+        "qr151": (lambda: build_qr(151), 3),
+        "qr47-order4": (lambda: build_qr(47), 4),
+    }
+
+    @staticmethod
+    def words(n: int, seed: int) -> list[np.ndarray]:
+        """``mixed_words``, fewer on the longer codes, and the magnitudes of
+        ``TestGramCosts.words``, spread over 1e-6 to 1e6."""
+        count = 8 if n < 100 else 2
+        return mixed_words(n, count, seed) + TestGramCosts.words(n, seed)[:3]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bound_and_near_set(self, monkeypatch, prefilter_everywhere, case):
+        make, order = self.CASES[case]
+        code = make()
+        n, k = code.n, code.k
+        dec = OsdDecoder(code, order=order)
+        real_score = osd._score
+        seen: dict[str, list] = {}
+        for name in ("_update", "_survivors", "_gram_score", "_score"):
+            def spy(*args, real=getattr(osd, name), name=name):
+                seen.setdefault(name, []).append((args, real(*args)))
+                return seen[name][-1][1]
+
+            monkeypatch.setattr(osd, name, spy)
+        filtered = kept = total = 0
+        for y in self.words(n, seed=n + order):
+            seen.clear()
+            dec.decode(y)
+            if "_survivors" not in seen:
+                continue
+            [(_, (rows, perm))] = seen["_update"]
+            [((pat, _, lanes, _, _), keep)] = seen["_survivors"]
+            # the low table is scored first, by the Gram kernel at order 3
+            low = seen["_score" if order > 3 else "_gram_score"][0][1]
+            filtered, kept, total = filtered + 1, kept + len(keep), total + pat.shape[1]
+
+            abs_y = np.abs(y)
+            h = hard_decision(y).bits
+            c0 = xor_rows(rows, sum(1 << i for i, p in enumerate(perm[:k]) if h >> p & 1))
+            perm = np.array(perm)
+            par = unpack_rows(rows + [0], n)[:, perm[k:]].view(bool)
+            disagree = unpack_rows([c0 ^ h], n)[0][perm[k:]].view(bool)
+            mags = abs_y[perm[k:]]
+            w_par = np.where(disagree, -mags, mags)
+            w_mrb = np.append(abs_y[perm[:k]], 0.0)
+            tol = osd._tolerance(n, k, order, abs_y)
+
+            # the flip sets' a and d, counted from the unpacked parity bits
+            x = np.logical_xor.reduce(par[pat], axis=0)
+            a, d = (x & ~disagree).sum(axis=1), (x & disagree).sum(axis=1)
+
+            # SA and SD as fsums of the sorted magnitudes; _prefix_sums'
+            # running sums lie within (n - k) u sum(|y|) of them
+            up, down = sorted(mags[~disagree].tolist()), sorted(mags[disagree].tolist())[::-1]
+            ref_sa = [math.fsum(up[:i]) for i in range(len(up) + 1)]
+            ref_sd = [math.fsum(down[:i]) for i in range(len(down) + 1)]
+            sa, sd = osd._prefix_sums(w_par, disagree)
+            err = (n - k + 1) * np.finfo(float).eps / 2 * abs_y.sum()
+            assert np.abs(sa - ref_sa).max() <= err and np.abs(sd - ref_sd).max() <= err
+
+            # LB(F), correctly rounded, for each (a, d) that occurs
+            floor = sorted(w_mrb[:k].tolist())[:order]
+            lb = {ad: math.fsum(floor + up[: ad[0]] + [-v for v in down[: ad[1]]])
+                  for ad in set(zip(a.tolist(), d.tolist()))}
+            bound = np.array([lb[ad] for ad in zip(a.tolist(), d.tolist())])
+            # a dense cost sums at most n - k + order terms, so it lies
+            # within tol / 2 of the exact cost minus base, and is exact when
+            # every magnitude is a multiple of 2^-10 below 2^20 (all-+-1
+            # words, where every bound is tight); where that does not settle
+            # it, the fsum of the flip set's terms decides
+            cost = w_mrb[pat].sum(axis=0) + x @ w_par
+            scaled = abs_y * 1024
+            slack = 0.0 if np.array_equal(scaled, np.round(scaled)) and abs_y.max() < 2**20 else tol / 2
+            for i in np.flatnonzero(bound > cost - slack).tolist():
+                terms = w_mrb[pat[:, i]].tolist() + w_par[x[i]].tolist()
+                assert bound[i] <= math.fsum(terms), pat[:, i]
+
+            # the near set of full scoring, within tol of the least LUT or
+            # Gram cost, is scored
+            full = real_score(pat, lanes, w_mrb, osd._luts(w_par))
+            least = min(low.min(), full.min())
+            assert set(np.flatnonzero(full <= least + tol).tolist()) <= set(keep.tolist())
+        assert filtered > 0 and kept < total
+
+    def test_pinned_words_pass_the_prefilter(self, prefilter_everywhere):
+        # the pinned decodes of the seven MIM codes, with every top table of
+        # three rows prefiltered, the smallest included
+        test_decoded_words_are_pinned()
+
+
+class TestPatterns:
+    """``_patterns``' flip-set tables and pair index, against a
+    ``combinations`` reference."""
+
+    @staticmethod
+    def reference(k: int, weights: range, width: int) -> np.ndarray:
+        cols = [c + (k,) * (width - len(c)) for t in weights for c in combinations(range(k), t)]
+        return np.array(cols, dtype=np.intp).reshape(-1, width).T
+
+    @pytest.mark.parametrize("k, order", [(k, t) for k in (0, 1, 2, 3, 5, 12, 24) for t in range(5)]
+                             + [(64, 3)])
+    def test_tables_match_combinations(self, k, order):
+        low, top, pairs = osd._patterns.__wrapped__(k, order)
+        for got, want in ((low, self.reference(k, range(order), max(order - 1, 2))),
+                          (top, self.reference(k, range(order, order + 1), max(order, 2)))):
+            assert got.dtype == np.intp and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
+        if order > 2:
+            assert np.array_equal(pairs, top[0] * (k + 1) + top[1])
+        else:
+            assert pairs is None
+
+    def test_peak_memory_is_near_the_tables(self):
+        # building the 1.4 MB of tables and pair index of k = 64, order 3
+        # holds no Python tuple per flip set
+        tracemalloc.start()
+        try:
+            out = osd._patterns.__wrapped__(64, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(t.nbytes for t in out)
