@@ -70,7 +70,7 @@ def truncate2(x: float) -> float:
     return math.trunc(x * 100) / 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Bound values and violation flags attached to one estimate."""
 

@@ -4,9 +4,9 @@ All constructors return a LinearCode whose generator matrix is in
 systematic form [I_k | P] (cyclic constructions are systematized; the
 double-circulant families are systematic by shape).  The cyclic rows
 x^i g(x), with g(0) = 1, are unit upper triangular on columns 0..k-1, so
-systematization takes pivots 0..k-1 and permutes no column: a BCH or QR
-code's ``column_permutation`` is the identity, and the stored generator
-spans the cyclic code itself.
+systematization takes pivots 0..k-1 and permutes no column, so a BCH or
+QR record keeps no column permutation, and the stored generator spans the
+cyclic code itself.
 
 ``identify`` owns what a generator proves: that the code is BCH or QR, and
 a lower bound on its distance.  ``LinearCode`` runs it once, keeps the
@@ -156,7 +156,7 @@ def build_bch(m: int, t: int) -> LinearCode:
         raise ValueError(
             f"generator polynomial absorbs the whole length: deg g = {g.degree} >= n = {n}"
         )
-    gen, perm = systematize(_cyclic_generator(g, n))
+    gen, _ = systematize(_cyclic_generator(g, n))
     return LinearCode(
         n,
         k,
@@ -167,7 +167,6 @@ def build_bch(m: int, t: int) -> LinearCode:
             "t": t,
             "generator_poly": g.bits,
             "primitive_poly": PRIMITIVE_POLYS[m],
-            "column_permutation": perm,
         },
     )
 
@@ -258,7 +257,7 @@ def build_qr(p: int) -> LinearCode:
     """
     g = qr_generator_poly(p)
     n, k = p, (p + 1) // 2
-    gen, perm = systematize(_cyclic_generator(g, n))
+    gen, _ = systematize(_cyclic_generator(g, n))
     return LinearCode(
         n,
         k,
@@ -267,7 +266,6 @@ def build_qr(p: int) -> LinearCode:
         metadata={
             "p": p,
             "generator_poly": g.bits,
-            "column_permutation": perm,
         },
     )
 

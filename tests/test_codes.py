@@ -16,6 +16,7 @@ from mindist import mim, oracle
 from mindist.cli import EXIT_OK, main
 from mindist.codes import (
     LinearCode,
+    _cyclic_generator,
     build_bch,
     build_dcc,
     build_qdc,
@@ -26,7 +27,7 @@ from mindist.codes import (
     save_code,
 )
 from mindist.errors import RankError
-from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, xor_rows
+from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, systematize, xor_rows
 from mindist.oracle import exact_min_distance
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -168,10 +169,13 @@ CYCLIC += [(f"qr{p}", lambda p=p: build_qr(p)) for p in (7, 17, 23, 31, 41, 47, 
 def test_cyclic_column_permutation_is_the_identity(make):
     # the rows x^i g(x), with g(0) = 1, are unit upper triangular on
     # columns 0..k-1: systematization takes those pivots and swaps nothing,
-    # so the stored generator spans the cyclic code itself
+    # so the record keeps no permutation and the stored generator spans the
+    # cyclic code itself
     code = make()
     n, k = code.n, code.k
-    assert code.metadata["column_permutation"] == tuple(range(n))
+    _, perm = systematize(_cyclic_generator(BinPoly(code.metadata["generator_poly"]), n))
+    assert perm == tuple(range(n))
+    assert "column_permutation" not in code.metadata
     cyclic = tuple(code.metadata["generator_poly"] << i for i in range(k))
     assert BitMatrix(n, code.generator.rows + cyclic).rank() == k
 

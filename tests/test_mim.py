@@ -1,19 +1,21 @@
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mindist import mim, oracle
+from mindist import mim, oracle, osd
 from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr
 from mindist.gf2 import BitMatrix, BitWord
 from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
-from mindist.osd import OsdDecoder, hard_decision
+from mindist.osd import OsdDecoder, hard_decision, most_reliable_basis
 from mindist.results import validate_result
 
-from test_osd import zero_certified
+from test_osd import MIM_CODES, reference_decode, zero_certified
 
 
 class TestMakePattern:
@@ -135,7 +137,17 @@ class TestImpulseCertificate:
             (2, (2.5, 1.0, 1.0), True),  # the same floor against 1.5
             (2, (2.0, 2.0), True),  # |y| = 1 ties the untouched positions: 2.0 < 3.0
             (3, (2.0, 2.0, 2.0), False),  # 3.0 against a floor of 2.0
-            (2, (1.5, 1.5, 1.5), False),  # P = order + 1
+            # P = order + 1, but the three 0.5 samples rank below the 12
+            # untouched positions, outside the window of n - d_lb + 1 = 11
+            (2, (1.5, 1.5, 1.5), True),
+            # two 1.0 samples tie the 13 untouched ones: ties count as
+            # inside the window, so both may be on the MRB
+            (1, (2.0, 2.0), False),
+            # e = d_lb impulses leave 10 untouched positions, so the two
+            # 0.5 samples rank inside the window: 1.0 < 1.5 is no use there
+            (1, (1.5, 1.5, 0.5, 0.5, 0.5), False),
+            # e = d_lb - 1: they rank below the 11 untouched positions
+            (1, (1.5, 1.5, 0.5, 0.5), True),
             (5, (1.25,) * 5, False),  # P = d_lb, need = 0
             (4, (1.0625,) * 4 + (0.5,), True),  # need = 1: 0.25 against 0.5
             (4, (1.25,) * 4 + (0.5,), False),  # need = 1: 1.0 against 0.5
@@ -152,6 +164,38 @@ class TestImpulseCertificate:
         got = mim._certified(decoder, 15, amplitudes)
         assert got == want
         assert self.dense(decoder, apply_pattern(15, positions, amplitudes)) == want
+
+    @pytest.mark.parametrize("name", list(MIM_CODES))
+    def test_window_holds_the_mrb(self, name):
+        """MIM probes of every amplitude level on the seven MIM codes: the
+        MRB holds no more samples above 0 than ``_in_window`` counts, and
+        every probe the window certifies with more than ``order`` of them
+        decodes to the zero word.  The first three do so in
+        ``reference_decode`` too, whose brute force is slow at k = 64."""
+        code = MIM_CODES[name]()
+        n, k = code.n, code.k
+        decoder = OsdDecoder(code, order=3)
+        cfg = MimConfig.for_code(code)
+        rng = random.Random(name)
+        windowed = []
+        for amplitude in range(2, cfg.d1 + 1):
+            for nb_error in range(cfg.error_max, 0, -1):
+                positions, amplitudes = make_pattern(n, nb_error, amplitude + 0.5, rng)
+                on = [-1.0 + a for a in amplitudes if a > 1.0]
+                if len(on) <= decoder.order:
+                    continue
+                off = [abs(-1.0 + a) for a in amplitudes if a <= 1.0]
+                y = apply_pattern(n, positions, amplitudes)
+                _, perm = most_reliable_basis(code, y)
+                inside = osd._in_window(on, off, n - nb_error, decoder._window)
+                assert sum(y[p] > 0 for p in perm[:k]) <= inside
+                if mim._certified(decoder, n, amplitudes):
+                    windowed.append(y)
+        assert windowed
+        for y in windowed:
+            assert decoder.decode(y) == BitWord(n)
+        for y in windowed[:3]:
+            assert reference_decode(code, y, decoder.order) == BitWord(n)
 
     @pytest.mark.parametrize("make", [lambda: build_qdc(11), lambda: build_qr(41), lambda: build_bch(6, 7)],
                              ids=["qdc24", "qr41", "bch63"])
@@ -360,3 +404,29 @@ class TestRun:
         cfg = MimConfig(**{"d0": 1, "d1": 5, "nb_test": 2, "error_max": 4, field: value})
         with pytest.raises(ValueError, match=field):
             cfg.validate(24)
+
+
+def test_retained_record_size():
+    """30 one-trial BCH(127,64) records, each kept with its ``to_json``
+    text, as a caller that keeps its results holds them.  At 3,300 bytes a
+    record the bound fails with the identity column permutation in the
+    code's params (about 5,300) and without the slotted BitWord,
+    BoundReport and DistanceEstimate (about 3,380); about 3,100 pass."""
+    code = build_bch(7, 10)
+
+    def record(seed):
+        cfg = MimConfig.for_code(code, nb_test=1, error_max=20, osd_order=3, rng_seed=seed)
+        est = run(code, cfg)
+        return est, est.to_json()
+
+    record(0)  # the decoder's and the bound's caches are not the records'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [record(seed) for seed in range(1, 31)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 30 and retained < 30 * 3300

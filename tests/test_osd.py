@@ -412,8 +412,10 @@ class TestZeroCertificate:
         assert dec.decode(y) == reference_decode(self.CODE, y, 2)
 
     def test_more_positives_than_order_falls_through(self):
-        # zero costs 2.0 < 3.0, but with P = order + 1 its MRB part is
-        # order + 1 flips from the hard decisions, so it is no candidate
+        # zero costs 2.0 < 3.0, but the two 1.0 samples tie the untouched
+        # positions, so both count as inside the window that holds the
+        # MRB: the zero word may be order + 1 MRB flips from the hard
+        # decisions (here it is), so it is no candidate
         y = self.word(1.0, 1.0)
         dec = OsdDecoder(self.CODE, order=1)
         assert not zero_certified(dec, y)
@@ -897,15 +899,19 @@ class TestPatterns:
         low, top, pairs = osd._patterns.__wrapped__(k, order)
         for got, want in ((low, self.reference(k, range(order), max(order - 1, 2))),
                           (top, self.reference(k, range(order, order + 1), max(order, 2)))):
-            assert got.dtype == np.intp and got.flags.c_contiguous
+            # the Gram kernel reads a two-row table as the flat index
+            # i (k + 1) + j; a wider one is compact
+            assert got.dtype == (np.intp if len(want) == 2 else np.min_scalar_type(k))
+            assert got.flags.c_contiguous
             assert got.shape == want.shape and np.array_equal(got, want)
         if order > 2:
-            assert np.array_equal(pairs, top[0] * (k + 1) + top[1])
+            assert pairs.dtype == np.min_scalar_type((k + 1) ** 2)
+            assert np.array_equal(pairs, top[0].astype(np.intp) * (k + 1) + top[1])
         else:
             assert pairs is None
 
     def test_peak_memory_is_near_the_tables(self):
-        # building the 1.4 MB of tables and pair index of k = 64, order 3
+        # building the 240 KB of tables and pair index of k = 64, order 3
         # holds no Python tuple per flip set
         tracemalloc.start()
         try:
