@@ -137,6 +137,15 @@ class TestImpulseCertificate:
             (2, (2.5, 1.0, 1.0), True),  # the same floor against 1.5
             (2, (2.0, 2.0), True),  # |y| = 1 ties the untouched positions: 2.0 < 3.0
             (3, (2.0, 2.0, 2.0), False),  # 3.0 against a floor of 2.0
+            (2, (2.5, 2.5, 2.5), False),  # P = order + 1, all ranked above the untouched positions
+            (5, (1.25,) * 5, False),  # P = d_lb, need = 0
+            (4, (1.0625,) * 4 + (0.5,), True),  # need = 1: 0.25 against 0.5
+            (4, (1.25,) * 4 + (0.5,), False),  # need = 1: 1.0 against 0.5
+            (2, (1.5, 0.5), True),  # fewer weak impulses than need
+            (2, (0.5, 0.5), True),  # P = 0: the zero word costs 0
+            (2, (1.25,) + (0.25,) * 12, True),  # n - e = 2 < need: 0.25 against 3 * 0.75 + 1
+            (2, (4.25,) + (0.25,) * 12, False),  # 3.25 against the same floor
+            (2, (1.25,) + (0.25,) * 14, True),  # e = n: no untouched position
             # P = order + 1, but the three 0.5 samples rank below the 12
             # untouched positions, outside the window of n - d_lb + 1 = 11
             (2, (1.5, 1.5, 1.5), True),
@@ -148,14 +157,6 @@ class TestImpulseCertificate:
             (1, (1.5, 1.5, 0.5, 0.5, 0.5), False),
             # e = d_lb - 1: they rank below the 11 untouched positions
             (1, (1.5, 1.5, 0.5, 0.5), True),
-            (5, (1.25,) * 5, False),  # P = d_lb, need = 0
-            (4, (1.0625,) * 4 + (0.5,), True),  # need = 1: 0.25 against 0.5
-            (4, (1.25,) * 4 + (0.5,), False),  # need = 1: 1.0 against 0.5
-            (2, (1.5, 0.5), True),  # fewer weak impulses than need
-            (2, (0.5, 0.5), True),  # P = 0: the zero word costs 0
-            (2, (1.25,) + (0.25,) * 12, True),  # n - e = 2 < need: 0.25 against 3 * 0.75 + 1
-            (2, (4.25,) + (0.25,) * 12, False),  # 3.25 against the same floor
-            (2, (1.25,) + (0.25,) * 14, True),  # e = n: no untouched position
         ],
     )
     def test_matches_the_dense_test(self, order, amplitudes, want):
