@@ -63,15 +63,15 @@ weight below the order.  The second covers the flip sets of weight equal
 to the order, and runs only when the sum of the ``order`` least reliable
 MRB positions is at most the base cost (that of the re-encoded hard
 decisions) plus the least cost found so far plus twice the tie tolerance
-below, and the post-order certificate below does not end the decode.  Any
-such candidate differs from the hard decisions at its flipped MRB
-positions, so that sum is a floor on its exact cost; when the floor is
-higher, no candidate of the top order can come within the tolerance of the
-least cost, and skipping the order leaves the decoded word unchanged.  On
-impulse words (the all-zero word plus a few strong samples) most decodes
-skip it, and the top order holds most of the flip sets.  Where the second
-pass runs on a lookup-table top table, a prefilter below first drops the
-flip sets that cannot come that close, one by one.
+below (the floor skip).  Any such candidate differs from the hard
+decisions at its flipped MRB positions, so that sum is a floor on its
+exact cost; when the floor is higher, no candidate of the top order can
+come within the tolerance of the least cost, and skipping the order leaves
+the decoded word unchanged.  On impulse words (the all-zero word plus a
+few strong samples) most decodes skip it, and the top order holds most of
+the flip sets.  Where the second pass runs on a lookup-table top table, a
+prefilter below first drops the flip sets that cannot come that close, one
+by one.
 
 Those costs are rounded in an order of their own (a BLAS matmul's, for
 the Gram costs), so they only pick the candidates within a tolerance tol
@@ -84,80 +84,18 @@ exact cost minus base, and the least scored cost is at least the least
 exact cost minus base minus tol / 2.  The decoded word is thus a function
 of the received word alone, whatever order the sums were taken in.
 
-Two certificates prove that a candidate is the word full reprocessing
-returns.  Both rest on one test.  Let c be a candidate, D1 the positions
-where it differs from the hard decisions, and d_lb a lower bound on the
-minimum distance, ``oracle.lower_bound(code)``: the bound of a search
-capped at 2^``oracle.LOWER_BOUND_BUDGET`` combinations that starts from
-the ``lower`` of the code's ``identity`` (the BCH or square-root bound,
-from the generator), run once per code.  It is d on every criterion-4
-code, where the identity alone gives 1 to QDC(24,12) and 9 to QR(73,37),
-against d = 8 and 13; the larger d_lb, the more often both tests below hold.
-Any other codeword differs from c at d_lb or more positions
-(their XOR is a nonzero codeword), at most |D1| of them in D1, so at
-need = d_lb - |D1| or more positions outside D1.  There c agrees with
-the hard decisions and the other codeword does not, so each such
-position adds its |y_i| to that codeword's cost, which is therefore at
-least the sum of the need smallest |y_i| outside D1.  The test is that
-c's exact cost, the ``fsum`` of |y_i| over D1, is strictly below the
-``fsum`` of that floor; it fails outright when need <= 0.  Correct
-rounding is monotone: the strict test on the two rounded sums implies it
-on the real sums, and every other codeword's rounded exact cost is at
-least the rounded floor, so above c's.  c is then the unique codeword of
-least exact cost.  Full reprocessing would return it: its scored cost
-lies within tol / 2 of its exact cost minus base, and any candidate of
-lower scored cost has a higher exact cost, so c lies within tol of the
-least scored cost, in the near set, where exact costs decide.
-
-The zero certificate is MIM's test, run before a word is built: c is the
-all-zero word, and D1 the P positions whose samples are above 0.  The
-zero word is a candidate when at most ``order`` of them lie on the MRB:
-it is then that many MRB flips from the hard decisions.  The MRB lies
-within the window of the n - d_lb + 1 most reliable positions.  Any n - d
-+ 1 columns of the generator have rank k: a codeword that is 0 on them
-has weight d - 1 or less, so it is 0, and so is its message (MacWilliams
-and Sloane, *The Theory of Error-Correcting Codes*, ch. 1).  The walk in
-reliability order has thus taken its k pivots by its (n - d + 1)-th
-column, and d_lb <= d.  A sample v above 0 can rank in the window only
-when fewer than n - d_lb + 1 of all the magnitudes are strictly above v.
-Ties count as inside, so the test holds whichever way the stable sort
-breaks them.  The zero word is a candidate when at most ``order`` of the
-P samples can rank in the window; with P <= order it always is.  The
-floor test is then the one above, with need = d_lb - P over every sample
-above 0.  ``zero_certified`` takes the samples above 0 and the other
-magnitudes, so it needs no word: MIM asks it of each probe's impulse list
-(the all-zero channel word plus a few impulses, ``mim._certified``), and
-decodes only the probes it does not certify.  On such a list most
-magnitudes are the 1.0 of the untouched positions, so impulses of 1 < a <
-2 (samples below 1.0) fall out of the window unless there are d_lb or
-more impulses, which leave fewer untouched positions than the window
-holds.  ``decode`` does not run it: every word it is given is
-reduced and scored.
-
-The post-order certificate runs after the flip sets of weight below the
-order, and only where the floor test above would score the top order: c
-is the codeword of the scored flip set of least cost (Taipale and
-Pursley, IEEE T-IT 1991; Fossorier and Lin, IEEE T-IT 1995).  When it
-holds, the decode returns c and skips the top order and the tie-break.
-c is built once, as an int codeword, and D1 is c ^ h, with h the hard
-decisions packed once per decode; when the test holds, that same c is
-returned.  The size of D1, a popcount, comes first: with a weak bound need
-is often at most 0 (with |D1| >= d_lb), and the test then ends before the
-floor is gathered.
-
-The top-order prefilter runs next, where the post-order certificate does
-not end the decode, on a top table of three or more rows and at least
-``_PREFILTER_MIN`` flip sets.  It bounds the cost of each flip set F from
-below and scores only those whose bound is within least + 2 tol.  Let A
-and D be the parity positions where c0 agrees and disagrees with the hard
-decisions, and a and d the numbers of them that F's parity change x_F
-flips.  F's exact cost minus base is the sum of its ``order`` flipped MRB
-reliabilities, at least floor (the sum of the ``order`` smallest), plus
-the |y_j| of its a flips on A, at least SA[a], the sum of the a smallest
-|y_j| on A, minus the |y_j| of its d flips on D, at most SD[d], the sum of
-the d largest on D.  So LB(F) = floor + SA[a] - SD[d] is a floor on it;
-the floor test above is its weakest case, a = 0 and d = |D|, as SD[|D|]
-= base.
+The top-order prefilter runs where the floor skip scores the top order, on
+a top table of three or more rows and at least ``_PREFILTER_MIN`` flip
+sets.  It bounds the cost of each flip set F from below and scores only
+those whose bound is within least + 2 tol.  Let A and D be the parity
+positions where c0 agrees and disagrees with the hard decisions, and a and
+d the numbers of them that F's parity change x_F flips.  F's exact cost
+minus base is the sum of its ``order`` flipped MRB reliabilities, at least
+floor (the sum of the ``order`` smallest), plus the |y_j| of its a flips on
+A, at least SA[a], the sum of the a smallest |y_j| on A, minus the |y_j| of
+its d flips on D, at most SD[d], the sum of the d largest on D.  So LB(F) =
+floor + SA[a] - SD[d] is a floor on it; the floor skip is its weakest case,
+a = 0 and d = |D|, as SD[|D|] = base.
 
 The test is on integers: limit[d] counts the a with SA[a] <= fl(SD[d] +
 fl(fl(least + 2 tol) - floor)) in floats (SA is non-decreasing from
@@ -180,6 +118,55 @@ the pair index that ``_patterns`` caches with the tables, and XORs in the
 other rows of each flip set; a + d is the popcount of x_F and d that of
 x_F on D.  On the top-order decodes of seeded BCH(127,64) MIM words at
 most about 500 of the 41,664 flip sets survive, and mostly a few dozen.
+
+The zero certificate (``zero_certified``) proves, with no word built, that
+the all-zero word is the word full reprocessing returns.  It is MIM's
+test: ``decode`` does not run it, and every word it is given is reduced
+and scored.  Let D1 be the P positions whose samples are above 0, where
+the zero word differs from the hard decisions, and d_lb a lower bound on
+the minimum distance, ``oracle.lower_bound(code)``: the bound of a search
+capped at 2^``oracle.LOWER_BOUND_BUDGET`` combinations that starts from
+the ``lower`` of the code's ``identity`` (the BCH or square-root bound,
+from the generator), run once per code.  It is d on every criterion-4
+code, where the identity alone gives 1 to QDC(24,12) and 9 to QR(73,37),
+against d = 8 and 13; the larger d_lb, the more often the test holds.
+
+The zero word is a candidate when at most ``order`` of D1 lie on the MRB:
+it is then that many MRB flips from the hard decisions.  The MRB lies
+within the window of the n - d_lb + 1 most reliable positions.  Any n - d
++ 1 columns of the generator have rank k: a codeword that is 0 on them
+has weight d - 1 or less, so it is 0, and so is its message (MacWilliams
+and Sloane, *The Theory of Error-Correcting Codes*, ch. 1).  The walk in
+reliability order has thus taken its k pivots by its (n - d + 1)-th
+column, and d_lb <= d.  A sample v above 0 can rank in the window only
+when fewer than n - d_lb + 1 of all the magnitudes are strictly above v.
+Ties count as inside, so the test holds whichever way the stable sort
+breaks them.  The zero word is a candidate when at most ``order`` of the
+P samples can rank in the window; with P <= order it always is.
+
+Every other codeword is nonzero, so it has d_lb or more 1s, at most P of
+them in D1, and so need = d_lb - P or more outside D1.  There the zero
+word agrees with the hard decisions and that codeword does not, so each
+such position adds its |y_i| to that codeword's cost: every other
+codeword costs at least the floor, the sum of the need smallest |y_i|
+outside D1.  The test is that the zero word's exact cost, the ``fsum`` of
+|y_i| over D1, is strictly below the ``fsum`` of the floor; it fails
+outright when need <= 0.  Correct rounding is monotone: the strict test on
+the two rounded sums implies it on the real sums, and every other
+codeword's rounded exact cost is at least the rounded floor, so above the
+zero word's.  The zero word is then the unique codeword of least exact
+cost.  Full reprocessing would return it: its scored cost lies within
+tol / 2 of its exact cost minus base, and any candidate of lower scored
+cost has a higher exact cost, so it lies within tol of the least scored
+cost, in the near set, where exact costs decide.
+
+``zero_certified`` takes the samples above 0 and the other magnitudes, so
+it needs no word: MIM asks it of each probe's impulse list (the all-zero
+channel word plus a few impulses, ``mim._certified``), and decodes only
+the probes it does not certify.  On such a list most magnitudes are the
+1.0 of the untouched positions, so impulses of 1 < a < 2 (samples below
+1.0) fall out of the window unless there are d_lb or more impulses, which
+leave fewer untouched positions than the window holds.
 """
 
 from __future__ import annotations
@@ -543,18 +530,6 @@ def _cold_reduce(rows: Sequence[int], cols: list[int]) -> tuple[list[int], list[
     return rows, piv + [c for c in cols if c not in taken]
 
 
-def _beats_floor(on: list[float], off: list[float], need: int) -> bool:
-    """Whether the ``fsum`` of ``on`` is below the ``fsum`` of the ``need``
-    smallest entries of ``off``, for 0 < need <= len(off).
-
-    Both certificates end in this test: ``on`` holds the |y_i| where a
-    candidate differs from the hard decisions and ``off`` the other |y_i|,
-    and every other codeword differs from the candidate at ``need`` or more
-    of the ``off`` positions.
-    """
-    return math.fsum(on) < math.fsum(sorted(off)[:need])
-
-
 def _in_window(on: list[float], off: list[float], ones: int, window: int) -> int:
     """How many of ``on`` may rank among the ``window`` most reliable
     positions of a word whose magnitudes are ``on``, ``off`` and, at
@@ -602,18 +577,14 @@ class OsdDecoder:
     position order, the re-encoded hard decisions XORed with the rows of
     its flip set.
 
-    d_lb is ``oracle.lower_bound(code)``, d itself on the criterion-4
-    codes, computed once per code.  Where the top order would be
-    scored, the best flip set c of lower weight returns without it when
-    its cost is below the sum of the d_lb - |D1| smallest magnitudes off
-    D1, the positions where c differs from the hard decisions (c ^ h, with
-    h the hard decisions packed once): that sum is a floor on the cost of
-    every other codeword.  ``zero_certified`` is
-    the same test on the all-zero word, for MIM's impulse lists; the zero
-    word is a candidate there when at most ``order`` samples above 0 can
-    rank among the n - d_lb + 1 most reliable positions.  The
-    module docstring has the proofs, rounding included.  The decoded word
-    is the one full reprocessing returns.
+    ``zero_certified`` proves, for MIM's impulse lists, that the all-zero
+    word is the decoded word, with d_lb = ``oracle.lower_bound(code)``, d
+    itself on the criterion-4 codes, computed once per code: the zero
+    word is a candidate when at most ``order`` samples above 0 can rank
+    among the n - d_lb + 1 most reliable positions, and its cost is below
+    a floor on the cost of every other codeword.  The module docstring
+    has the proofs, rounding included.  The decoded word is the one full
+    reprocessing returns.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -648,7 +619,7 @@ class OsdDecoder:
             return False
         if ones:
             off = off + [1.0] * min(ones, need)
-        return _beats_floor(on, off, need)
+        return math.fsum(on) < math.fsum(sorted(off)[:need])
 
     def decode(self, y: np.ndarray | Sequence[float]) -> BitWord:
         k, n = self.code.k, self.code.n
@@ -691,14 +662,7 @@ class OsdDecoder:
 
         low, top, pairs = self._patterns
         scored = [(low, score(low))] if order else []
-        least, pick = math.inf, None
-        for pat, costs in scored:
-            i = int(np.argmin(costs))
-            if costs[i] < least:
-                least, pick = float(costs[i]), pat[:, i]
-
-        def word(flips: Sequence[int]) -> int:
-            return c0 ^ xor_rows(rows, sum(1 << i for i in flips if i < k))
+        least = float(scored[0][1].min()) if scored else math.inf
 
         # Score the weight-order flip sets only if one of them can come
         # within tol of the least cost.  Such a candidate differs from the
@@ -715,20 +679,6 @@ class OsdDecoder:
         floor = math.fsum(abs_y[perm[k - order : k]].tolist())
         base = math.fsum(abs_y[off0].tolist())
         if floor <= base + least + 2.0 * tol:
-            # Unless the post-order certificate holds: c, the codeword of
-            # least cost so far, differs from the hard decisions on D1, and
-            # every other codeword differs from c at d_lb or more positions,
-            # need or more of them outside D1.  When c's exact cost is
-            # below the sum of the need smallest |y_i| there, c is the
-            # decoded word (module docstring).
-            if pick is not None:
-                c = word(pick.tolist())
-                d1 = c ^ h_bits
-                need = self._d_lb - d1.bit_count()
-                if need > 0:
-                    on = unpack_rows([d1], n)[0].view(bool)
-                    if _beats_floor(abs_y[on].tolist(), abs_y[~on].tolist(), need):
-                        return BitWord(n, c)
             if pairs is not None and top.shape[1] >= _PREFILTER_MIN:
                 # the prefilter: a flip set that flips a parity bits where
                 # c0 agrees with the hard decisions and d where it does not
@@ -745,7 +695,7 @@ class OsdDecoder:
                 least = min(least, float(scored[-1][1].min()))
 
         words = [
-            word(flips)
+            c0 ^ xor_rows(rows, sum(1 << i for i in flips if i < k))
             for pat, costs in scored
             for flips in pat[:, np.flatnonzero(costs <= least + tol)].T.tolist()
         ]

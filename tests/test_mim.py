@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -306,6 +308,141 @@ class TestCertifiedStop:
         monkeypatch.setattr(mim, "lower_bound", no_stop)
         assert est.d == 16
         assert strip_times(est.events) == strip_times(run(code, cfg).events)
+
+
+# The seeded records of the seven MIM codes, two trials each: d, the witness
+# bits and the sha256 of the events without their times.  The decoder's
+# shortcuts (the floor skip, the prefilter) and MIM's zero certificate each
+# return the word that full reprocessing returns, so no change to them, nor
+# the BLAS thread count, may move a record.
+SEEDED_RECORDS = {
+    ("qdc24", 0): (8, 0xac0506,
+                   "aa1cccc444131e2a08193171b1a62539b3cefd1649204e660a172a3e2e7785a2"),
+    ("qdc24", 1): (8, 0x6c800d,
+                   "1800b9aa447e4352cfec1b76d0305980d32f0bec8b8f70f859107671df0f5f4c"),
+    ("qdc24", 2): (8, 0x870846,
+                   "4a473e7d3036fd281db111d9694474964e8e68a573e8aa4801d564cf9595e93f"),
+    ("qdc24", 3): (8, 0x35c05,
+                   "97781c574e11eae7cf9902290b6797b08e49512ab3960970ec79508819247a7f"),
+    ("qdc24", 4): (8, 0x830929,
+                   "b12dd5bd9b0fa5315ab5e41ecb9d570a5f33008c74ab5dee46233cae05862876"),
+    ("qdc24", 5): (8, 0x93600c,
+                   "810676a22bf1c9eab138ece485a5bfe72761096b111f4644502b2860a21c70d1"),
+    ("qdc24", 6): (8, 0x4610c5,
+                   "7aab615e05b3152698753d708b389c38390cbc4863a77328568a9922dc4f1350"),
+    ("qdc24", 7): (8, 0xc452a0,
+                   "4ac82f4222713e52c9e78210b21cb38729e7e4e6cf975b6ded13f60c394ac24d"),
+    ("qr41", 0): (9, 0xa403804a00,
+                  "609e1ca15ea0ff25328e1411342f2f01a2a0639df9822016195c2515b396e65f"),
+    ("qr41", 1): (9, 0x84060c1808,
+                  "471e40c3eb97fbf6d80a6fef5a0ff3e9fab755ab5cf2eed0143ac2c3b795c17b"),
+    ("qr41", 2): (9, 0xb200013410,
+                  "99e52a5c2a870be5548f099c5f97cc159f1e009956501926ff363afd94917127"),
+    ("qr41", 3): (9, 0xa808101508,
+                  "51196be4f42cd026f7183c481a2ae337d6931cfe0621a53f34c1c36db111db27"),
+    ("qr41", 4): (9, 0xb268020100,
+                  "e27a558d5160905270038d31eeb17c0854c4b3dd3336163885b40e004352933f"),
+    ("qr41", 5): (9, 0xc180842030,
+                  "d6b3893805f1edae651b37da693fb83fa275aa9f3e8ec6cb1f628e32c9d7a907"),
+    ("qr41", 6): (9, 0xe408090102,
+                  "a26041b0d0adf0d63a750a45144ed8d1bc1d8402310d80200c7091798c0b784a"),
+    ("qr41", 7): (9, 0x10202a10a80,
+                  "989d758a53895e8f04deb3e8ba646744c1ca8db3006d2fcaf1ad89c2ea725302"),
+    ("qr47", 0): (11, 0x6aa140201010,
+                  "ed3900db4fc98058428091ccffc5d576fbe7794b2121a6e5629957701760a6a2"),
+    ("qr47", 1): (11, 0x58080a040838,
+                  "565bc9cb63dc3db51a29da4ff57e169675f15883ecd2c9e460fc2231fdc98bea"),
+    ("qr47", 2): (11, 0x35b000090440,
+                  "990fedddb6e90ac9ba9b84221d437819ef4c5526646a3aefac3d3279c806efc9"),
+    ("qr47", 3): (11, 0x60113e02004,
+                  "9fccad45e1d17df2031415841c2974d3813f7268e98377e972ef882f64225b3f"),
+    ("qr47", 4): (11, 0x102c044108a8,
+                  "c70590517629946d021cb67364b90efeb763d8afa827cf8b45dac56baabcc1c2"),
+    ("qr47", 5): (11, 0x4300d1021810,
+                  "74899fe1599cb3885bd233a82f82c83060723fb3dd5afef08d502211fc439503"),
+    ("qr47", 6): (11, 0x1b0201230802,
+                  "7e16217431210f4360c131f30d44814c2c1744cf5c71aab95e973948a32c1c9f"),
+    ("qr47", 7): (11, 0x5003030c841,
+                  "967ab78e0b2a74d845b50467ac0f49a156732ea991c804f2a05378bfa2f39466"),
+    ("qr73", 0): (13, 0x402c40006060002340,
+                  "28184bc0707a66f2e4ca8c81b42d74f78d7644ebbe7487a5ac55d5141a65e8dd"),
+    ("qr73", 1): (13, 0x1800b00806800c20010,
+                  "b73b11e46ec3dc92d1e09a9906635c10cdefb07977ad8256958bd558873d384a"),
+    ("qr73", 2): (13, 0x519314108000000108,
+                  "1466e541f256f2ec8d889fac232110d56b092ccc2249a68484284a55498ba423"),
+    ("qr73", 3): (13, 0x4027900801011101,
+                  "2d92a51e45908520d2975f9c867910a260e974b6efaa5dfa02f89e0e7ab926f6"),
+    ("qr73", 4): (14, 0x1210141404240840840,
+                  "1e0b0b8281c99d9cf8f9b29517a7523c96073c63239c4592dfda7d34cb62e42c"),
+    ("qr73", 5): (13, 0xd56400010090080002,
+                  "d5f2b6dd44457ccaa77307ee42a2fd7f9d3eb53f545a016302d359b8d7253513"),
+    ("qr73", 6): (13, 0x9aac800020120100,
+                  "a9a69770c8e2b8ff4429402a7caf0fcadbf15da42798bc43835ff12c9dae58ae"),
+    ("qr73", 7): (13, 0x1355900004024020000,
+                  "44fc7ec683f4cdfcf453c8b769af8f89f19fbd2f7c62013ecbf8396f7d8730bf"),
+    ("bch63_24", 0): (15, 0x20244b60008812c,
+                      "a2da7ca1a0123e4c4e2e1afe750ae4b7fe88a24ba9592bdbb60b4c7f8fe5d4bc"),
+    ("bch63_24", 1): (15, 0xa86b80500012050,
+                      "993aaf3fb06517f84049103986f9bc7d0deb3fc3cc50db78077610180939837f"),
+    ("bch63_24", 2): (15, 0x4740089100888029,
+                      "ff450e99f5a3a01b49e724ca10f1b6d9e2c38d371494ab7943da165c0d3c7583"),
+    ("bch63_24", 3): (16, 0x1421002a444a4221,
+                      "a89b1393301d2f3fa9270a87fd5a13f1467972aef21a6d251c4b16b5b1ff54aa"),
+    ("bch63_24", 4): (15, 0x1808639e00040024,
+                      "22e9361e6630fe9c816d766c79db2e8178b0ea9be451118f3ff1e1cd43e359f8"),
+    ("bch63_24", 5): (15, 0x16c0011025808091,
+                      "93e2fae9a0b1e6746f78037587f780e889b60dd89e3008405b64e7f0c730f277"),
+    ("bch63_24", 6): (15, 0x1202431c054089,
+                      "228a3ed401f2c6ccf50acd7d1465d1b343c26cb268074883681f8c32898fa79d"),
+    ("bch63_24", 7): (15, 0x50c014c00244434,
+                      "ccf4d1c65c2fec03ac0b5b94cd2b74e5e1742f9e1b62018d6023cbe173cc9cc2"),
+    ("bch63_36", 0): (11, 0x8094c001088300,
+                      "a4db630624a908e438d2be8eceb9832881fc4cff168bab77132c50e2ba578e28"),
+    ("bch63_36", 1): (11, 0x2600205000044540,
+                      "847262999a8e9b9623091bc19491abd8ea6fadad19a75a71188bae090a5ccf90"),
+    ("bch63_36", 2): (11, 0x4a44080100588000,
+                      "ff1da3ed40b4d1ed7e9b1a70c4565beda5ccb8a38900a30d799e77c67f0d4231"),
+    ("bch63_36", 3): (11, 0x8912c0802102000,
+                      "6e42a8db8a9249f7630f178a06c3a60262854c446fd365edfee741bf6ef81501"),
+    ("bch63_36", 4): (11, 0x20020ae420004008,
+                      "daf65e7888d75cb5f717f081385cbdc44b55c5f7d26649607f062f246181f01f"),
+    ("bch63_36", 5): (11, 0x524000401403401,
+                      "bb9fd911fb4a780a427428481df3277e9880e9da03cf0b76592c8f74aeffd258"),
+    ("bch63_36", 6): (11, 0x214302060090001,
+                      "b26112cfe2cc98f6d3c2e70e61ec90a8ce2ad9a2f651f83833be1b2bcffe7964"),
+    ("bch63_36", 7): (11, 0x140200a2a2000808,
+                      "408d10017c14f7cf81b882098d4c4af882f01b4ff92a257899eb2c093c4ae7a8"),
+    ("bch127", 0): (23, 0x4700270c410a08c00800008028022000,
+                    "af5cf13da1352665461f45eef0430b26c8694a5f3b7f9f62ffa3049e3949c423"),
+    ("bch127", 1): (23, 0x4b05104e012d80440080002000020200,
+                    "06a9acb9bd4df3fa6d6a0020a01c6e9c0576fea177be64717a513c9657732db6"),
+    ("bch127", 2): (23, 0x49560208148249400020009010010100,
+                    "37ee3a0efb7b3d1d011a2774cff28e7ace1b133b46647748ff36c89b452949cc"),
+    ("bch127", 3): (23, 0x6208607889841400310000060020000,
+                    "c8ec7d46a91c9aacf3b74114d5160dedb8c15e4957ba7598b01c533d1f8877f6"),
+    ("bch127", 4): (22, 0x81491c402180950000140808003000,
+                    "95b2e8af7aac1c77b7f11acfba54e8c6484f199bcb56586f5e782a32d79cba0e"),
+    ("bch127", 5): (23, 0x41414448426920848400020800120000,
+                    "6b7ee0e22ba39649ed5d15c4621518edc4ad30f5628d00dc82bc21f820c6c65b"),
+    ("bch127", 6): (22, 0x40b1480f0c5400001000000000541008,
+                    "0de6b85155fd214bf3b9b4b0842c4df5ca1068790c837bcf5c1bb2fa59268bd3"),
+    ("bch127", 7): (21, 0x4914400500d0142c0081040000000084,
+                    "e874622ac62e07723690760f29a707ddafac0acca981bc2634eba7305392a1bf"),
+}
+
+
+@pytest.fixture(scope="module")
+def mim_codes():
+    return {name: make() for name, make in MIM_CODES.items()}
+
+
+@pytest.mark.parametrize("key", sorted(SEEDED_RECORDS), ids=lambda key: "-".join(map(str, key)))
+def test_seeded_records_are_pinned(mim_codes, key):
+    name, seed = key
+    code = mim_codes[name]
+    est = run(code, MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=seed))
+    events = json.dumps(strip_times(est.events), sort_keys=True).encode()
+    assert (est.d, est.witness.bits, hashlib.sha256(events).hexdigest()) == SEEDED_RECORDS[key]
 
 
 class TestRun:
