@@ -28,6 +28,7 @@ from .gf2 import (
     GF2mField,
     PRIMITIVE_POLYS,
     cyclotomic_coset,
+    eliminate,
     poly_gcd,
     systematize,
 )
@@ -63,6 +64,13 @@ class LinearCode:
     ``generator_poly`` hint that ``identity`` proved BCH or QR from, kept
     with it for ``save_code`` (None when the identity proves neither); it is
     derived the same way.
+
+    ``basis`` is the generator's one Gauss-Jordan reduction, ``gf2.eliminate``
+    of its rows on the columns in index order, run once here, where it also
+    proves full rank: (rows, pivots), row i the only row with a 1 at pivot
+    i.  The OSD decoder starts every word's reduction from it, and
+    ``DistanceEstimate.of`` tests its witness against it.  It is derived
+    like ``identity``.
     """
 
     n: int
@@ -70,6 +78,7 @@ class LinearCode:
     generator: BitMatrix
     family: str = "GENERIC"
     metadata: dict = field(default_factory=dict)
+    basis: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
     identity: Identity = field(init=False, compare=False, repr=False)
     proven_poly: int | None = field(init=False, compare=False, repr=False)
 
@@ -83,9 +92,11 @@ class LinearCode:
                 f"generator is {self.generator.nrows}x{self.generator.cols}, "
                 f"expected {self.k}x{self.n}"
             )
-        r = self.generator.rank()
-        if r != self.k:
-            raise RankError(f"generator rank {r} < k = {self.k}", rank=r)
+        rows = list(self.generator.rows)
+        piv = eliminate(rows, range(self.n))
+        if len(piv) != self.k:
+            raise RankError(f"generator rank {len(piv)} < k = {self.k}", rank=len(piv))
+        object.__setattr__(self, "basis", (tuple(rows), tuple(piv)))
         hint = self.metadata.get("generator_poly")
         facts = identify(self.generator, hint)
         object.__setattr__(self, "identity", facts)

@@ -8,11 +8,12 @@ Weight is a single popcount; XOR is a single int op.  The oracle and the
 genetic scorer weigh codewords in uint64 lanes that ``to_lanes`` builds
 from these rows.  ``unpack_rows`` and ``pack_rows`` convert such rows to
 and from 0/1 numpy matrices for the vectorized code.  ``eliminate`` is
-the package's Gauss-Jordan routine, always from scratch: matrix rank, the
-systematizer, the OSD decoder's cached basis and reference reduction, and
-the oracle's information sets all run it.  The decoder reduces each word
-from that basis by a low-rank update of its own (``osd._update``), which
-gives the rows ``eliminate`` would.
+the package's Gauss-Jordan routine, always from scratch: a code's basis
+(``LinearCode.basis``, reduced once when the code is built, which the OSD
+decoder and the witness check read), the systematizer, the OSD reference
+reduction, and the oracle's information sets all run it.  The decoder
+reduces each word from the code's basis by a low-rank update of its own
+(``osd._update``), which gives the rows ``eliminate`` would.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ Minimizing it is algebraically the same as minimizing Euclidean distance
 or maximizing the correlation sum((1 - 2 bit_i) * (-y_i)).
 
 The MRB reduction runs on the generator's rows as Python ints (cheap XOR,
-no per-pivot array traffic), and starts from a basis B each decoder
-caches: the reduction of a word whose samples all tie, whose columns the
-stable sort walks in index order.  Each of its k rows is the only row with
-a 1 at its unit column.  A word's pivots are the first k independent
-columns in its reliability order.  Most samples of an impulse word are
-exactly -1 and the stable sort keeps them in index order, so most pivots
-are unit columns of B, and the few that are not (about 5 on a
+no per-pivot array traffic), and starts from the code's basis B,
+``LinearCode.basis``: the reduction of a word whose samples all tie, whose
+columns the stable sort walks in index order.  Each of its k rows is the
+only row with a 1 at its unit column.  A word's pivots are the first k
+independent columns in its reliability order.  Most samples of an impulse
+word are exactly -1 and the stable sort keeps them in index order, so
+most pivots are unit columns of B, and the few that are not (about 5 on a
 BCH(127,64) MIM word) take the place of as many dropped unit columns.
 ``_update`` finds the pivots by a walk that costs a reduction only at the
 columns that are no free unit column, then applies the whole change to B
@@ -31,10 +31,10 @@ and every kept row takes the XOR of those rows where it has a 1 on a new
 pivot.  The result is bit for bit that of ``gf2.eliminate`` from the
 generator's own rows: the pivots depend only on which sets of columns are
 independent, and the reduced generator, G[:, piv]^-1 G, only on the row
-space and the pivots, not on the basis the reduction starts from.  The
-cached basis itself, and the ``most_reliable_basis`` reference, have no
-unit columns to update from, and are reduced from scratch by
-``eliminate`` (``_cold_reduce``).
+space and the pivots, not on the basis the reduction starts from.  B is
+reduced once, when the code is built; the ``most_reliable_basis``
+reference has no unit columns to update from, and is reduced from
+scratch by ``eliminate`` (``_cold_reduce``).
 
 Every candidate is an int codeword in original position order.  The
 re-encoded hard decisions c0 are one XOR of the reduced rows, those of the
@@ -396,12 +396,12 @@ def _received(n: int, y: np.ndarray | Sequence[float]) -> np.ndarray:
 def _by_column(
     rows: tuple[int, ...], units: tuple[int, ...], n: int
 ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """A cached basis read by column, for ``_update``.  For each of the n
+    """A code's basis read by column, for ``_update``.  For each of the n
     columns: the row it is the unit column of (-1 for none), that row as a
     bit (0 for none), the column as a k-bit int (bit i is row i's bit
     there), and the list of rows with a 1 there.  Memoized for the last 128
-    bases (``lru_cache``'s default size): a decoder reads its own on every
-    word."""
+    bases (``lru_cache``'s default size): a decoder reads its code's on
+    every word."""
     unit_row = [-1] * n
     for i, u in enumerate(units):
         unit_row[u] = i
@@ -415,12 +415,12 @@ def _by_column(
 def _update(
     rows: tuple[int, ...], units: tuple[int, ...], order: list[int]
 ) -> tuple[list[int], list[int]]:
-    """The reduction of a cached basis B on the first k independent columns
-    of ``order``, as a low-rank update.  Returns (rows, perm) as
-    ``_cold_reduce`` does: the rows and pivots of ``gf2.eliminate`` on the
-    generator's own rows, with perm the pivots followed by the other
-    columns in ``order``.  ``decode`` calls it on every word, with the
-    word's reliability order.
+    """The reduction of a code's basis B (``LinearCode.basis``) on the
+    first k independent columns of ``order``, as a low-rank update.
+    Returns (rows, perm) as ``_cold_reduce`` does: the rows and pivots of
+    ``gf2.eliminate`` on the generator's own rows, with perm the pivots
+    followed by the other columns in ``order``.  ``decode`` calls it on
+    every word, with the word's reliability order.
 
     Column c of B is the k-bit vector col[c]; the unit column of row i is
     the unit vector e_i.  The walk takes the pivots greedily.  ``kept``
@@ -433,7 +433,7 @@ def _update(
     a bit outside ``kept``.  So a unit column whose row is no lead is taken
     at once, and only the others cost a reduction: the columns that are no
     unit column, and the unit columns of leads.  A lead is the highest row
-    it can be, since the cached basis's unit columns rise with their rows:
+    it can be, since the basis's unit columns rise with their rows:
     its unit column then comes late in the walk, mostly as one of the
     dropped columns.
 
@@ -552,8 +552,9 @@ class OsdDecoder:
     ``decode`` accepts a float array or sequence of finite samples and
     returns the decoded codeword in original position order.  Every word
     is sorted by reliability and reduced by ``_update``'s low-rank update
-    of a basis the decoder builds once with ``_cold_reduce``, on the
-    columns in index order (the order of a word whose samples all tie).
+    of the code's basis, ``LinearCode.basis``, reduced once when the code
+    was built, on the columns in index order (the order of a word whose
+    samples all tie).
     A table of flip sets of weight 2 or less is scored from one Gram matrix
     of the signed parity rows, a table of heavier ones over packed parity
     lanes with per-byte lookup tables, built only for it.  First come the
@@ -593,8 +594,7 @@ class OsdDecoder:
         self.code = code
         self.order = order
         self._patterns = _patterns(code.k, order)
-        rows, perm = _cold_reduce(code.generator.rows, list(range(code.n)))
-        self._basis = (tuple(rows), tuple(perm[: code.k]))
+        self._basis = code.basis
         self._d_lb = lower_bound(code)
         self._window = code.n - self._d_lb + 1
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 
 from .bounds import BoundReport, build_report, enforce
 from .errors import ConsistencyError
-from .gf2 import BitMatrix, BitWord
+from .gf2 import BitWord, xor_rows
 
 if TYPE_CHECKING:
     from .codes import LinearCode
@@ -87,7 +87,9 @@ class DistanceEstimate:
                 f"{method}: witness of length {witness.length} and weight "
                 f"{witness.weight} does not certify d = {d} on n = {code.n}"
             )
-        elif BitMatrix(code.n, code.generator.rows + (witness.bits,)).rank() != code.k:
+        # a codeword is the XOR of the basis rows at whose pivots it has a 1
+        elif witness.bits != xor_rows(code.basis[0], sum(
+                (witness.bits >> c & 1) << i for i, c in enumerate(code.basis[1]))):
             raise ConsistencyError(f"{method}: witness is not a codeword")
         return DistanceEstimate(
             family=code.family,

@@ -27,8 +27,10 @@ from mindist.codes import (
     save_code,
 )
 from mindist.errors import RankError
-from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, systematize, xor_rows
+from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, eliminate, systematize, xor_rows
 from mindist.oracle import exact_min_distance
+from mindist.osd import OsdDecoder
+from test_osd import DEPENDENT_LEAD, permuted_dcc
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -397,14 +399,33 @@ class TestLinearCode:
         assert mim.MimConfig.for_code(code).d1 == 11
         assert oracle.lower_bound(code) == 11
 
-    def test_identity_is_derived(self):
+    @pytest.mark.parametrize("name", ["identity", "basis"])
+    def test_identity_is_derived(self, name):
         # not an argument, not compared, not in the repr
-        (f,) = [f for f in dataclasses.fields(LinearCode) if f.name == "identity"]
+        (f,) = [f for f in dataclasses.fields(LinearCode) if f.name == name]
         assert (f.init, f.compare, f.repr) == (False, False, False)
         code = build_bch(3, 1)
         with pytest.raises(TypeError):
-            LinearCode(7, 4, code.generator, identity=code.identity)
-        assert "identity" not in repr(code)
+            LinearCode(7, 4, code.generator, **{name: getattr(code, name)})
+        assert name not in repr(code)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_bch(6, 7),
+        lambda: build_qr(23),
+        lambda: build_dcc(BitWord.parse("1001111110")),
+        lambda: build_qdc(11),
+        lambda: LinearCode(7, 1, BitMatrix.from_strings(["1111111"])),
+        permuted_dcc,
+        lambda: DEPENDENT_LEAD,
+    ], ids=["bch63_24", "qr23", "dcc20", "qdc24", "generic", "dcc20-permuted", "dependent-lead"])
+    def test_basis_is_the_reduction_in_index_order(self, make):
+        # the one reduction of the generator, which the OSD decoder reads;
+        # the last two codes have pivots other than 0..k-1
+        code = make()
+        rows = list(code.generator.rows)
+        piv = eliminate(rows, range(code.n))
+        assert code.basis == (tuple(rows), tuple(piv))
+        assert OsdDecoder(code, order=1)._basis is code.basis
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -11,13 +12,13 @@ import pytest
 
 from mindist import mim, oracle, osd
 from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr
-from mindist.gf2 import BitMatrix, BitWord
+from mindist.gf2 import BitMatrix, BitWord, eliminate
 from mindist.mim import MimConfig, apply_pattern, make_pattern, run
 from mindist.oracle import exact_min_distance
 from mindist.osd import OsdDecoder, hard_decision, most_reliable_basis
 from mindist.results import validate_result
 
-from test_osd import MIM_CODES, reference_decode, zero_certified
+from test_osd import MIM_CODES, permuted_dcc, reference_decode, zero_certified
 
 
 class TestMakePattern:
@@ -542,6 +543,29 @@ class TestRun:
         cfg = MimConfig(**{"d0": 1, "d1": 5, "nb_test": 2, "error_max": 4, field: value})
         with pytest.raises(ValueError, match=field):
             cfg.validate(24)
+
+
+@pytest.mark.parametrize("make", [lambda: build_bch(7, 10), permuted_dcc],
+                         ids=["bch127", "dcc20-permuted"])
+def test_run_reduces_no_generator(make, monkeypatch):
+    """A code reduces its generator once, when it is built, into
+    ``code.basis``: with its ``lower_bound`` memoized, a run builds its
+    decoder from that basis, reduces each word by ``osd._update`` and checks
+    its witness against the basis, with no ``eliminate`` call.  Every
+    module's imported name is spied on, ``gf2``'s own too (``rank`` and
+    ``systematize`` call it there)."""
+    code = make()
+    oracle.lower_bound(code)
+    spied = {name: module for name, module in sys.modules.items()
+             if name.startswith("mindist.") and getattr(module, "eliminate", None) is eliminate}
+    assert {"mindist.gf2", "mindist.codes", "mindist.osd", "mindist.oracle"} <= spied.keys()
+    calls = []
+    for module in spied.values():
+        monkeypatch.setattr(module, "eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    decodes, update = [], osd._update
+    monkeypatch.setattr(osd, "_update", lambda *args: decodes.append(args) or update(*args))
+    est = run(code, MimConfig.for_code(code, nb_test=3, rng_seed=1))
+    assert est.witness is not None and decodes and calls == []
 
 
 def test_retained_record_size():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,12 +10,13 @@ import pytest
 
 import mindist
 from mindist import oracle
-from mindist.codes import build_qr
+from mindist.codes import LinearCode, build_qr
 from mindist.errors import ConsistencyError
-from mindist.gf2 import BitWord
+from mindist.gf2 import BitMatrix, BitWord, xor_rows
 from mindist.genetic import GaConfig, run_variant_b
 from mindist.mim import MimConfig, run
 from mindist.results import SCHEMA_VERSION, DistanceEstimate, validate_result
+from test_osd import permuted_dcc
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,48 @@ except ConsistencyError:
 raise SystemExit("forged witness accepted")
 """
 
+CHECKED = """
+import time
+from mindist.codes import LinearCode
+from mindist.errors import ConsistencyError
+from mindist.gf2 import BitMatrix, BitWord
+from mindist.results import DistanceEstimate
+
+code = LinearCode({n}, {k}, BitMatrix({n}, {rows}))
+for bits, codeword in {cases}:
+    word = BitWord({n}, bits)
+    try:
+        DistanceEstimate.of(code, "exact", word.weight, word, {{}}, None, time.perf_counter(), [])
+        accepted = True
+    except ConsistencyError:
+        accepted = False
+    if accepted != codeword:
+        raise SystemExit(f"{{bits:#x}}: accepted {{accepted}}, a codeword {{codeword}}")
+"""
+
+
+def run_optimized(source: str) -> subprocess.CompletedProcess:
+    """``source`` run by ``python -O``, which strips assert statements."""
+    src = Path(mindist.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-O", "-c", source],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def permuted_witnesses() -> tuple[LinearCode, list[int], list[int]]:
+    """C(20,10) with permuted columns, the codewords of 50 seeded information
+    words, and each of them with each one of its bits flipped."""
+    code = permuted_dcc()
+    rng = random.Random(32)
+    words = [xor_rows(code.generator.rows, rng.randrange(1, 1 << code.k)) for _ in range(50)]
+    return code, words, [bits ^ 1 << j for bits in words for j in range(code.n)]
+
+
+def is_codeword(code: LinearCode, bits: int) -> bool:
+    return BitMatrix(code.n, code.generator.rows + (bits,)).rank() == code.k
+
 
 class TestCertification:
     # weight 6 but not a codeword; a real weight-6 codeword of C(20,10)
@@ -167,10 +211,33 @@ class TestCertification:
 
     @pytest.mark.parametrize("word, d", [(CODEWORD, 5), (NON_CODEWORD, 6)])
     def test_forged_witness_rejected_under_optimize(self, word, d):
-        src = Path(mindist.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", FORGED.format(word=word, d=d)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            timeout=120,
-        )
+        proc = run_optimized(FORGED.format(word=word, d=d))
+        assert proc.returncode == 0, proc.stderr
+
+    # a code whose basis pivots are not 0..k-1, with BitMatrix.rank as the
+    # reference for which words are codewords
+
+    def test_permuted_codewords_accepted(self):
+        code, words, _ = permuted_witnesses()
+        for bits in words:
+            assert is_codeword(code, bits)
+            word = BitWord(code.n, bits)
+            est = DistanceEstimate.of(code, "exact", word.weight, word, {}, None,
+                                      time.perf_counter(), [])
+            assert est.witness == word
+
+    def test_permuted_non_codewords_rejected(self):
+        code, _, flipped = permuted_witnesses()
+        for bits in flipped:
+            assert not is_codeword(code, bits)
+            word = BitWord(code.n, bits)
+            with pytest.raises(ConsistencyError, match="not a codeword"):
+                DistanceEstimate.of(code, "exact", word.weight, word, {}, None,
+                                    time.perf_counter(), [])
+
+    def test_permuted_witnesses_under_optimize(self):
+        code, words, flipped = permuted_witnesses()
+        cases = [(bits, True) for bits in words] + [(bits, False) for bits in flipped]
+        proc = run_optimized(CHECKED.format(n=code.n, k=code.k, rows=code.generator.rows,
+                                            cases=cases))
         assert proc.returncode == 0, proc.stderr

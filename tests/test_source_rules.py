@@ -53,3 +53,17 @@ def test_only_codes_calls_identify():
                 if name == "identify":
                     callers.append(f"{path.name}:{node.lineno}")
     assert callers and all(c.startswith("codes.py:") for c in callers), callers
+
+
+def test_no_rank_call_in_package():
+    # a code's generator is reduced once, when it is built, into
+    # ``code.basis``, which also proves its rank; a ``.rank()`` call would
+    # reduce a generator again
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "rank"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
