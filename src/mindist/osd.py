@@ -161,9 +161,11 @@ cost has a higher exact cost, so it lies within tol of the least scored
 cost, in the near set, where exact costs decide.
 
 ``zero_certified`` takes the samples above 0 and the other magnitudes, so
-it needs no word: MIM asks it of each probe's impulse list (the all-zero
+it needs no word: MIM asks it of a probe's impulse list (the all-zero
 channel word plus a few impulses, ``mim._certified``), and decodes only
-the probes it does not certify.  On such a list most magnitudes are the
+the probes it does not certify.  MIM settles many probes before asking,
+from the level amplitude and the impulse count alone, with the bound the
+decoder exposes as ``d_lb``.  On such a list most magnitudes are the
 1.0 of the untouched positions, so impulses of 1 < a < 2 (samples below
 1.0) fall out of the window unless there are d_lb or more impulses, which
 leave fewer untouched positions than the window holds.
@@ -585,7 +587,8 @@ class OsdDecoder:
     among the n - d_lb + 1 most reliable positions, and its cost is below
     a floor on the cost of every other codeword.  The module docstring
     has the proofs, rounding included.  The decoded word is the one full
-    reprocessing returns.
+    reprocessing returns.  ``d_lb`` exposes that bound, read-only, so that
+    a caller's shortcut is proven with the same one.
     """
 
     def __init__(self, code: LinearCode, order: int = DEFAULT_ORDER):
@@ -597,6 +600,13 @@ class OsdDecoder:
         self._basis = code.basis
         self._d_lb = lower_bound(code)
         self._window = code.n - self._d_lb + 1
+
+    @property
+    def d_lb(self) -> int:
+        """The lower bound on d that ``zero_certified`` is proven with,
+        ``oracle.lower_bound(code)`` as it was when the decoder was built;
+        read-only."""
+        return self._d_lb
 
     def zero_certified(self, on: list[float], off: list[float], ones: int = 0) -> bool:
         """Whether the all-zero word is provably the decoded word of a
@@ -610,7 +620,12 @@ class OsdDecoder:
         below the sum of the d_lb - P smallest of the other magnitudes (see
         the module docstring).  When P >= d_lb that sum is empty and the
         test fails: the zero word's cost is then above 0.  MIM asks it of a
-        probe's impulse list, with the untouched positions as ``ones``.
+        probe's impulse list, with the untouched positions as ``ones``,
+        when the probe's level amplitude and impulse count do not settle
+        it first: with at most d_lb - 1 impulses summing to less than d_lb,
+        the test holds when at most ``order`` of them are 2.0 or more, and
+        only then when 2 d_lb < n + 3 (the ``mim`` module docstring has the
+        proof).
         """
         need = self._d_lb - len(on)
         if need <= 0:

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -204,17 +205,28 @@ class TestImpulseCertificate:
     @pytest.mark.parametrize("make", [lambda: build_qdc(11), lambda: build_qr(41), lambda: build_bch(6, 7)],
                              ids=["qdc24", "qr41", "bch63"])
     def test_every_seeded_probe_keeps_its_outcome(self, make, monkeypatch):
+        """Each probe ``_certified`` answers gets the dense test's answer,
+        and each probe the silent-level rule settles before asking it
+        passes the dense test."""
         code = make()
         reference = OsdDecoder(code, order=3)
-        last = []
+        last, unasked, settled = [], [], []
         draw, certified = mim.make_pattern, mim._certified
         outcomes = Counter()
 
+        def check_settled():
+            if unasked:  # the last probe drawn asked no ``_certified``
+                assert self.dense(reference, apply_pattern(code.n, *last))
+                settled.append(last[1])
+
         def draw_spy(*args):
+            check_settled()
             last[:] = draw(*args)
+            unasked[:] = [True]
             return tuple(last)
 
         def certified_spy(decoder, n, amplitudes):
+            unasked.clear()
             got = certified(decoder, n, amplitudes)
             y = apply_pattern(n, *last)
             assert self.dense(reference, y) == got
@@ -226,7 +238,145 @@ class TestImpulseCertificate:
         monkeypatch.setattr(mim, "lower_bound", no_stop)  # every trial's probes
         for seed in range(2):
             mim.run(code, MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=seed))
+        check_settled()
         assert outcomes[True] and outcomes[False]
+        assert settled
+
+
+class _Stop(Exception):
+    """Ends a run at its second probe."""
+
+
+def spy_probes(monkeypatch) -> list[list]:
+    """Record each probe ``mim.run`` draws as [nb_error, amplitude,
+    amplitudes, asked], with asked set once ``_certified`` is called on it."""
+    probes = []
+    draw, certified = mim.make_pattern, mim._certified
+
+    def draw_spy(n, nb_error, amplitude, rng):
+        got = draw(n, nb_error, amplitude, rng)
+        probes.append([nb_error, amplitude, got[1], False])
+        return got
+
+    def certified_spy(decoder, n, amplitudes):
+        probes[-1][3] = True
+        return certified(decoder, n, amplitudes)
+
+    monkeypatch.setattr(mim, "make_pattern", draw_spy)
+    monkeypatch.setattr(mim, "_certified", certified_spy)
+    return probes
+
+
+class TestSilentLevelRule:
+    """``mim.run`` settles a probe of e impulses at level A as the zero word,
+    without asking ``_certified``, when e <= d_lb - 1 and A < d_lb (the
+    region), and floor(A / 2) <= order or at most ``order`` amplitudes are
+    2.0 or more; d_lb is the decoder's bound.  Inside the region that is
+    exactly when the certificate passes, on every code here (2 d_lb < n + 3).
+    BCH(15,7) has d_lb = 5 and n = 15."""
+
+    CODE = TestImpulseCertificate.CODE
+
+    def first_probe(self, monkeypatch, order, level, amplitudes) -> tuple[bool, bool]:
+        """Run MIM with ``amplitudes`` as its first probe, at ``level``, up to
+        its second draw: whether that probe asked ``_certified``, and whether
+        it was decoded."""
+        script = [(tuple(range(len(amplitudes))), amplitudes)]
+        asked, decoded = [], []
+        certified, build = mim._certified, mim.apply_pattern
+
+        def draw(n, nb_error, amplitude, rng):
+            if not script:
+                raise _Stop
+            assert (nb_error, amplitude) == (len(amplitudes), level)
+            return script.pop()
+
+        monkeypatch.setattr(mim, "make_pattern", draw)
+        monkeypatch.setattr(mim, "_certified", lambda *args: asked.append(args) or certified(*args))
+        monkeypatch.setattr(mim, "apply_pattern",
+                            lambda *args: decoded.append(args) or build(*args))
+        cfg = MimConfig(d0=int(level), d1=self.CODE.n, nb_test=1, error_max=len(amplitudes),
+                        osd_order=order)
+        with contextlib.suppress(_Stop):
+            run(self.CODE, cfg)
+        return bool(asked), bool(decoded)
+
+    @pytest.mark.parametrize(
+        "order, level, amplitudes, inside, want",
+        [
+            # A = d_lb - 0.5 and floor(A / 2) = order: a silent level; the
+            # two 1.0 samples cost 2.0 against a floor of 0.5 + 1 + 1
+            (2, 4.5, (2.0, 2.0, 0.5), True, True),
+            # exactly order amplitudes >= 2.0 with P = 2 > order: the 0.5
+            # sample ranks below the 12 untouched positions
+            (1, 4.5, (2.5, 1.5, 0.5), True, True),
+            # an amplitude of exactly 2.0 is the one that counts; a = 1.0
+            # gives a 0.0 sample, a weak one
+            (1, 4.5, (2.0, 1.5, 1.0), True, True),
+            # two amplitudes of exactly 2.0: their 1.0 samples tie the
+            # untouched positions and rank inside the window
+            (1, 4.5, (2.0, 2.0, 0.5), True, False),
+            # e = d_lb - 1: the two 0.75 samples rank below 11 untouched ones
+            (1, 4.5, (1.75, 1.75, 0.5, 0.5), True, True),
+            # e = d_lb: 10 untouched positions leave the 0.5 samples inside
+            (1, 4.5, (1.5, 1.5, 0.5, 0.5, 0.5), False, False),
+            # A = d_lb + 0.5, floor(A / 2) = order: 3.0 against 0.5 + 1 + 1
+            (2, 5.5, (2.5, 2.5, 0.5), False, False),
+            # A = d_lb + 0.5 with one amplitude >= 2.0: 2.5 against 1 + 1
+            (1, 5.5, (2.5, 1.5, 1.5), False, False),
+        ],
+        ids=["silent-level", "order-strong", "one-at-2.0", "two-at-2.0", "e-d_lb-minus-1",
+             "e-d_lb", "A-d_lb-plus-half-silent", "A-d_lb-plus-half-count"],
+    )
+    def test_edges(self, monkeypatch, order, level, amplitudes, inside, want):
+        """``want`` is the certificate's answer, ``inside`` whether the probe
+        lies in the region: the rule settles the region's certified probes,
+        every other probe asks ``_certified``, and only refused ones decode."""
+        assert math.isclose(math.fsum(amplitudes), level)
+        decoder = OsdDecoder(self.CODE, order=order)
+        assert decoder.d_lb == 5
+        y = apply_pattern(15, tuple(range(len(amplitudes))), amplitudes)
+        assert mim._certified(decoder, 15, amplitudes) == want
+        assert TestImpulseCertificate.dense(decoder, y) == want
+        asked, decoded = self.first_probe(monkeypatch, order, level, amplitudes)
+        assert (asked, decoded) == (not (inside and want), not want)
+
+    @pytest.mark.parametrize("name", list(MIM_CODES))
+    def test_settled_probes_are_certified(self, mim_codes, name, monkeypatch):
+        """Seeded runs with the stop switched off (``no_stop``, so the run's
+        own bound is 1 and the rule must read the decoder's): every probe the
+        rule settles is certified, and inside the region it settles exactly
+        the certified ones."""
+        code = mim_codes[name]
+        decoder = OsdDecoder(code, order=3)
+        d_lb, certified = decoder.d_lb, mim._certified
+        assert 2 * d_lb < code.n + 3
+        probes = spy_probes(monkeypatch)
+        monkeypatch.setattr(mim, "lower_bound", no_stop)
+        for seed in range(2):
+            run(code, MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=seed))
+        settled = 0
+        for nb_error, level, amplitudes, asked in probes:
+            inside = nb_error < d_lb and level < d_lb
+            assert (not asked) == (inside and certified(decoder, code.n, amplitudes))
+            settled += not asked
+        assert settled
+
+    def test_bch127_certifies_no_asked_probe(self, mim_codes, monkeypatch):
+        """On the seeded BCH(127,64) runs of the pinned records, the rule
+        settles every probe the certificate would pass: ``_certified`` passes
+        none of the probes it is asked about, and each of them decodes."""
+        code = mim_codes["bch127"]
+        decoder = OsdDecoder(code, order=3)
+        certified, build = mim._certified, mim.apply_pattern
+        probes, decodes = spy_probes(monkeypatch), []
+        monkeypatch.setattr(mim, "apply_pattern",
+                            lambda *args: decodes.append(args) or build(*args))
+        for seed in range(8):
+            run(code, MimConfig.for_code(code, nb_test=2, error_max=20, osd_order=3, rng_seed=seed))
+        asked = [amplitudes for _, _, amplitudes, was_asked in probes if was_asked]
+        assert len(probes) > 3000 and asked and len(asked) == len(decodes)
+        assert not any(certified(decoder, code.n, amplitudes) for amplitudes in asked)
 
 
 class TestApplyPattern:

@@ -398,6 +398,13 @@ class TestZeroCertificate:
     def test_bound_is_the_distance(self):
         assert OsdDecoder(self.CODE, order=2)._d_lb == 5
 
+    def test_bound_is_exposed_read_only(self):
+        # MIM's silent-level rule reads the bound the certificate is proven with
+        decoder = OsdDecoder(self.CODE, order=2)
+        assert decoder.d_lb == decoder._d_lb == 5
+        with pytest.raises(AttributeError):
+            decoder.d_lb = 1
+
     def test_cost_just_below_floor_is_certified(self):
         y = self.word(1.5, 1.25)  # zero costs 2.75 < 3.0
         dec = OsdDecoder(self.CODE, order=2)
