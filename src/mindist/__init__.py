@@ -27,7 +27,7 @@ from .codes import (
 )
 from .errors import BudgetError, ConsistencyError, DimensionError, RankError
 from .genetic import GaConfig, fitness, run_variant_a, run_variant_b
-from .gf2 import BinPoly, BitMatrix, BitWord, GF2mField, cyclotomic_coset, systematize
+from .gf2 import BinPoly, BitMatrix, BitWord, GF2mField, cyclotomic_coset
 from .mim import MimConfig, apply_pattern, make_pattern
 from .mim import run as run_mim
 from .oracle import ExactResult, exact_enumerator, exact_min_distance
@@ -74,6 +74,5 @@ __all__ = [
     "run_variant_b",
     "save_code",
     "singleton",
-    "systematize",
     "validate_result",
 ]

@@ -1,16 +1,17 @@
 """Binary linear block code constructions: BCH, QR, DCC, and QDC families.
 
 All constructors return a LinearCode whose generator matrix is in
-systematic form [I_k | P] (cyclic constructions are systematized; the
-double-circulant families are systematic by shape).  The cyclic rows
-x^i g(x), with g(0) = 1, are unit upper triangular on columns 0..k-1, so
-systematization takes pivots 0..k-1 and permutes no column, so a BCH or
-QR record keeps no column permutation, and the stored generator spans the
-cyclic code itself.
+systematic form [I_k | P] (the double-circulant families by shape).  A
+cyclic code's rows x^i g(x), with g(0) = 1, are unit upper triangular on
+columns 0..k-1, so ``gf2.eliminate`` on them takes pivots 0..k-1 and the
+reduced rows are [I_k | P] with no column moved: the stored generator of a
+BCH or QR code spans the cyclic code itself.
 
 ``identify`` owns what a generator proves: that the code is BCH or QR, and
-a lower bound on its distance.  ``LinearCode`` runs it once, keeps the
-answer as ``identity`` and checks its label against it.
+a lower bound on its distance.  A cyclic code is the set of multiples of
+its generator polynomial, so it proves a hint g by division, with no
+reduction.  ``LinearCode`` runs it once, keeps the answer as ``identity``
+and checks its label against it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .gf2 import (
     cyclotomic_coset,
     eliminate,
     poly_gcd,
-    systematize,
 )
 
 __all__ = [
@@ -54,10 +54,12 @@ class LinearCode:
     """An (n, k) binary linear code given by a full-rank generator matrix.
 
     ``identity`` is ``identify`` of the generator and its ``generator_poly``
-    hint, taken once at construction: what the code is and the distance
-    bound it proves stay fixed, whatever later happens to ``metadata``.
-    It is derived, so it is no argument, is not compared and is not in the
-    repr.  ``family`` is checked against it: a ``BCH`` or ``QR`` label it
+    hint, taken once at construction, after ``basis`` has proven the full
+    rank ``identify`` needs: what the code is and the distance bound it
+    proves stay fixed, whatever later happens to ``metadata``.  It is
+    derived, so it is no argument, is not compared and is not in the repr.
+    Any full-rank generator of the cyclic code the hint generates proves
+    it, reduced or not (the raw shifts x^i g(x), say).  ``family`` is checked against it: a ``BCH`` or ``QR`` label it
     does not prove is a ``ValueError``, and a ``GENERIC`` code it proves
     takes the proven family, QR first.  ``DCC`` and ``QDC`` labels are kept
     as given, since nothing is proven from them.  ``proven_poly`` is the
@@ -167,11 +169,10 @@ def build_bch(m: int, t: int) -> LinearCode:
         raise ValueError(
             f"generator polynomial absorbs the whole length: deg g = {g.degree} >= n = {n}"
         )
-    gen, _ = systematize(_cyclic_generator(g, n))
     return LinearCode(
         n,
         k,
-        gen,
+        _cyclic_generator(g, n),
         family="BCH",
         metadata={
             "m": m,
@@ -183,9 +184,12 @@ def build_bch(m: int, t: int) -> LinearCode:
 
 
 def _cyclic_generator(g: BinPoly, n: int) -> BitMatrix:
-    """Rows x^i * g(x) for i = 0..k-1, packed as length-n words."""
-    k = n - g.degree
-    return BitMatrix(n, tuple(g.bits << i for i in range(k)))
+    """The rows x^i * g(x), i = 0..k-1, reduced to [I_k | P]: with g(0) = 1
+    they are unit upper triangular on columns 0..k-1, so ``eliminate``
+    takes those pivots and moves no column."""
+    rows = [g.bits << i for i in range(n - g.degree)]
+    eliminate(rows, range(n))
+    return BitMatrix(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +272,10 @@ def build_qr(p: int) -> LinearCode:
     """
     g = qr_generator_poly(p)
     n, k = p, (p + 1) // 2
-    gen, _ = systematize(_cyclic_generator(g, n))
     return LinearCode(
         n,
         k,
-        gen,
+        _cyclic_generator(g, n),
         family="QR",
         metadata={
             "p": p,
@@ -300,10 +303,13 @@ def identify(generator: BitMatrix, hint: object) -> Identity:
 
     The generator polynomial ``hint`` (a code's ``metadata["generator_poly"]``)
     is used only when it is an int and after it is checked: g has degree
-    n - k, divides x^n - 1, and systematizing the cyclic rows x^i g(x)
-    reproduces the generator's rows exactly.  The code is then the cyclic
-    code generated by g.  Otherwise (a float, a str or a list hint, say)
-    nothing is proven: ``Identity(None, False, 1)``.
+    n - k, divides x^n - 1, and divides every generator row.  The code is
+    then the cyclic code C_g generated by g: a row divisible by g is
+    a(x) g(x) with deg a < k, so the rows lie in C_g, whose dimension is
+    k, and the k rows have rank k (the precondition below), so they span
+    all of C_g.  Otherwise (a float, a str or a list hint, or rows that are
+    not all multiples of g, say) nothing is proven:
+    ``Identity(None, False, 1)``.
 
     - ``bch``: for n = 2^m - 1 (m in the field table), the designed distance
       delta when g's zeros, over the field's primitive alpha, are exactly
@@ -322,13 +328,15 @@ def identify(generator: BitMatrix, hint: object) -> Identity:
         shows that the minimum weight of the QR code is odd, and equal to
         d_o; the bound is rounded up to odd.
 
-    ``LinearCode`` is its one caller in the package, and keeps the answer
-    as ``identity``.
+    Precondition: ``generator`` has full row rank.  Division alone cannot
+    tell k rows of C_g from fewer independent ones.  ``LinearCode``, its one
+    caller in the package, proves the rank first, in its ``basis``, and
+    keeps the answer as ``identity``.
     """
     n, k = generator.cols, generator.nrows
     g = BinPoly(hint) if type(hint) is int and hint > 0 else None
     if (g is None or g.degree != n - k or BinPoly((1 << n) | 1) % g
-            or systematize(_cyclic_generator(g, n))[0].rows != generator.rows):
+            or any(BinPoly(r) % g for r in generator.rows)):
         return Identity(None, False, 1)
     bch, lower = None, 1
     m = n.bit_length()

@@ -10,10 +10,11 @@ from these rows.  ``unpack_rows`` and ``pack_rows`` convert such rows to
 and from 0/1 numpy matrices for the vectorized code.  ``eliminate`` is
 the package's Gauss-Jordan routine, always from scratch: a code's basis
 (``LinearCode.basis``, reduced once when the code is built, which the OSD
-decoder and the witness check read), the systematizer, the OSD reference
-reduction, and the oracle's information sets all run it.  The decoder
-reduces each word from the code's basis by a low-rank update of its own
-(``osd._update``), which gives the rows ``eliminate`` would.
+decoder and the witness check read), the reduced cyclic rows of a BCH or
+QR code, the OSD reference reduction, and the oracle's information sets
+all run it.  The decoder reduces each word from the code's basis by a
+low-rank update of its own (``osd._update``), which gives the rows
+``eliminate`` would.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, RankError
+from .errors import ConsistencyError, DimensionError
 
 __all__ = [
     "BitWord",
@@ -33,7 +34,6 @@ __all__ = [
     "PRIMITIVE_POLYS",
     "cyclotomic_coset",
     "eliminate",
-    "systematize",
     "poly_gcd",
     "xor_rows",
     "pack_rows",
@@ -197,31 +197,6 @@ def eliminate(rows: list[int], cols: Iterable[int]) -> list[int]:
         rows[r], rows[p] = pr, rows[r]
         piv.append(c)
     return piv
-
-
-def systematize(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduce a full-row-rank matrix to systematic form [I_k | P].
-
-    The pivots are the first k independent columns in index order.  Pivot r
-    moves to column r by swapping it with the column there, so an
-    already-systematic input comes back untouched and a dependent column
-    keeps its place until a later pivot displaces it.  Returns the reduced
-    matrix and the column permutation ``perm`` with ``perm[j]`` = original
-    index of column j.  Raises RankError (with the achieved rank) on
-    rank-deficient input.
-    """
-    k, n = matrix.nrows, matrix.cols
-    rows = list(matrix.rows)
-    piv = eliminate(rows, range(n))
-    if len(piv) < k:
-        raise RankError(f"rank {len(piv)} < {k} rows", rank=len(piv))
-    perm = list(range(n))
-    for i, c in enumerate(piv):
-        j = perm.index(c)
-        perm[i], perm[j] = perm[j], perm[i]
-    if perm != list(range(n)):
-        rows = pack_rows(unpack_rows(rows, n)[:, perm])
-    return BitMatrix(n, tuple(rows)), tuple(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
-from mindist import oracle
+from mindist import mim, oracle
 from mindist.bounds import (
     BoundReport,
     build_report,
@@ -24,8 +25,8 @@ from mindist.codes import (
     identify,
     qr_factors,
 )
-from mindist.errors import ConsistencyError
-from mindist.gf2 import BitMatrix, BitWord, systematize
+from mindist.errors import ConsistencyError, RankError
+from mindist.gf2 import BitMatrix, BitWord
 from mindist.oracle import exact_min_distance
 
 
@@ -243,8 +244,7 @@ class TestCertifiedLower:
         # residue code's rows it is a forged hint
         qr47 = build_qr(47)
         (g_n,) = [g for g in qr_factors(47) if g.bits != qr47.metadata["generator_poly"]]
-        gen, _ = systematize(_cyclic_generator(g_n, 47))
-        other = LinearCode(47, 24, gen, metadata={"generator_poly": g_n.bits})
+        other = LinearCode(47, 24, _cyclic_generator(g_n, 47), metadata={"generator_poly": g_n.bits})
         assert other.family == "QR" and other.identity == (None, True, 9)
         assert exact_min_distance(other).d_exact == 11
         assert identify(qr47.generator, g_n.bits) == (None, False, 1)
@@ -260,3 +260,96 @@ class TestCertifiedLower:
         assert code.identity.lower >= want
         if (p + 1) & p:  # not 2^m - 1: the square-root bound alone
             assert code.identity.lower == want
+
+
+def row_mixed(code: LinearCode, seed: int) -> BitMatrix:
+    """The code's generator after 4k random row additions: the same row
+    space, and full rank, in rows that are no longer reduced."""
+    rows = list(code.generator.rows)
+    rng = random.Random(seed)
+    for _ in range(4 * code.k):
+        i, j = rng.sample(range(code.k), 2)
+        rows[i] ^= rows[j]
+    return BitMatrix(code.n, tuple(rows))
+
+
+class TestHintByDivision:
+    """``identify`` accepts a hint g when g divides every generator row:
+    any full-rank generator of the cyclic code g generates proves what the
+    built code proves, and a generator of another code proves nothing."""
+
+    def test_row_mixed_rows_get_the_built_identity(self):
+        built = build_bch(6, 7)
+        gen = row_mixed(built, 24)
+        assert gen.rows != built.generator.rows
+        code = LinearCode(63, 24, gen, metadata=dict(built.metadata))
+        assert (code.family, code.identity) == (built.family, built.identity) == ("BCH", (15, False, 15))
+        assert code.basis == built.basis
+
+    @pytest.mark.parametrize("label", ["BCH(15,7)", "QR(47)"])
+    def test_raw_shifts_get_the_built_identity(self, label):
+        built = BUILT[label][0]()
+        g = built.metadata["generator_poly"]
+        shifts = BitMatrix(built.n, tuple(g << i for i in range(built.k)))
+        code = LinearCode(built.n, built.k, shifts, metadata={"generator_poly": g})
+        assert (code.family, code.identity) == (built.family, built.identity)
+        assert code.identity.lower == BUILT[label][1]
+
+    def test_row_mixed_record_is_the_built_record(self):
+        # MIM decodes from the basis, which only the row space sets, so the
+        # seeded record is the built code's but for the params and the times
+        built = build_bch(6, 7)
+        mixed = LinearCode(63, 24, row_mixed(built, 24), metadata={"generator_poly": built.metadata["generator_poly"]})
+        cfg = mim.MimConfig.for_code(built, nb_test=3, rng_seed=1)
+        assert mim.MimConfig.for_code(mixed, nb_test=3, rng_seed=1) == cfg
+
+        def record(code):
+            doc = mim.run(code, cfg).to_dict()
+            del doc["code"]["params"], doc["wall_time_seconds"]
+            for event in doc["events"]:
+                event.pop("time", None)
+            return json.dumps(doc, sort_keys=True)
+
+        assert record(mixed) == record(built)
+
+    def test_column_permuted_code_proves_nothing(self):
+        # swapping columns 0 and 1 adds (1 + x) to a row with bits 10 there,
+        # and g, of degree 39, does not divide 1 + x
+        built = build_bch(6, 7)
+        g = built.metadata["generator_poly"]
+        rows = tuple(r & ~0b11 | (r & 1) << 1 | (r >> 1) & 1 for r in built.generator.rows)
+        code = LinearCode(63, 24, BitMatrix(63, rows), metadata={"generator_poly": g})
+        assert (code.family, code.identity, code.proven_poly) == ("GENERIC", (None, False, 1), None)
+        with pytest.raises(ValueError, match="do not prove a BCH code"):
+            LinearCode(63, 24, BitMatrix(63, rows), family="BCH", metadata={"generator_poly": g})
+
+    def test_any_one_row_off_the_code_proves_nothing(self):
+        # a flipped parity bit adds x^62, which g does not divide, and keeps
+        # the rows full rank: every row is checked, not only some
+        built = build_bch(6, 7)
+        g = built.metadata["generator_poly"]
+        for i in range(24):
+            rows = list(built.generator.rows)
+            rows[i] ^= 1 << 62
+            code = LinearCode(63, 24, BitMatrix(63, tuple(rows)), metadata={"generator_poly": g})
+            assert (code.family, code.identity) == ("GENERIC", (None, False, 1)), i
+
+    def test_shifts_of_a_non_divisor_prove_nothing(self):
+        # g ^ 0b110 divides its own shifts, but not x^63 - 1: the code they
+        # span is not cyclic
+        g = build_bch(6, 7).metadata["generator_poly"] ^ 0b110
+        code = LinearCode(63, 24, BitMatrix(63, tuple(g << i for i in range(24))),
+                          metadata={"generator_poly": g})
+        assert (code.family, code.identity) == ("GENERIC", (None, False, 1))
+
+    def test_rank_below_k_is_refused_before_identify(self):
+        # every row a multiple of g, but row k - 1 the sum of rows 0 and 1:
+        # division alone would prove the code, so LinearCode's rank check
+        # must run first
+        built = build_bch(6, 7)
+        g = built.metadata["generator_poly"]
+        rows = built.generator.rows[:-1] + (built.generator.rows[0] ^ built.generator.rows[1],)
+        assert identify(BitMatrix(63, rows), g) == built.identity
+        with pytest.raises(RankError) as exc:
+            LinearCode(63, 24, BitMatrix(63, rows), metadata={"generator_poly": g})
+        assert exc.value.rank == 23

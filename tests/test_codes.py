@@ -12,22 +12,22 @@ from hypothesis import strategies as st
 
 import mindist
 
-from mindist import mim, oracle
+from mindist import codes, gf2, mim, oracle
 from mindist.cli import EXIT_OK, main
 from mindist.codes import (
     LinearCode,
-    _cyclic_generator,
     build_bch,
     build_dcc,
     build_qdc,
     build_qr,
+    identify,
     load_code,
     multiplicative_order_of_2,
     quadratic_residues,
     save_code,
 )
 from mindist.errors import RankError
-from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, eliminate, systematize, xor_rows
+from mindist.gf2 import BinPoly, BitMatrix, BitWord, GF2mField, eliminate, xor_rows
 from mindist.oracle import exact_min_distance
 from mindist.osd import OsdDecoder
 from test_osd import DEPENDENT_LEAD, permuted_dcc
@@ -115,7 +115,7 @@ class TestBch:
         assert exact_min_distance(build_bch(4, 1)).d_exact == 3
 
     def test_systematized_encode_prefix(self):
-        # cyclic rows go through the systematizer; info word = codeword prefix
+        # the reduced cyclic rows are [I_k | P]; info word = codeword prefix
         code = build_bch(4, 2)
         for bits in (0b1, 0b1010110, 0b1111111):
             cw = xor_rows(code.generator.rows, bits)
@@ -170,16 +170,31 @@ CYCLIC += [(f"qr{p}", lambda p=p: build_qr(p)) for p in (7, 17, 23, 31, 41, 47, 
 @pytest.mark.parametrize("make", [make for _, make in CYCLIC], ids=[key for key, _ in CYCLIC])
 def test_cyclic_column_permutation_is_the_identity(make):
     # the rows x^i g(x), with g(0) = 1, are unit upper triangular on
-    # columns 0..k-1: systematization takes those pivots and swaps nothing,
-    # so the record keeps no permutation and the stored generator spans the
-    # cyclic code itself
+    # columns 0..k-1: eliminate takes those pivots and moves no column, so
+    # the record keeps no permutation, the stored rows are the reduced
+    # shifts, and the stored generator spans the cyclic code itself
     code = make()
     n, k = code.n, code.k
-    _, perm = systematize(_cyclic_generator(BinPoly(code.metadata["generator_poly"]), n))
-    assert perm == tuple(range(n))
+    rows = [code.metadata["generator_poly"] << i for i in range(k)]
+    assert eliminate(rows, range(n)) == list(range(k))
+    assert tuple(rows) == code.generator.rows
     assert "column_permutation" not in code.metadata
-    cyclic = tuple(code.metadata["generator_poly"] << i for i in range(k))
-    assert BitMatrix(n, code.generator.rows + cyclic).rank() == k
+
+
+@pytest.mark.parametrize("make", [lambda: build_bch(6, 7), lambda: build_bch(7, 10), lambda: build_qr(47)],
+                         ids=["bch63_24", "bch127_64", "qr47"])
+def test_cyclic_build_reduces_twice(make, monkeypatch):
+    """A BCH or QR build reduces two row sets: the shifts x^i g(x) to
+    [I_k | P], then the generator into ``code.basis``.  ``identify`` proves
+    the hint by division and reduces nothing."""
+    calls = []
+    for module in (gf2, codes):
+        monkeypatch.setattr(module, "eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    code = make()
+    assert len(calls) == 2
+    calls.clear()
+    assert identify(code.generator, code.metadata["generator_poly"]) == code.identity
+    assert calls == []
 
 
 class TestDcc:

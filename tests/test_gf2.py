@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindist.errors import DimensionError, RankError
+from mindist.errors import DimensionError
 from mindist.gf2 import (
     BinPoly,
     BitMatrix,
@@ -14,7 +14,6 @@ from mindist.gf2 import (
     eliminate,
     pack_rows,
     poly_gcd,
-    systematize,
     unpack_rows,
     xor_rows,
 )
@@ -78,60 +77,15 @@ class TestEncode:
         cw = BitWord(20, xor_rows(c20.generator.rows, 1))
         assert cw.to01() == "1000000000" + "1001111110"
 
+    def test_c20_encode_prefix(self, c20):
+        # first k bits of any encoding equal the information word
+        for bits in (0b1, 0b1011, 0b1111111111):
+            assert xor_rows(c20.generator.rows, bits) & 0x3FF == bits
+
     @given(st.integers(0, 1023), st.integers(0, 1023))
     def test_linearity(self, a_bits, b_bits):
         rows = build_dcc(BitWord.parse("1001111110")).generator.rows
         assert xor_rows(rows, a_bits ^ b_bits) == xor_rows(rows, a_bits) ^ xor_rows(rows, b_bits)
-
-
-class TestSystematize:
-    def test_already_systematic_fixed_point(self):
-        m = BitMatrix.from_strings(["10011", "01010"])
-        out, perm = systematize(m)
-        assert out == m
-        assert perm == (0, 1, 2, 3, 4)
-
-    def test_dependent_columns_keep_swap_order(self):
-        # pivots 0, 2, 4; column 1 equals column 0 and column 3 is their sum
-        # with column 2: each pivot swaps into place, so the dependent
-        # columns come back as 3, 1, out of index order
-        m = BitMatrix.from_strings(["11010", "00110", "00001"])
-        out, perm = systematize(m)
-        assert perm == (0, 2, 4, 3, 1)
-        assert out == BitMatrix.from_strings(["10011", "01010", "00100"])
-
-    def test_duplicate_rows_rank_error(self):
-        m = BitMatrix.from_strings(["1011", "1011"])
-        with pytest.raises(RankError) as exc:
-            systematize(m)
-        assert exc.value.rank == 1
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=40)
-    def test_random_full_rank_5x10(self, seed):
-        rng = np.random.default_rng(seed)
-        while True:
-            arr = rng.integers(0, 2, size=(5, 10))
-            m = BitMatrix(10, tuple(pack_rows(arr.astype(np.uint8))))
-            if m.rank() == 5:
-                break
-        out, perm = systematize(m)
-        assert sorted(perm) == list(range(10))
-        bits = unpack_rows(out.rows, 10)
-        # left block is I_5
-        assert (bits[:, :5] == np.eye(5, dtype=np.uint8)).all()
-        # row space is preserved: adding any permuted-back row leaves rank at 5
-        inv = [0] * 10
-        for pos, orig in enumerate(perm):
-            inv[orig] = pos
-        for back in pack_rows(bits[:, inv]):
-            stacked = BitMatrix(10, m.rows + (back,))
-            assert stacked.rank() == 5
-
-    def test_systematize_then_encode_prefix(self, c20):
-        # first k bits of any encoding equal the information word
-        for bits in (0b1, 0b1011, 0b1111111111):
-            assert xor_rows(c20.generator.rows, bits) & 0x3FF == bits
 
 
 def span_rank(vectors) -> int:

@@ -702,8 +702,8 @@ def test_run_reduces_no_generator(make, monkeypatch):
     ``code.basis``: with its ``lower_bound`` memoized, a run builds its
     decoder from that basis, reduces each word by ``osd._update`` and checks
     its witness against the basis, with no ``eliminate`` call.  Every
-    module's imported name is spied on, ``gf2``'s own too (``rank`` and
-    ``systematize`` call it there)."""
+    module's imported name is spied on, ``gf2``'s own too (``rank`` calls
+    it there)."""
     code = make()
     oracle.lower_bound(code)
     spied = {name: module for name, module in sys.modules.items()
