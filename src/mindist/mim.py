@@ -45,14 +45,21 @@ inside the window, and more than ``order`` of them (so P > ``order``
 too) fail the certificate.  On such a code the rule settles every probe
 of the region that the certificate would pass, and ``_certified`` is
 asked there only to refuse.  Every other probe goes through
-``_certified`` as before, and every probe still draws its pattern, so
-the random stream and the records do not change.  On 56 seeded runs of
-the seven MIM codes of criteria 4 and 8 (seeds 0-7, two trials,
-error_max 20, order 3), 9,242 of the 14,589 probes settle by the rule
-(5,894 of them at silent levels), 5,347 ask ``_certified`` and 341
-reach a decode, as before; on BCH(127,64) the rule settles 3,611 of
-3,629 probes, and the other 18, refused by ``_certified``, are its
-decodes.
+``_certified``.
+
+A probe draws only what decides it.  A probe the silent rule settles
+draws nothing; on BCH(127,64), with error_max 20 < d_lb = 21, that skips
+the levels 1.5 to 7.5 whole.  Every other probe draws its split first
+(``_split``), which the count rule and ``_certified`` read, and only a
+probe that goes on to a decode draws its positions (``make_pattern``).
+The MIM process keeps its law: a settled probe's outcome does not
+depend on the draws it skips, every later probe still takes fresh
+uniform values, and the positions are independent of the split, so
+drawing them second changes no distribution.  On 56 seeded runs of the
+seven MIM codes of criteria 4 and 8 (seeds 0-7, two trials, error_max
+20, order 3), 8,677 probes draw a split, 5,434 of them ask
+``_certified``, and 321 draw positions and decode; on BCH(127,64) the
+counts are 1,353, 19 and 19.
 
 The amplitude schedule per trial starts at d0 - 0.5 and climbs in steps
 of 1.0 while every decode at the level still returns the all-zero word,
@@ -68,7 +75,6 @@ d and the witness are final.  The run then closes the trial, records a
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -124,51 +130,12 @@ class MimConfig:
         return replace(cfg, **overrides)
 
 
-def make_pattern(n: int, nb_error: int, amplitude: float,
-                 rng: random.Random) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """``(positions, amplitudes)``: distinct uniform positions of a length-n
-    word; amplitude split over them by a flat simplex partition.
-
-    The positions are those ``rng.sample(range(n), nb_error)`` draws, taken
-    the way CPython (3.10 to 3.13) takes them: ``getrandbits`` of the bit
-    count of the range, drawn again while it is not below it, from a pool
-    that moves the last unchosen position into each vacancy when n is at
-    most ``sample``'s set size, and otherwise against the set of positions
-    already chosen.  Inlined, it consumes the same stream without
-    ``sample``'s checks and call layers.  The amplitudes are the gaps
-    between nb_error - 1 sorted ``random()`` cuts of [0, 1], times the
-    amplitude; the cuts are drawn again while a gap is 0.
-    """
-    if not 1 <= nb_error <= n:
-        raise ValueError(f"nb_error {nb_error} outside 1..{n}")
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    draw = rng.getrandbits
-    setsize = 21
-    if nb_error > 5:
-        setsize += 4 ** math.ceil(math.log(nb_error * 3, 4))
-    if n <= setsize:
-        pool = list(range(n))
-        positions = []
-        for m in range(n, n - nb_error, -1):
-            bits = m.bit_length()
-            j = draw(bits)
-            while j >= m:
-                j = draw(bits)
-            positions.append(pool[j])
-            pool[j] = pool[m - 1]
-    else:
-        bits = n.bit_length()
-        chosen: set[int] = set()
-        positions = []
-        for _ in range(nb_error):
-            j = draw(bits)
-            while j >= n or j in chosen:
-                j = draw(bits)
-            chosen.add(j)
-            positions.append(j)
+def _split(nb_error: int, amplitude: float, rng: random.Random) -> tuple[float, ...]:
+    """``amplitude`` split over ``nb_error`` >= 1 impulses by a flat simplex
+    partition: the gaps between nb_error - 1 sorted ``random()`` cuts of
+    [0, 1], times the amplitude; the cuts are drawn again while a gap is 0."""
     if nb_error == 1:
-        return tuple(positions), (amplitude,)
+        return (amplitude,)
     uniform = rng.random
     while True:
         cuts = sorted([uniform() for _ in range(nb_error - 1)])
@@ -181,7 +148,17 @@ def make_pattern(n: int, nb_error: int, amplitude: float,
             amplitudes.append(amplitude * gap)
             prev = cut
         else:
-            return tuple(positions), tuple(amplitudes)
+            return tuple(amplitudes)
+
+
+def make_pattern(n: int, amplitudes: tuple[float, ...],
+                 rng: random.Random) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """``(positions, amplitudes)``: the impulses of a split placed at
+    distinct uniform positions of a length-n word, the
+    ``rng.sample(range(n), len(amplitudes))`` draws."""
+    if not 1 <= len(amplitudes) <= n:
+        raise ValueError(f"{len(amplitudes)} impulses outside 1..{n}")
+    return tuple(rng.sample(range(n), len(amplitudes))), amplitudes
 
 
 def apply_pattern(n: int, positions: tuple[int, ...], amplitudes: tuple[float, ...]) -> np.ndarray:
@@ -239,15 +216,16 @@ def run(code: LinearCode, cfg: MimConfig | None = None) -> DistanceEstimate:
             amplitude += 1.0
             level_all_zero = True
             quiet = amplitude < bound
-            silent = quiet and amplitude // 2 <= order
-            for nb_error in range(cfg.error_max, 0, -1):
-                positions, amplitudes = make_pattern(n, nb_error, amplitude, rng)
-                if nb_error < bound and (
-                        silent or quiet and sum(a >= 2.0 for a in amplitudes) <= order):
-                    continue  # the zero word, settled by the rule
+            # a silent level settles its probes of fewer than bound
+            # impulses by the rule: they draw nothing
+            low = bound - 1 if quiet and amplitude // 2 <= order else 0
+            for nb_error in range(cfg.error_max, low, -1):
+                amplitudes = _split(nb_error, amplitude, rng)
+                if quiet and nb_error < bound and sum(a >= 2.0 for a in amplitudes) <= order:
+                    continue  # the zero word, settled by the count rule
                 if _certified(decoder, n, amplitudes):
                     continue  # the zero word, with no word built or decoded
-                decoded = decoder.decode(apply_pattern(n, positions, amplitudes))
+                decoded = decoder.decode(apply_pattern(n, *make_pattern(n, amplitudes, rng)))
                 w = decoded.weight
                 if w:
                     level_all_zero = False

@@ -12,7 +12,7 @@ from mindist.cli import EXIT_OK, main
 from mindist.codes import LinearCode, build_bch, build_dcc, build_qdc, build_qr, load_code
 from mindist.errors import ConsistencyError
 from mindist.gf2 import BitMatrix, BitWord, eliminate, unpack_rows, xor_rows
-from mindist.mim import apply_pattern, make_pattern
+from mindist.mim import apply_pattern
 from mindist.osd import OsdDecoder, hard_decision, most_reliable_basis
 
 
@@ -67,6 +67,28 @@ def reference_decode(code, y: np.ndarray, order: int) -> BitWord:
     return BitWord(n, best)
 
 
+def sorted_cuts(nb_error: int, amplitude: float, rng: random.Random) -> tuple[float, ...]:
+    """A flat simplex split of ``amplitude`` over ``nb_error`` impulses: the
+    gaps between sorted ``random()`` cuts of [0, 1], drawn again while a gap
+    is 0, times the amplitude."""
+    if nb_error == 1:
+        return (amplitude,)
+    while True:
+        cuts = sorted(rng.random() for _ in range(nb_error - 1))
+        gaps = [b - a for a, b in zip([0.0] + cuts, cuts + [1.0])]
+        if all(g > 0.0 for g in gaps):
+            return tuple(amplitude * g for g in gaps)
+
+
+def sample_pattern(n: int, nb_error: int, amplitude: float,
+                   rng: random.Random) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """An impulse pattern drawn positions first, ``random.sample``, then the
+    split: the fixed stream that the seeded words of these tests were
+    drawn from."""
+    positions = tuple(rng.sample(range(n), nb_error))
+    return positions, sorted_cuts(nb_error, amplitude, rng)
+
+
 def mim_words(n: int, count: int, seed: int) -> list[np.ndarray]:
     """Impulse words as MIM draws them: the all-zero channel word plus a
     half-integer amplitude split over random positions.  A few strong
@@ -76,7 +98,7 @@ def mim_words(n: int, count: int, seed: int) -> list[np.ndarray]:
     for _ in range(count):
         nb_error = rng.randint(2, 5)
         amplitude = rng.randint(5, 12) + 0.5
-        words.append(apply_pattern(n, *make_pattern(n, nb_error, amplitude, rng)))
+        words.append(apply_pattern(n, *sample_pattern(n, nb_error, amplitude, rng)))
     return words
 
 
